@@ -5,11 +5,6 @@ Exit codes: 0 success, 1 usage error, 2 domain/input error,
 (default 42); identical argv and seed produce byte-identical reports
 (timings go to stderr, never into report output).
 
-The environment variable DCS_THREADS caps internal parallelism.  Every
-computation in this package is a pure function and the current
-implementation runs single-threaded, so any cap is trivially honored;
-the variable is read and reported for forward compatibility.
-
 Coefficient files use the sparse JSON shape
 ``{"coeffs": [{"n": 2, "re": 1.0, "im": 0.0}, ...]}`` --
 order-insensitive on input, canonical ascending on output.
@@ -20,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 
@@ -91,10 +85,6 @@ def dump_coeffs(seq: CoeffSeq) -> dict:
             for n, v in seq.entries()
         ]
     }
-
-
-def _enc(e: Enclosure) -> dict:
-    return {"lo": e.lo, "hi": e.hi}
 
 
 def _print_report(records, fmt, kind, out):
@@ -375,11 +365,8 @@ def build_parser() -> _Parser:
 
 def parse_and_dispatch(argv: list[str]) -> int:
     parser = build_parser()
-    threads = os.environ.get("DCS_THREADS")
     try:
         args = parser.parse_args(argv)
-        if threads is not None:
-            sys.stderr.write(f"# DCS_THREADS={threads} (single-threaded build: cap honored)\n")
         return args.func(args, sys.stdout)
     except _UsageError as ex:
         sys.stderr.write(f"usage error: {ex}\n")

@@ -39,7 +39,7 @@ import numpy as np
 
 from .enclosure import EPS, Enclosure, div_pos, ulp_down, ulp_up
 from .errors import ArgminTieError, DomainError, ResourceLimitError
-from .kernels import DEFAULT_TAIL_PREFIX, power_sum_range, zeta_auto, zeta_real, zeta_tail
+from .kernels import DEFAULT_TAIL_PREFIX, hurwitz_zeta, power_sum_range, zeta_real, zeta_tail
 from .sequences import CoeffSeq, Exponent
 
 SENTINEL = math.inf
@@ -259,6 +259,10 @@ def dual_norm_oracle(b: CoeffSeq, e: Exponent, restarts: int,
                         t1 = hi_t - inv_phi * (hi_t - lo_t)
                         f1 = f(t1)
                 x[i] = 0.5 * (lo_t + hi_t)
+                # the ratio is homogeneous of degree 0: keep max(x) = 1 so
+                # the bracket expansion cannot overflow acc ** p
+                top = max(x)
+                x[:] = [t / top for t in x]
                 val = ratio(x)
                 if val > best:
                     best = val
@@ -352,7 +356,8 @@ def sigma_threshold(e: Exponent) -> float:
 
         sigma_p = p - 1 + (log(p - 1) + log zeta(p)) / log 2,
 
-    evaluated from the zeta enclosure midpoint (documented accuracy
-    1e-10 for p not too close to 1)."""
-    z = zeta_auto(e.p, target_width=1e-10)
-    return e.p - 1.0 + (math.log(e.p - 1.0) + math.log(z.mid)) / math.log(2.0)
+    evaluated from the midpoint of the certified zeta(p) = zeta(p, 1)
+    enclosure of ``hurwitz_zeta`` (relative width about 1e-14)."""
+    lo, hi = hurwitz_zeta(e.p, [1])
+    z = 0.5 * (float(lo[0]) + float(hi[0]))
+    return e.p - 1.0 + (math.log(e.p - 1.0) + math.log(z)) / math.log(2.0)

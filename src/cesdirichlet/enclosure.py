@@ -1,17 +1,27 @@
 """Closed real intervals certifying values of infinite sums.
 
 Every infinite series evaluated in this package is returned as an
-``Enclosure`` [lo, hi] guaranteed (up to a documented floating-point
-slack model) to contain the exact value.  Finite sums are returned as
-plain floats; enclosures appear only where a genuine tail had to be
-bounded.
+``Enclosure`` [lo, hi] guaranteed, under the floating-point model below,
+to contain the exact value.  Finite sums are returned as plain floats.
 
-The slack model is deliberately simple: endpoints of a summation are
-widened by four units in the last place per accumulated term, i.e. by
-``4 * eps * sum(|terms|)``, on top of the directed integral brackets
-used for the tails.  Chunk subtotals are combined with ``math.fsum``,
-so the true rounding error is far below the budget.  This is an
-engineering certification, not formally verified arithmetic.
+Error model of ``kernels.hurwitz_zeta`` and ``sequences.ces_norm``: a
+basic operation rounds to nearest (relative error <= ``U`` = 2**-53;
+power-of-two scaling and negation are exact); numpy's ``power``,
+``log1p``, ``expm1`` and complex ``abs`` are within 4 ulps, a relative
+error <= ``LIB`` = 8 U (measured worst against mpmath on x86-64, numpy
+2.4: 0.70, 0.57, 0.50, 1.75 ulps); ``np.sum`` of a contiguous array is
+pairwise, at most ``pairwise_depth(n)`` additions per term; a result
+below the normal range is off by at most ``TINY``.  Relative errors are
+counted to first order, a step of condition number <= 1 passing its
+argument's count on, and a count n becomes the bound ``gamma(n)`` =
+nU/(1 - nU) (Higham, "Accuracy and Stability of Numerical Algorithms",
+Lemma 3.1).
+
+The dense routines (``zeta_tail``, ``zeta_real``, the dual chain, the
+Schur sums) widen each summation by four units in the last place per
+accumulated term, ``4 * EPS * sum(|terms|)``, on top of directed
+integral brackets for the tails.  All of this is engineering
+certification, not formally verified arithmetic.
 """
 
 from __future__ import annotations
@@ -20,6 +30,21 @@ import math
 from dataclasses import dataclass
 
 EPS = 2.0 ** -52
+U = 2.0 ** -53
+LIB = 8.0
+TINY = 2.0 ** -1074
+
+
+def gamma(n: float) -> float:
+    """Bound on the relative error accumulated by n roundings of at most U."""
+    return ulp_up(n * U / (1.0 - n * U), 2)
+
+
+def pairwise_depth(n: int) -> int:
+    """Most additions a term passes through in ``np.sum`` of n terms."""
+    # blocks of <= 128 terms: 8 lanes of <= 16 terms, 3 levels to join
+    # them, <= 7 leftovers; one level per halving above; 1 for the start
+    return 26 + max(0, math.ceil(math.log2(max(n, 1))))
 
 
 def ulp_up(x: float, steps: int = 1) -> float:

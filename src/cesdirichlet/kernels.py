@@ -1,9 +1,9 @@
 """Number-theoretic and special-function kernels.
 
 Prime generation, membership in the p_1..p_r-smooth integers, certified
-real zeta values and tails, the principal Lambert W branch, and the
-derivative of (x log x)**alpha used by the prime-supported multiplier
-test functions.
+real zeta values and tails, certified Hurwitz zeta values, the principal
+Lambert W branch, and the derivative of (x log x)**alpha used by the
+prime-supported multiplier test functions.
 
 All functions here are pure; returned tables are immutable and safe to
 share across threads.
@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .enclosure import EPS, Enclosure, ulp_down, ulp_up
+from .enclosure import EPS, LIB, Enclosure, gamma, ulp_down, ulp_up
 from .errors import ConvergenceError, DomainError
 
 # Explicit prefix length used to sharpen integral tail brackets.
@@ -186,13 +186,90 @@ def zeta_real(x: float, terms: int) -> Enclosure:
     return Enclosure(ulp_down(partial + blo) - slack, ulp_up(partial + bhi) + slack)
 
 
-def zeta_auto(x: float, target_width: float = 1e-10) -> Enclosure:
-    """zeta(x) with the explicit term count chosen for a target bracket
-    width (capped at 2**25 terms; the achieved width may be larger for
-    exponents very close to 1)."""
-    # bracket width ~ n^-x, so n ~ target**(-1/x)
-    terms = int(min(1 << 25, max(1000, math.ceil(target_width ** (-1.0 / x)))))
-    return zeta_real(x, terms)
+# Euler-Maclaurin for the Hurwitz zeta function: Bernoulli numbers
+# B_2, B_4, ..., B_18.  K = 8 of them enter the sum; B_18 bounds the remainder.
+_BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510,
+              43867 / 798)
+_EM_TERMS = len(_BERNOULLI) - 1
+_MAX_HURWITZ_EXPONENT = 64.0
+_MAX_EXACT_INDEX = 2 ** 53
+_HURWITZ_BLOCK = 1 << 15
+
+
+def _em_sum(m: np.ndarray, x: float, coef: list[float]) -> np.ndarray:
+    """m^(1-x) (1/(x-1) + y/2 + y^2 sum_j C_j y^(2j-2)), y = 1/m, by Horner
+    (``coef`` is C_K..C_1)."""
+    y = 1.0 / m
+    v = y * y
+    acc = np.full_like(m, coef[0])
+    for c in coef[1:]:
+        acc *= v
+        acc += c
+    acc *= y
+    acc += 0.5
+    acc *= y
+    acc += 1.0 / (x - 1.0)
+    acc *= np.power(m, 1.0 - x)
+    return acc
+
+
+def hurwitz_zeta(x: float, n) -> tuple[np.ndarray, np.ndarray]:
+    """Certified [lo, hi] arrays of zeta(x, n) = sum_{k >= n} k**-x for an
+    integer array 1 <= n <= 2**53 and real 1 < x <= 64.
+
+    Below N0 = 16 + ceil(x) an explicit head; from N0 on, Euler-Maclaurin
+    with K = 8 terms (Johansson, Numer. Algorithms 2015, arXiv:1309.2877):
+    zeta(x, m) = m^(1-x) (1/(x-1) + 1/(2m) + sum_j C_j m^-2j) + R with
+    C_j = B_2j/(2j)! x (x+1) ... (x+2j-2).  k**-x is completely monotone,
+    so R lies between 0 and the first omitted term, which is positive and
+    for m >= N0 at most C_{K+1} (x-1)/N0^(2K+2) times the sum.
+    """
+    x = float(x)
+    if not 1.0 < x <= _MAX_HURWITZ_EXPONENT:
+        raise DomainError(f"Hurwitz kernel needs 1 < x <= {_MAX_HURWITZ_EXPONENT:g}, got {x}")
+    n = np.asarray(n, dtype=np.int64)
+    if n.size and (int(n.min()) < 1 or int(n.max()) > _MAX_EXACT_INDEX):
+        raise DomainError(f"Hurwitz kernel indices must lie in [1, 2**53], got "
+                          f"[{int(n.min())}, {int(n.max())}]")
+    n0 = 16 + math.ceil(x)
+    # every m^(1-x) must stay far above the subnormal range
+    if n.size and (x - 1.0) * math.log2(max(int(n.max()), n0)) > 1000.0:
+        raise DomainError(f"zeta({x}, {int(n.max())}) leaves the float64 normal range")
+    coef, rising = [], x
+    for j, b in enumerate(_BERNOULLI, start=1):
+        coef.append(b / math.factorial(2 * j) * rising)
+        rising *= (x + 2 * j - 1) * (x + 2 * j)
+    # remainder bound, doubled to cover its own rounding
+    eps_r = 2.0 * coef.pop() * (x - 1.0) / float(n0) ** (2 * _EM_TERMS + 2)
+    # for m >= N0 each Horner term is at most 1/(4 pi^2) of the one before
+    # (|B_2j+2|/(2j+2)! < |B_2j|/(2j)!/(4 pi^2)), so the bracket is within
+    # 11 U of exact (C_1 within 2 U, C_j within (4j + 2) U but damped,
+    # 1/(x-1) within 1 U, 1 - x exact), the power adds LIB and the
+    # product 1; scaling by the factors below 1 more.  The factors
+    # themselves are rounded outwards
+    f_lo = ulp_down(1.0 - gamma(LIB + 13))
+    f_hi = ulp_up(1.0 + (gamma(LIB + 13) + eps_r))
+    coef.reverse()
+    lo = np.empty(n.shape)
+    hi = np.empty(n.shape)
+    flat_n, flat_lo, flat_hi = n.reshape(-1), lo.reshape(-1), hi.reshape(-1)
+    for s in range(0, flat_n.size, _HURWITZ_BLOCK):
+        em = _em_sum(flat_n[s:s + _HURWITZ_BLOCK].astype(np.float64), x, coef)
+        np.multiply(em, f_lo, out=flat_lo[s:s + _HURWITZ_BLOCK])
+        np.multiply(em, f_hi, out=flat_hi[s:s + _HURWITZ_BLOCK])
+    small = n < n0
+    if small.any():
+        # zeta(x, n) = sum_{n <= k < N0} k^-x + zeta(x, N0): LIB per term,
+        # at most N0 - 2 additions in the suffix sums, 1 to join the tail
+        # and 1 to scale
+        at_n0 = _em_sum(np.array([float(n0)]), x, coef)[0]
+        head = np.power(np.arange(1, n0 + 1, dtype=np.float64), -x)
+        head[-1] = 0.0
+        head = np.cumsum(head[::-1])[::-1][n[small] - 1]
+        g = gamma(LIB + n0 + 1)
+        lo[small] = (head + at_n0 * f_lo) * ulp_down(1.0 - g)
+        hi[small] = (head + at_n0 * f_hi) * ulp_up(1.0 + g)
+    return lo, hi
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@ nested ``{"lo": ..., "hi": ...}`` objects in JSON and as ``<key>_lo`` /
 ``<key>_hi`` column pairs in CSV -- never collapsed to a midpoint.
 Floats are rounded to 12 significant digits at emission so that
 identical inputs yield byte-identical output and JSON reparses to equal
-records.
+records.  Enclosure endpoints are rounded outwards (lo down, hi up), so
+a printed interval still contains the value it certifies.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ from __future__ import annotations
 import csv as _csv
 import io
 import json
+import math
+from decimal import ROUND_CEILING, ROUND_FLOOR, Decimal
 
 from .enclosure import Enclosure
 
@@ -32,9 +35,18 @@ def round_sig(x: float) -> float:
     return float(f"{x:.{SIG_DIGITS}g}")
 
 
+def _round_sig_outward(x: float, rounding: str) -> float:
+    if x == 0.0 or not math.isfinite(x):
+        return x
+    d = Decimal(x)
+    y = float(d.quantize(Decimal(1).scaleb(d.adjusted() - SIG_DIGITS + 1), rounding=rounding))
+    return y if math.isfinite(y) else x
+
+
 def normalize_value(v):
     if isinstance(v, Enclosure):
-        return {"lo": round_sig(v.lo), "hi": round_sig(v.hi)}
+        return {"lo": _round_sig_outward(v.lo, ROUND_FLOOR),
+                "hi": _round_sig_outward(v.hi, ROUND_CEILING)}
     if isinstance(v, bool) or v is None:
         return v
     if isinstance(v, float):

@@ -15,8 +15,10 @@ The norms implemented here:
 * ``m_n_functionals_p2`` -- the two quadratic-form functionals equivalent to
                     the p = 2 norm.
 
-Cesaro prefix sums are evaluated densely between support indices in
-chunks, so memory stays flat regardless of the largest index.
+``ces_norm`` costs O(support), whatever the largest index: the Cesaro
+mean A(n)/n has a constant numerator between support indices, so the
+sum over n collapses, by parts, to one certified Hurwitz zeta value
+(``kernels.hurwitz_zeta``) per support index.
 """
 
 from __future__ import annotations
@@ -26,11 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .enclosure import EPS, Enclosure, ulp_down, ulp_up
+from .enclosure import LIB, TINY, U, Enclosure, gamma, pairwise_depth, ulp_down, ulp_up
 from .errors import DomainError, ResourceLimitError
-from .kernels import DEFAULT_TAIL_PREFIX, zeta_tail
-
-_CHUNK = 1 << 20
+from .kernels import hurwitz_zeta
 
 _MN_SUPPORT_GUARD = 10_000
 
@@ -57,16 +57,22 @@ class Exponent:
 
 
 class CoeffSeq:
-    """Sparse complex sequence: strictly increasing indices >= 1, no zeros."""
+    """Sparse complex sequence: strictly increasing indices >= 1, finite
+    nonzero values."""
 
     __slots__ = ("idx", "val")
 
     def __init__(self, idx: np.ndarray, val: np.ndarray, _validated: bool = False):
         if not _validated:
-            idx = np.asarray(idx, dtype=np.int64)
+            try:
+                idx = np.asarray(idx, dtype=np.int64)
+            except OverflowError:
+                raise DomainError("coefficient indices must fit in int64") from None
             val = np.asarray(val, dtype=np.complex128)
             if idx.ndim != 1 or val.ndim != 1 or idx.size != val.size:
                 raise DomainError("indices and values must be 1-d arrays of equal length")
+            if not np.all(np.isfinite(val)):
+                raise DomainError("coefficient values must be finite (no NaN or infinity)")
             if idx.size:
                 if idx.min() < 1:
                     raise DomainError("coefficient indices must be >= 1")
@@ -89,9 +95,7 @@ class CoeffSeq:
     @classmethod
     def from_pairs(cls, pairs) -> "CoeffSeq":
         pairs = list(pairs)
-        idx = np.array([int(n) for n, _ in pairs], dtype=np.int64)
-        val = np.array([complex(v) for _, v in pairs], dtype=np.complex128)
-        return cls(idx, val)
+        return cls([int(n) for n, _ in pairs], [complex(v) for _, v in pairs])
 
     @classmethod
     def from_dict(cls, d: dict) -> "CoeffSeq":
@@ -146,50 +150,74 @@ class CoeffSeq:
 # Norms
 # ---------------------------------------------------------------------------
 
-def _prefix_power_sum(idx: np.ndarray, cumabs: np.ndarray, p: float) -> tuple[float, float]:
-    """sum_{n = idx[0]}^{idx[-1]-1} (A(n)/n)**p  with A the running absolute
-    prefix sum, evaluated densely in chunks.
-
-    Returns (value, accumulated_term_magnitude) for the slack budget.
-    """
-    first, last = int(idx[0]), int(idx[-1])
-    parts = []
-    square = p == 2.0
-    for lo in range(first, last, _CHUNK):
-        hi = min(lo + _CHUNK, last)
-        ns = np.arange(lo, hi, dtype=np.float64)
-        pos = np.searchsorted(idx, np.arange(lo, hi, dtype=np.int64), side="right") - 1
-        ratios = cumabs[pos] / ns
-        terms = ratios * ratios if square else ratios ** p
-        parts.append(float(np.sum(terms)))
-    total = math.fsum(parts)
-    return total, total  # all terms positive
+def _prefix_sums(w: np.ndarray) -> np.ndarray:
+    """Running sums of the nonnegative ``w``, within (1 + len(w)**2 U) U
+    of exact: TwoSum (Knuth) recovers each rounding of np.cumsum exactly
+    and the summed errors are added back."""
+    a = np.cumsum(w)
+    if a.size > 1:
+        b_part = a[1:] - a[:-1]
+        a_part = a[1:] - b_part
+        np.subtract(a[:-1], a_part, out=a_part)
+        np.subtract(w[1:], b_part, out=b_part)
+        b_part += a_part
+        del a_part
+        a[1:] += np.cumsum(b_part, out=b_part)
+    return a
 
 
-def ces_norm(a: CoeffSeq, e: Exponent, tail_prefix: int = DEFAULT_TAIL_PREFIX) -> Enclosure:
-    """Certified enclosure of the Cesaro-mean norm of ``a``.
+def ces_norm(a: CoeffSeq, e: Exponent) -> Enclosure:
+    """Certified enclosure of the Cesaro-mean norm of ``a``, in O(support).
 
-    With N the largest support index and A_n the absolute prefix sums,
-    the p-th power equals the explicit sum over n < N plus
-    A_N**p * (N**-p + tail), where the tail over n > N is bracketed by
-    ``zeta_tail``.
+    A(n) is constant between support indices i_1 < ... < i_K, so by parts
+    ||a||^p = sum_k zeta(p, i_k) (A_k^p - A_{k-1}^p), all terms >= 0, the
+    last carrying the tail; A_k^p - A_{k-1}^p = A_k^p (1 - exp(-p log1p(
+    w_k / A_{k-1}))) avoids cancellation.  |a| is scaled by powers of two
+    (the norm is homogeneous) so that A_K lies in [1/2, 1).
     """
     if a.is_empty:
         return Enclosure(0.0, 0.0)
     p = e.p
+    size = len(a)
     w = a.abs_values()
-    cum = np.cumsum(w)
-    explicit, magnitude = _prefix_power_sum(a.idx, cum, p)
-    n_last = a.max_index
-    a_total = float(cum[-1])
-    tail = zeta_tail(p, n_last, prefix=tail_prefix) + float(n_last) ** -p
-    head = a_total ** p
-    slack = 4.0 * EPS * (magnitude + head * tail.hi)
-    powered = Enclosure(
-        ulp_down(explicit + head * tail.lo) - slack,
-        ulp_up(explicit + head * tail.hi) + slack,
-    )
-    return powered.root(p)
+    shift = math.frexp(float(w.max()))[1]
+    np.ldexp(w, -shift, out=w)
+    if float(w.min()) < 2.0 ** -1022:
+        raise DomainError("coefficient magnitudes span more than the float64 exponent range")
+    cum = _prefix_sums(w)
+    # w_k / A_{k-1} -> 1 - (A_{k-1}/A_k)^p in place; the first term is A_1^p
+    np.divide(w[1:], cum[:-1], out=w[1:])
+    np.log1p(w[1:], out=w[1:])
+    w[1:] *= -p
+    np.expm1(w[1:], out=w[1:])
+    np.negative(w[1:], out=w[1:])
+    w[0] = 1.0
+    top = math.frexp(float(cum[-1]))[1]
+    np.ldexp(cum, -top, out=cum)
+    np.power(cum, p, out=cum)
+    w *= cum
+    del cum
+    lo, hi = hurwitz_zeta(p, a.idx)
+    zeta_max = float(hi[0])
+    lo *= w
+    hi *= w
+    # relative error counts in units of U (model in ``enclosure``):
+    # |a_k| LIB; prefix sums 1 + K^2 U on top; A_k^p p times both plus
+    # LIB; the ratio both plus 1, log1p and expm1 (condition <= 1) LIB
+    # and 1 each; the product with A_k^p 1 and with zeta 1; the sum
+    rel_w, rel_a = LIB, LIB + 1.0 + size * size * U
+    count = (p * rel_a + LIB) + (rel_w + rel_a + 1) + 2 * (LIB + 1) + 2 + pairwise_depth(size)
+    g = gamma(count)
+    # underflow: each term may lose up to TINY in the ratio (scaled by p
+    # zeta), in A_k^p and the product (scaled by zeta) and in the last product
+    under = size * TINY * ((p + 2.0) * zeta_max + 2.0)
+    powered = Enclosure(max(0.0, ulp_down(float(np.sum(lo)) * (1.0 - g) - under)),
+                        ulp_up(float(np.sum(hi)) / (1.0 - g) + under, 2))
+    root = powered.root(p)
+    try:
+        return Enclosure(math.ldexp(root.lo, shift + top), math.ldexp(root.hi, shift + top))
+    except OverflowError:
+        raise DomainError("the Cesaro norm exceeds the float64 range") from None
 
 
 def lp_norm(a: CoeffSeq, p: float) -> float:

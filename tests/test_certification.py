@@ -1,0 +1,172 @@
+"""Containment of the certified Hurwitz kernel and of ``ces_norm``.
+
+mpmath's Hurwitz zeta at 40 digits is the independent reference, and
+the former dense ``ces_norm`` (a sweep over every integer up to the
+largest index plus an integral-bracket tail) is kept here as a second
+one: the O(support) enclosure must lie inside it.  The last tests check
+the assumptions of the floating-point model in ``enclosure``.
+"""
+
+import math
+
+import mpmath
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cesdirichlet.enclosure import EPS, LIB, U, Enclosure, ulp_down, ulp_up
+from cesdirichlet.errors import DomainError
+from cesdirichlet.kernels import DEFAULT_TAIL_PREFIX, hurwitz_zeta, zeta_tail
+from cesdirichlet.sequences import CoeffSeq, Exponent, _prefix_sums, ces_norm
+
+mpmath.mp.dps = 40
+
+P_SET = (1.01, 1.5, 2.0, 3.0)
+SEEDED = settings(derandomize=True, deadline=None, max_examples=60)
+
+indices = st.one_of(st.integers(1, 40), st.integers(1, 2 ** 53))
+values = st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3,
+                            allow_nan=False, allow_infinity=False)
+
+
+def dense_ces_norm_reference(a: CoeffSeq, e: Exponent) -> Enclosure:
+    """The former ces_norm: (A(n)/n)^p summed densely for n below the
+    largest index N, plus A_N^p (N^-p + zeta_tail(p, N))."""
+    p = e.p
+    cum = np.cumsum(a.abs_values())
+    first, last = int(a.idx[0]), int(a.idx[-1])
+    ns = np.arange(first, last, dtype=np.int64)
+    pos = np.searchsorted(a.idx, ns, side="right") - 1
+    explicit = math.fsum((cum[pos] / ns.astype(np.float64)) ** p)
+    tail = zeta_tail(p, last, prefix=DEFAULT_TAIL_PREFIX) + float(last) ** -p
+    head = float(cum[-1]) ** p
+    slack = 4.0 * EPS * (explicit + head * tail.hi)
+    return Enclosure(ulp_down(explicit + head * tail.lo) - slack,
+                     ulp_up(explicit + head * tail.hi) + slack).root(p)
+
+
+def mp_ces_norm(a: CoeffSeq, p: float):
+    """||a||^p = sum_k zeta(p, i_k) (A_k^p - A_{k-1}^p) at 40 digits."""
+    s = mpmath.mpf(p)
+    total, acc, prev = mpmath.mpf(0), mpmath.mpf(0), mpmath.mpf(0)
+    for n, v in a.entries():
+        acc += mpmath.sqrt(mpmath.mpf(v.real) ** 2 + mpmath.mpf(v.imag) ** 2)
+        power = acc ** s
+        total += mpmath.zeta(s, n) * (power - prev)
+        prev = power
+    return total ** (1 / s)
+
+
+# ---------------------------------------------------------------------------
+# the kernel
+# ---------------------------------------------------------------------------
+
+@SEEDED
+@given(p=st.sampled_from(P_SET), ns=st.lists(indices, min_size=1, max_size=6))
+def test_hurwitz_contains_mpmath(p, ns):
+    lo, hi = hurwitz_zeta(p, np.array(ns, dtype=np.int64))
+    for n, l, h in zip(ns, lo, hi):
+        ref = mpmath.zeta(mpmath.mpf(p), n)
+        assert l <= ref <= h, (p, n, l, h, ref)
+        assert h - l <= 2e-14 * h
+
+
+def test_hurwitz_both_sides_of_head():
+    # N0 = 16 + ceil(x): explicit head below, Euler-Maclaurin from N0 on
+    for p in P_SET:
+        n0 = 16 + math.ceil(p)
+        ns = np.arange(1, n0 + 3, dtype=np.int64)
+        lo, hi = hurwitz_zeta(p, ns)
+        for n, l, h in zip(ns, lo, hi):
+            assert l <= mpmath.zeta(mpmath.mpf(p), int(n)) <= h
+        assert np.all(np.diff(hi) < 0)
+
+
+@pytest.mark.parametrize("x, ns", [(2.0, [2 ** 53 + 1]), (2.0, [0]), (1.0, [1]),
+                                   (65.0, [1]), (30.0, [10 ** 12])])
+def test_hurwitz_domain(x, ns):
+    with pytest.raises(DomainError):
+        hurwitz_zeta(x, np.array(ns, dtype=np.int64))
+
+
+# ---------------------------------------------------------------------------
+# ces_norm
+# ---------------------------------------------------------------------------
+
+@SEEDED
+@given(p=st.sampled_from(P_SET), first=st.integers(1, 40),
+       gaps=st.lists(st.integers(1, 10 ** 15), max_size=5),
+       vals=st.lists(values, min_size=6, max_size=6))
+def test_ces_norm_contains_mpmath(p, first, gaps, vals):
+    idx = np.cumsum([first] + gaps)
+    a = CoeffSeq(idx, np.array(vals[:idx.size]))
+    enc = ces_norm(a, Exponent.from_p(p))
+    assert enc.lo <= mp_ces_norm(a, p) <= enc.hi
+    assert enc.width <= 1e-13 * enc.hi
+
+
+@SEEDED
+@given(p=st.sampled_from(P_SET),
+       d=st.dictionaries(st.integers(1, 3000), values, min_size=1, max_size=12))
+def test_ces_norm_inside_dense_reference(p, d):
+    a = CoeffSeq.from_dict(d)
+    e = Exponent.from_p(p)
+    assert dense_ces_norm_reference(a, e).encloses(ces_norm(a, e))
+
+
+def test_ces_norm_rejects_inexact_indices():
+    with pytest.raises(DomainError):
+        ces_norm(CoeffSeq.from_pairs([(1, 1.0), (2 ** 53 + 1, 1.0)]), Exponent.from_p(2.0))
+
+
+def test_ces_norm_huge_coefficients():
+    e = Exponent.from_p(2.0)
+    unit = ces_norm(CoeffSeq.from_pairs([(2, 1.0), (5, 1.0)]), e)
+    huge = ces_norm(CoeffSeq.from_pairs([(2, 1e308), (5, 1e308)]), e)
+    assert math.isfinite(huge.hi)
+    assert huge.lo == pytest.approx(1e308 * unit.lo, rel=1e-13)
+    assert huge.hi == pytest.approx(1e308 * unit.hi, rel=1e-13)
+
+
+def test_coeffseq_rejects_non_finite():
+    for bad in (math.nan, math.inf, complex(1.0, -math.inf)):
+        with pytest.raises(DomainError):
+            CoeffSeq.from_pairs([(1, 1.0), (3, bad)])
+
+
+# ---------------------------------------------------------------------------
+# assumptions of the error model
+# ---------------------------------------------------------------------------
+
+def test_elementary_functions_within_model():
+    rng = np.random.default_rng(7)
+    ns = np.floor(np.exp(rng.uniform(0.0, math.log(2.0 ** 53), 400)))
+    ratios = np.exp(rng.uniform(-40.0, 40.0, 400))
+    zs = rng.normal(size=400) + 1j * rng.normal(size=400)
+    cases = [(np.power(ns, -p), [mpmath.mpf(n) ** -mpmath.mpf(p) for n in ns]) for p in P_SET]
+    cases.append((np.log1p(ratios), [mpmath.log1p(r) for r in ratios]))
+    cases.append((-np.expm1(-ratios), [-mpmath.expm1(-r) for r in ratios]))
+    cases.append((np.abs(zs), [mpmath.hypot(z.real, z.imag) for z in zs]))
+    for got, ref in cases:
+        worst = max(abs((g - r) / r) for g, r in zip(got, ref))
+        assert worst <= LIB * U
+
+
+def test_sum_is_pairwise():
+    # one rounding per step in a sequential float32 sum of 2^22 copies of
+    # 0.1 drifts by about 4e-2; numpy's pairwise summation stays near 1e-7
+    a = np.full(1 << 22, 0.1, dtype=np.float32)
+    exact = float(np.float32(0.1)) * a.size
+    assert abs(float(a.sum()) - exact) <= 1e-6 * exact
+
+
+def test_prefix_sums_compensated():
+    rng = np.random.default_rng(3)
+    w = rng.random(2000) * np.exp(rng.uniform(-20.0, 0.0, 2000))
+    plain = np.cumsum(w)
+    assert np.array_equal(plain[1:], plain[:-1] + w[1:])  # one rounding per step
+    got = _prefix_sums(w)
+    for k in range(0, w.size, 97):
+        exact = mpmath.fsum(mpmath.mpf(float(t)) for t in w[:k + 1])
+        assert abs(got[k] - exact) <= (1.0 + w.size ** 2 * U) * U * exact

@@ -149,6 +149,28 @@ def test_input_error_exit(tmp_path, capsys):
     assert parse_and_dispatch(["norm", "--space", "ces", "--p", "2", "--input", path]) == 2
 
 
+@pytest.mark.parametrize("row", ['{"n": 2, "re": "inf"}', '{"n": 2, "re": NaN}',
+                                 '{"n": 2, "re": 1.0, "im": "-Infinity"}',
+                                 '{"n": 9223372036854775808, "re": 1.0}'])
+def test_unrepresentable_coefficient_exit(tmp_path, capsys, row):
+    path = tmp_path / "f.json"
+    path.write_text('{"coeffs": [%s]}' % row)
+    assert parse_and_dispatch(["norm", "--space", "ces", "--p", "2", "--input", str(path)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_norm_ces_huge_coefficients_finite(tmp_path, capsys):
+    # ||a||^2 = sum_{2<=n<5} (1e308/n)^2 + (2e308)^2 zeta(2, 5) ~ (1.14e308)^2
+    path = write_coeffs(tmp_path, "f.json", [{"n": 2, "re": 1e308}, {"n": 5, "re": 1e308}])
+    code = parse_and_dispatch(["norm", "--space", "ces", "--p", "2", "--input", path])
+    assert code == 0
+    value = json.loads(capsys.readouterr().out)["records"][0]["value"]
+    head = 1 / 4 + 1 / 9 + 1 / 16
+    exact = 1e308 * math.sqrt(head + 4.0 * (math.pi ** 2 / 6 - 1.0 - head))
+    assert math.isfinite(value["hi"])
+    assert value["lo"] <= exact <= value["hi"]
+
+
 def test_eval_verb(tmp_path, capsys):
     path = write_coeffs(tmp_path, "f.json",
                         [{"n": 1, "re": 1.0}, {"n": 2, "re": 1.0}])

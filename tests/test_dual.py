@@ -131,6 +131,18 @@ def test_oracle_unit():
     assert val == pytest.approx(ZETA2_INV_SQRT, abs=1e-6)
 
 
+def test_oracle_no_overflow_regression():
+    # this support drove the bracket expansion of the ascent into an
+    # OverflowError from acc ** p before x was kept at max(x) = 1
+    b = seq((4422, 0.16133009814968746), (13354, 0.16111672839444496),
+            (13765, 0.5905991852031559), (15059, 0.9305576827613137),
+            (20314, 0.24724944348899275), (29790, 0.06782320818737399))
+    e3 = Exponent.from_p(3.0)
+    norm = jagers_dual_norm(b, e3).norm
+    oracle = dual_norm_oracle(b, e3, restarts=4, seed=46055)
+    assert norm.lo * (1 - 1e-9) <= oracle <= norm.hi * (1 + 1e-9)
+
+
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
 def test_oracle_sandwich_campaign(p):
     e = Exponent.from_p(p)
