@@ -13,6 +13,7 @@ from .errors import (
     DomainError,
     InputError,
     ResourceLimitError,
+    SelfCheckError,
     WindowNotFoundError,
 )
 from .kernels import (

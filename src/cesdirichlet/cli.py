@@ -1,9 +1,10 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 usage error, 2 domain/input error,
-3 verification-suite failure.  All randomized campaigns take --seed
-(default 42); identical argv and seed produce byte-identical reports
-(timings go to stderr, never into report output).
+Exit codes: 0 success, 1 usage error, 2 domain/input error or a
+numerical method that did not converge, 3 verification-suite failure or
+a failed self-check of the enclosure arithmetic.  All randomized
+campaigns take --seed (default 42); identical argv and seed produce
+byte-identical reports (timings go to stderr, never into report output).
 
 Coefficient files use the sparse JSON shape
 ``{"coeffs": [{"n": 2, "re": 1.0, "im": 0.0}, ...]}`` --
@@ -20,7 +21,8 @@ import sys
 
 from .dual import delta_norm_bounds, delta_norm_exact_p2, dual_norm_oracle, jagers_dual_norm
 from .enclosure import Enclosure
-from .errors import ArgminTieError, DomainError, InputError, ResourceLimitError, WindowNotFoundError
+from .errors import (ArgminTieError, ConvergenceError, DomainError, InputError,
+                     ResourceLimitError, SelfCheckError, WindowNotFoundError)
 from .kernels import sieve_primes
 from .multipliers import SequenceSpec, monomial_multiplier_check, multiplier_lower_estimate, schur_test
 from .reports import emit_report, parse_json
@@ -372,9 +374,12 @@ def parse_and_dispatch(argv: list[str]) -> int:
         sys.stderr.write(f"usage error: {ex}\n")
         return EXIT_USAGE
     except (DomainError, InputError, ResourceLimitError,
-            ArgminTieError, WindowNotFoundError) as ex:
+            ArgminTieError, WindowNotFoundError, ConvergenceError) as ex:
         sys.stderr.write(f"error: {ex}\n")
         return EXIT_DOMAIN
+    except SelfCheckError as ex:
+        sys.stderr.write(f"self-check failed: {ex}\n")
+        return EXIT_VERIFY
 
 
 def main():

@@ -9,21 +9,25 @@ supported sequence against the Cesaro-mean space via the greedy chain
 
 where B_k = sum_{j >= k} j^-p and the index j = infinity is a
 first-class candidate with b_inf = B_inf = 0.  Geometrically the chain
-walks the upper-left convex hull of the points (B_j, |b_j|), so the
-chain values strictly decrease and every difference quotient is
-nonnegative.  For indices with zero coefficient strictly between
-support points the quotient is always beaten by the sentinel (their B
-exceeds B_inf = 0 with the same numerator), so only support indices and
-the sentinel are scanned.
+walks the upper-left convex hull of the points (B_j, |b_j|) from the
+largest maximizer to the sentinel (0, 0), so the chain values strictly
+decrease and every difference quotient is nonnegative.  For indices with
+zero coefficient strictly between support points the quotient is always
+beaten by the sentinel (their B exceeds B_inf = 0 with the same
+numerator), so only support indices and the sentinel are candidates.
 
-All B-differences between finite candidates are evaluated as explicit
-segment sums (no cancellation); only the sentinel terms need zeta tail
-brackets.  When two candidate quotient enclosures overlap, the tail
-prefix is doubled up to three times before a tie error is raised --
-the greedy takes the *largest* minimizer, and with floating point we
-must not silently guess which candidate that is.  Exact ties with a
-zero numerator are resolved exactly (the quotient is 0 regardless of
-the denominator) by taking the largest index.
+The hull is built in one O(support) pass by Andrew's monotone chain
+(Andrew, IPL 9, 1979).  Each orientation test compares two cross
+products of |b|-differences and B-differences, the latter direct
+certified enclosures about 1e-14 wide relatively however close the
+indices: ``kernels.power_segment`` between finite indices,
+``kernels.hurwitz_zeta`` towards the sentinel.  Equality pops, as the
+greedy takes the largest minimizer (so equal |b| keep the larger
+index).  A test the enclosures cannot decide keeps the point and marks
+it; ``ArgminTieError`` is raised only if the marked point and the one
+beneath it both stay on the chain, since every pop is certified and a
+point popped by a chord between two input points is off the hull
+whatever else was on the stack.
 
 ``dual_norm_oracle`` is an independent check: direct numerical
 maximization of the pairing over the unit ball, by normalized
@@ -34,19 +38,23 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
-from .enclosure import EPS, Enclosure, div_pos, ulp_down, ulp_up
+from .enclosure import EPS, LIB, TINY, U, Enclosure, gamma, pairwise_depth, ulp_down, ulp_up
 from .errors import ArgminTieError, DomainError, ResourceLimitError
-from .kernels import DEFAULT_TAIL_PREFIX, hurwitz_zeta, power_sum_range, zeta_real, zeta_tail
+from .kernels import hurwitz_zeta, power_segment, zeta_real, zeta_tail
 from .sequences import CoeffSeq, Exponent
 
 SENTINEL = math.inf
 
-_TIGHTEN_ROUNDS = 3
-
 _ORACLE_SUPPORT_GUARD = 8
+
+# an orientation cross product (|b_i| - |b_j| +- err) S: the difference,
+# the error term, the product and the factor one rounding each
+_TURN_LO = ulp_down(1.0 - gamma(4))
+_TURN_HI = ulp_up(1.0 + gamma(4))
 
 
 @dataclass(frozen=True)
@@ -64,119 +72,129 @@ class JagersTrace:
     norm: Enclosure
 
 
-class _Ambiguous(Exception):
-    def __init__(self, chain, candidates):
-        self.chain = chain
-        self.candidates = candidates
-
-
-def _big_b(k: int, p: float, prefix: int) -> Enclosure:
-    """B_k = sum_{j >= k} j^-p as an enclosure."""
-    return zeta_tail(p, int(k), prefix=prefix) + float(k) ** -p
-
-
-def _segment_cumsums(idx: np.ndarray, p: float) -> np.ndarray:
-    """cum[k] = sum_{l = idx[0]}^{idx[k]-1} l^-p, one entry per support index.
-
-    Kahan-compensated accumulation keeps the error within the 4-ulp slack
-    budget independently of the chain length.
-    """
-    cum = np.empty(idx.size, dtype=np.float64)
-    total = 0.0
-    comp = 0.0
-    cum[0] = 0.0
-    for k in range(1, idx.size):
-        seg = power_sum_range(p, int(idx[k - 1]), int(idx[k]))
-        y = seg - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        cum[k] = total
-    return cum
-
-
-def _denom_between(cum: np.ndarray, a: int, b: int) -> Enclosure:
-    """Enclosure of B_{idx[a]} - B_{idx[b]} via the explicit segment sum."""
-    d = cum[b] - cum[a]
-    slack = 4.0 * EPS * (cum[b] + cum[a]) + 4.0 * EPS
-    return Enclosure(ulp_down(d - slack), ulp_up(d + slack))
-
-
-def _attempt(idx: np.ndarray, w: np.ndarray, e: Exponent, prefix: int) -> JagersTrace:
-    p, q = e.p, e.q
-    cum = _segment_cumsums(idx, p)
-    mx = float(w.max())
-    pos = int(np.nonzero(w == mx)[0][-1])  # largest maximizer, exact float tie
-    chain = [int(idx[pos])]
-    terms: list[Enclosure] = []
-    while True:
-        bm = float(w[pos])
-        cand_pos = list(range(pos + 1, idx.size))  # sentinel handled separately
-        quotients = []
-        for j in cand_pos:
-            num = bm - float(w[j])
-            if num < 0:
-                raise AssertionError("chain invariant violated: increasing coefficient")
-            den = _denom_between(cum, pos, j)
-            num_enc = Enclosure(ulp_down(num), ulp_up(num))
-            quotients.append(div_pos(num_enc, den))
-        b_here = _big_b(int(idx[pos]), p, prefix)
-        sent_q = div_pos(bm, b_here)
-        all_q = quotients + [sent_q]
-        all_ids = [int(idx[j]) for j in cand_pos] + [SENTINEL]
-        min_hi = min(enc.hi for enc in all_q)
-        poss = [k for k, enc in enumerate(all_q) if enc.lo <= min_hi]
-        if len(poss) > 1:
-            # zero-numerator quotients are exactly 0 no matter the tail;
-            # candidate order follows index order, so max(poss) is the
-            # largest tied index
-            if min_hi == 0.0 and all(all_q[k].hi == 0.0 for k in poss):
-                winner = max(poss)
+def _upper_hull(w: list, err: list, seg_lo: list, seg_hi: list, tail_lo: list, tail_hi: list):
+    """The upper-left hull of (B_k, w_k), k = 0..n-1, with w_0 the maximum
+    and position n the sentinel (w[n] = err[n] = 0), as a list of
+    (position, lo, hi, undecided): [lo, hi] encloses the B-difference to
+    the hull point beneath, and ``undecided`` marks a point kept by a test
+    that could not decide whether the point beneath lies on the hull.
+    ``err`` bounds the error of w, ``seg`` encloses B_k - B_(k+1) and
+    ``tail`` B_k."""
+    n = len(w) - 1
+    hull = [(0, 0.0, 0.0, False)]
+    for k in range(1, n + 1):
+        if k == n:
+            lo2, hi2 = tail_lo[hull[-1][0]], tail_hi[hull[-1][0]]
+        else:
+            lo2, hi2 = seg_lo[k - 1], seg_hi[k - 1]
+        undecided = False
+        while len(hull) > 1:
+            i = hull[-2][0]
+            j, lo1, hi1, _ = hull[-1]
+            n2, e2 = w[j] - w[k], err[j] + err[k]
+            if n2 + e2 > 0.0:
+                # pop j iff (|b_i| - |b_j|)(B_j - B_k) >= (|b_j| - |b_k|)(B_i - B_j)
+                n1, e1 = w[i] - w[j], err[i] + err[j]
+                if (n1 + e1) * hi2 * _TURN_HI + TINY < (n2 - e2) * lo1 * _TURN_LO - TINY:
+                    break
+                if (n1 - e1) * lo2 * _TURN_LO - TINY < (n2 + e2) * hi1 * _TURN_HI + TINY:
+                    undecided = True
+                    break
+            if k == n:
+                lo2, hi2 = tail_lo[i], tail_hi[i]
             else:
-                raise _Ambiguous(tuple(chain), tuple(all_ids[k] for k in poss))
-        else:
-            winner = poss[0]
-        if winner == len(cand_pos):
-            delta_b = bm
-            delta_big = b_here
-            chain.append(SENTINEL)
-        else:
-            nxt = cand_pos[winner]
-            delta_b = bm - float(w[nxt])
-            delta_big = _denom_between(cum, pos, nxt)
-            chain.append(int(idx[nxt]))
-        # term: delta_b**q / delta_B**(q-1)
-        num_pow = Enclosure(ulp_down(delta_b ** q, 2), ulp_up(delta_b ** q, 2))
-        den_pow = delta_big.power(q - 1.0) if q != 2.0 else delta_big
-        terms.append(div_pos(num_pow, den_pow))
-        if chain[-1] == SENTINEL:
-            break
-        pos = int(np.searchsorted(idx, chain[-1]))
-    total = Enclosure(0.0, 0.0)
-    for t in terms:
-        total = total + t
-    return JagersTrace(
-        m_chain=tuple(chain),
-        d_set=tuple(range(1, len(chain))),
-        norm=total.root(q),
-    )
+                lo2, hi2 = ulp_down(lo1 + lo2), ulp_up(hi1 + hi2)
+            hull.pop()
+        hull.append((k, lo2, hi2, undecided))
+    return hull
 
 
-def jagers_dual_norm(b: CoeffSeq, e: Exponent,
-                     tail_prefix: int = DEFAULT_TAIL_PREFIX) -> JagersTrace:
+def _chain_norm(db_lo: np.ndarray, db_hi: np.ndarray, d_lo: np.ndarray, d_hi: np.ndarray,
+                e: Exponent) -> Enclosure:
+    """(sum_k delta_b_k^q / delta_B_k^(q-1))^(1/q) for delta_b_k in
+    [db_lo_k, db_hi_k], endpoints within two roundings, and delta_B_k in
+    [d_lo_k, d_hi_k].
+
+    This is the q-norm of v_k = delta_b_k delta_B_k^(-1/p), taken as
+    top (sum_k (v_k/top)^q)^(1/q) with top = max v_k so that nothing
+    overflows.  A rounded exponent t moves x^t by |t log x| U besides
+    the power's own LIB; a result below the normal range is off by TINY."""
+    # q and 1/q from p, one rounding each, whatever the rounding of e.q
+    t, q, r = -1.0 / e.p, e.p / (e.p - 1.0), (e.p - 1.0) / e.p
+    spread = max(float(np.max(np.abs(np.log(d_lo)))), float(np.max(np.abs(np.log(d_hi)))))
+    # delta_b 2, exponent |t| spread, power LIB, product 1, factor 1
+    g = gamma(4 + LIB + abs(t) * spread)
+    v_lo = np.maximum(db_lo * np.power(d_hi, t) * ulp_down(1.0 - g) - TINY, 0.0)
+    v_hi = db_hi * np.power(d_lo, t) * ulp_up(1.0 + g) + TINY
+    top = float(v_hi.max())
+    u_lo = v_lo / top
+    u_hi = v_hi / top
+    # (v/top)^q: the quotient 1 (condition q), the exponent q |log u|, power
+    # LIB, the factor and the product 1 each.  Below the normal range a
+    # quotient or a power is off by up to TINY: such u_lo count as 0, and
+    # each term of either sum may move by TINY
+    u_lo[u_lo < 2.0 ** -1022] = 0.0
+    cnt = q * (1.0 - np.log(np.maximum(u_lo, 2.0 ** -1022))) + (LIB + 2.0)
+    if float(cnt.max()) * U > 2.0 ** -10:
+        raise DomainError(f"p = {e.p} is too close to 1 for a certified dual norm")
+    rel = cnt * U / (1.0 - cnt * U)
+    size = db_lo.size
+    g_sum = gamma(pairwise_depth(size) + 1)
+    s_lo = float(np.sum(np.power(u_lo, q) * (1.0 - rel))) - size * TINY
+    s_hi = float(np.sum(np.power(u_hi, q) * (1.0 + rel))) + size * TINY
+    s_lo = max(s_lo, 0.0) * ulp_down(1.0 - g_sum)
+    s_hi = s_hi * ulp_up(1.0 + g_sum)
+    # s >= 1/2 (the top term is about 1).  The root: power LIB, exponent
+    # 1/q |log s|, the products with top and with the factor 1 each
+    g_root = gamma(LIB + 2 + abs(math.log(s_hi)) * r)
+    return Enclosure(float(np.power(s_lo, r)) * top * ulp_down(1.0 - g_root),
+                     float(np.power(s_hi, r)) * top * ulp_up(1.0 + g_root))
+
+
+def jagers_dual_norm(b: CoeffSeq, e: Exponent) -> JagersTrace:
     """Exact dual norm of ``b`` with a certified enclosure and the full
-    greedy trace.  Raises ArgminTieError when candidates stay
-    numerically tied after the adaptive tightening rounds."""
+    greedy trace, in O(support).  Raises ArgminTieError when two points
+    that the enclosures cannot tell apart remain adjacent on the chain."""
     if b.is_empty:
         return JagersTrace(m_chain=(SENTINEL,), d_set=(), norm=Enclosure(0.0, 0.0))
+    p = e.p
     w = b.abs_values()
-    last: _Ambiguous | None = None
-    for round_ in range(_TIGHTEN_ROUNDS + 1):
-        try:
-            return _attempt(b.idx, w, e, tail_prefix << round_)
-        except _Ambiguous as amb:
-            last = amb
-    raise ArgminTieError(last.chain, last.candidates)
+    # the dual norm is homogeneous: |b| is scaled by a power of two into [1/2, 1)
+    shift = math.frexp(float(w.max()))[1]
+    np.ldexp(w, -shift, out=w)
+    # |b| is exact for a real or imaginary value and within LIB otherwise,
+    # scaled below the normal range within TINY; twice that also covers
+    # the roundings of the differences it enters
+    err = np.where((b.val.real == 0) | (b.val.imag == 0), 0.0, w * (2.0 * LIB * U))
+    err[w < 2.0 ** -1022] += 2.0 * TINY
+    first = int(np.flatnonzero(w == w.max())[-1])  # largest maximizer, exact float tie
+    near = np.flatnonzero(w + err >= w[first] - err[first])
+    if err[near].any():
+        # the largest maximizer among the moduli the floats cannot order,
+        # from exact squared moduli
+        sq = [Fraction(v.real) ** 2 + Fraction(v.imag) ** 2 for v in b.val[near].tolist()]
+        top = max(sq)
+        first = int(near[max(k for k, v in enumerate(sq) if v == top)])
+    idx = b.idx[first:]
+    w = np.append(w[first:], 0.0)
+    err = np.append(err[first:], 0.0)
+    seg_lo, seg_hi = power_segment(p, idx[:-1], idx[1:])
+    tail_lo, tail_hi = hurwitz_zeta(p, idx)
+    hull = _upper_hull(w.tolist(), err.tolist(), seg_lo.tolist(), seg_hi.tolist(),
+                       tail_lo.tolist(), tail_hi.tolist())
+    pos, d_lo, d_hi, tied = (np.array(col) for col in zip(*hull))
+    chain = [int(idx[k]) for k in pos[:-1]] + [SENTINEL]
+    if tied.any():
+        s = int(np.argmax(tied))
+        raise ArgminTieError(chain[:s - 1], chain[s - 1:s + 1])
+    delta_b = w[pos[:-1]] - w[pos[1:]]
+    delta_err = err[pos[:-1]] + err[pos[1:]]
+    norm = _chain_norm(delta_b - delta_err, delta_b + delta_err, d_lo[1:], d_hi[1:], e)
+    try:
+        norm = Enclosure(math.ldexp(norm.lo, shift), math.ldexp(norm.hi, shift))
+    except OverflowError:
+        raise DomainError("the dual norm exceeds the float64 range") from None
+    return JagersTrace(m_chain=tuple(chain), d_set=tuple(range(1, len(chain))), norm=norm)
 
 
 # ---------------------------------------------------------------------------
@@ -206,8 +224,10 @@ def dual_norm_oracle(b: CoeffSeq, e: Exponent, restarts: int,
     p = e.p
     c = [float(v) for v in b.abs_values()]
     idx = [int(n) for n in b.idx]
-    seg = [power_sum_range(p, idx[k], idx[k + 1]) for k in range(m - 1)]
-    tail = _big_b(idx[-1], p, DEFAULT_TAIL_PREFIX).mid
+    seg_lo, seg_hi = power_segment(p, b.idx[:-1], b.idx[1:])
+    seg = (0.5 * seg_lo + 0.5 * seg_hi).tolist()
+    tail_lo, tail_hi = hurwitz_zeta(p, b.idx[-1:])
+    tail = 0.5 * float(tail_lo[0]) + 0.5 * float(tail_hi[0])
 
     def norm_p(x: list[float]) -> float:
         acc = 0.0

@@ -4,9 +4,10 @@ Every infinite series evaluated in this package is returned as an
 ``Enclosure`` [lo, hi] guaranteed, under the floating-point model below,
 to contain the exact value.  Finite sums are returned as plain floats.
 
-Error model of ``kernels.hurwitz_zeta`` and ``sequences.ces_norm``: a
-basic operation rounds to nearest (relative error <= ``U`` = 2**-53;
-power-of-two scaling and negation are exact); numpy's ``power``,
+Error model of ``kernels.hurwitz_zeta``, ``kernels.power_segment``,
+``sequences.ces_norm`` and ``dual.jagers_dual_norm``: a basic operation
+rounds to nearest (relative error <= ``U`` = 2**-53; power-of-two
+scaling and negation are exact); numpy's ``power``,
 ``log1p``, ``expm1`` and complex ``abs`` are within 4 ulps, a relative
 error <= ``LIB`` = 8 U (measured worst against mpmath on x86-64, numpy
 2.4: 0.70, 0.57, 0.50, 1.75 ulps); ``np.sum`` of a contiguous array is
@@ -15,10 +16,11 @@ below the normal range is off by at most ``TINY``.  Relative errors are
 counted to first order, a step of condition number <= 1 passing its
 argument's count on, and a count n becomes the bound ``gamma(n)`` =
 nU/(1 - nU) (Higham, "Accuracy and Stability of Numerical Algorithms",
-Lemma 3.1).
+Lemma 3.1).  A power x^t whose exponent t was itself rounded is off by
+a further |t log x| U.
 
-The dense routines (``zeta_tail``, ``zeta_real``, the dual chain, the
-Schur sums) widen each summation by four units in the last place per
+The dense routines (``zeta_tail``, ``zeta_real``, ``delta_norm_exact_p2``,
+the Schur sums) widen each summation by four units in the last place per
 accumulated term, ``4 * EPS * sum(|terms|)``, on top of directed
 integral brackets for the tails.  All of this is engineering
 certification, not formally verified arithmetic.
@@ -82,7 +84,9 @@ class Enclosure:
 
     @property
     def mid(self) -> float:
-        return 0.5 * (self.lo + self.hi)
+        m = 0.5 * (self.lo + self.hi)
+        # lo + hi overflows when both endpoints exceed half the float64 maximum
+        return m if math.isfinite(m) else 0.5 * self.lo + 0.5 * self.hi
 
     def contains(self, x: float) -> bool:
         return self.lo <= x <= self.hi

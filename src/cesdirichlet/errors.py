@@ -22,6 +22,11 @@ class ConvergenceError(RuntimeError):
     """
 
 
+class SelfCheckError(ArithmeticError):
+    """A computed result violates a bound it provably satisfies, so the
+    arithmetic behind it cannot be trusted."""
+
+
 class WindowNotFoundError(RuntimeError):
     """No index in the scanned prime range satisfies the requested
     prime-counting window through the end of the table."""
@@ -30,10 +35,11 @@ class WindowNotFoundError(RuntimeError):
 class ArgminTieError(RuntimeError):
     """The greedy dual-norm chain could not certify a unique argmin.
 
-    Two or more candidate quotient enclosures still overlap after the
-    adaptive tail-tightening rounds.  ``prefix_chain`` holds the chain
-    built so far and ``candidates`` the indices that remain tied (the
-    infinity sentinel is represented by ``math.inf``).
+    An orientation test of the hull construction could not be decided
+    from the certified enclosures, and the two points it concerns are
+    adjacent on the finished chain.  ``prefix_chain`` holds the chain up
+    to the point before them and ``candidates`` the two tied indices
+    (the infinity sentinel is represented by ``math.inf``).
     """
 
     def __init__(self, prefix_chain, candidates):

@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .enclosure import EPS, Enclosure, ulp_down, ulp_up
-from .errors import DomainError, WindowNotFoundError
+from .errors import DomainError, SelfCheckError, WindowNotFoundError
 from .kernels import (
     PrimeTable,
     decrease_onset,
@@ -291,7 +291,7 @@ def multiplier_lower_estimate(
     ratio = num.lo / den.hi
     reference = ar_norm(f.coeffs, 1.0 / e.q)
     if ratio > reference + 1e-9:
-        raise ArithmeticError(
+        raise SelfCheckError(
             f"quotient {ratio} exceeds the weighted-ell1 reference {reference}; "
             "enclosure arithmetic is broken"
         )

@@ -1,4 +1,5 @@
-"""Containment of the certified Hurwitz kernel and of ``ces_norm``.
+"""Containment of the certified Hurwitz and segment kernels, of
+``ces_norm`` and of ``jagers_dual_norm``.
 
 mpmath's Hurwitz zeta at 40 digits is the independent reference, and
 the former dense ``ces_norm`` (a sweep over every integer up to the
@@ -17,7 +18,8 @@ from hypothesis import strategies as st
 
 from cesdirichlet.enclosure import EPS, LIB, U, Enclosure, ulp_down, ulp_up
 from cesdirichlet.errors import DomainError
-from cesdirichlet.kernels import DEFAULT_TAIL_PREFIX, hurwitz_zeta, zeta_tail
+from cesdirichlet.dual import SENTINEL, jagers_dual_norm
+from cesdirichlet.kernels import DEFAULT_TAIL_PREFIX, hurwitz_zeta, power_segment, zeta_tail
 from cesdirichlet.sequences import CoeffSeq, Exponent, _prefix_sums, ces_norm
 
 mpmath.mp.dps = 40
@@ -90,6 +92,34 @@ def test_hurwitz_domain(x, ns):
         hurwitz_zeta(x, np.array(ns, dtype=np.int64))
 
 
+@SEEDED
+@given(p=st.sampled_from(P_SET), starts=st.lists(indices, min_size=1, max_size=6),
+       gaps=st.lists(st.one_of(st.integers(1, 40), st.integers(1, 10 ** 15)),
+                     min_size=6, max_size=6))
+def test_segment_contains_mpmath(p, starts, gaps):
+    a = np.array(starts, dtype=np.int64)
+    b = np.minimum(a + np.array(gaps[:a.size]), 2 ** 53)
+    keep = a < b
+    a, b = a[keep], b[keep]
+    lo, hi = power_segment(p, a, b)
+    s = mpmath.mpf(p)
+    for m, n, l, h in zip(a.tolist(), b.tolist(), lo, hi):
+        if n - m <= 40:
+            ref = mpmath.fsum(mpmath.mpf(k) ** -s for k in range(m, n))
+        else:
+            ref = mpmath.zeta(s, m) - mpmath.zeta(s, n)
+        assert l <= ref <= h, (p, m, n, l, h, ref)
+        assert h - l <= 3e-14 * h
+
+
+def test_segment_domain():
+    for a, b in (([2], [2]), ([0], [3]), ([1, 2], [3]), ([1], [2 ** 53 + 1])):
+        with pytest.raises(DomainError):
+            power_segment(2.0, np.array(a), np.array(b))
+    with pytest.raises(DomainError):
+        power_segment(30.0, np.array([1]), np.array([10 ** 12]))
+
+
 # ---------------------------------------------------------------------------
 # ces_norm
 # ---------------------------------------------------------------------------
@@ -133,6 +163,51 @@ def test_coeffseq_rejects_non_finite():
     for bad in (math.nan, math.inf, complex(1.0, -math.inf)):
         with pytest.raises(DomainError):
             CoeffSeq.from_pairs([(1, 1.0), (3, bad)])
+
+
+# ---------------------------------------------------------------------------
+# jagers_dual_norm
+# ---------------------------------------------------------------------------
+
+def mp_dual_norm(b: CoeffSeq, p: float):
+    """The greedy chain (largest minimizer of the difference quotients,
+    sentinel last) and the dual norm at 40 digits, B_k = zeta(p, k)."""
+    s = mpmath.mpf(p)
+    q = s / (s - 1)
+    w = [mpmath.hypot(v.real, v.imag) for v in b.val.tolist()] + [mpmath.mpf(0)]
+    big = [mpmath.zeta(s, n) for n in b.idx.tolist()] + [mpmath.mpf(0)]
+    pos = max(k for k, v in enumerate(w) if v == max(w))
+    chain, total = [pos], mpmath.mpf(0)
+    while pos < len(b):
+        quot = [((w[pos] - w[j]) / (big[pos] - big[j]), j) for j in range(pos + 1, len(w))]
+        best = min(v for v, _ in quot)
+        nxt = max(j for v, j in quot if v == best)
+        total += (w[pos] - w[nxt]) ** q / (big[pos] - big[nxt]) ** (q - 1)
+        chain.append(nxt)
+        pos = nxt
+    labels = tuple(int(b.idx[k]) for k in chain[:-1]) + (SENTINEL,)
+    return labels, total ** (1 / q)
+
+
+plateau = st.sampled_from([1.0, 0.5, -0.5, 0.5j, 0.25])
+
+
+@SEEDED
+@given(p=st.sampled_from(P_SET), first=st.integers(1, 40),
+       gaps=st.lists(st.one_of(st.integers(1, 3), st.integers(1, 10 ** 15)), max_size=7),
+       vals=st.lists(st.one_of(values, plateau), min_size=8, max_size=8),
+       decreasing=st.booleans())
+def test_jagers_contains_mpmath(p, first, gaps, vals, decreasing):
+    idx = np.cumsum([first] + gaps)
+    vals = vals[:idx.size]
+    if decreasing:
+        vals.sort(key=abs, reverse=True)
+    b = CoeffSeq(idx, np.array(vals, dtype=np.complex128))
+    trace = jagers_dual_norm(b, Exponent.from_p(p))
+    chain, norm = mp_dual_norm(b, p)
+    assert trace.m_chain == chain
+    assert trace.norm.lo <= norm <= trace.norm.hi
+    assert trace.norm.width <= 1e-13 * trace.norm.hi
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 
@@ -270,3 +272,70 @@ def test_report_verb(tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert out.splitlines()[0] == "m,alpha,prime_limit,conv_limit,ratio,reference,flag"
+
+
+# ---------------------------------------------------------------------------
+# the exit-code contract on adversarial input
+# ---------------------------------------------------------------------------
+
+fuzz_n = st.one_of(st.integers(1, 60), st.sampled_from(
+    [0, -1, 2 ** 53, 2 ** 53 + 1, 2 ** 63, 2 ** 64, 1.5, "7", True, None]))
+fuzz_value = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([1e308, -1e308, 5e-324, 0.0, "abc", "inf", "-Infinity", "NaN", None, [1]]),
+)
+fuzz_row = st.fixed_dictionaries({"n": fuzz_n}, optional={"re": fuzz_value, "im": fuzz_value})
+plain_value = st.one_of(st.floats(-1e3, 1e3), st.sampled_from([1e308, -1e308, 5e-324]))
+plain_row = st.fixed_dictionaries({"n": st.integers(1, 2 ** 53)},
+                                  optional={"re": plain_value, "im": plain_value})
+# mostly well-formed files, so that the verbs run, with at most one bad row
+fuzz_rows = st.tuples(st.lists(plain_row, max_size=6), st.lists(fuzz_row, max_size=1)).map(
+    lambda parts: parts[0] + parts[1])
+fuzz_argv = st.one_of(
+    st.tuples(st.just("norm"), st.just("--space"), st.sampled_from(["ces", "lp", "dq"]),
+              st.just("--p"), st.sampled_from(["1.01", "1.5", "2", "3", "0.5", "nan", "inf"])),
+    st.tuples(st.just("norm"), st.just("--space"), st.just("ar"),
+              st.just("--r"), st.sampled_from(["0.5", "-3", "nan"])),
+    st.tuples(st.just("dual-norm"), st.just("--p"),
+              st.sampled_from(["1.01", "1.5", "2", "3", "70", "1", "nan"])),
+    st.tuples(st.just("eval"), st.just("--sigma"), st.sampled_from(["0.5", "2", "-1e308", "nan"]),
+              st.just("--t"), st.sampled_from(["0", "1e300", "-3.5", "inf"])),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(rows=fuzz_rows, argv=fuzz_argv)
+def test_exit_code_contract_fuzz(rows, argv, tmp_path_factory):
+    # NaN and Infinity are written as the bare tokens json.load accepts
+    path = tmp_path_factory.mktemp("fuzz") / "f.json"
+    path.write_text(json.dumps({"coeffs": rows}))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = parse_and_dispatch([*argv, "--input", str(path)])
+    assert code in (0, 1, 2, 3)
+
+
+def test_failed_self_check_exits_3(tmp_path, capsys, monkeypatch):
+    # a reference of 0 makes every certified quotient exceed it
+    from cesdirichlet import multipliers
+
+    monkeypatch.setattr(multipliers, "ar_norm", lambda *args: 0.0)
+    path = write_coeffs(tmp_path, "f.json", UNIT)
+    code = parse_and_dispatch(["multiplier-estimate", "--input", path, "--m", "5",
+                               "--alpha", "0.45", "--prime-limit", "10000"])
+    assert code == 3
+    assert "self-check failed" in capsys.readouterr().err
+
+
+def test_convergence_error_exits_2(tmp_path, capsys, monkeypatch):
+    from cesdirichlet import multipliers
+    from cesdirichlet.errors import ConvergenceError
+
+    def no_convergence(beta):
+        raise ConvergenceError(f"decrease onset for beta={beta} failed to converge")
+
+    monkeypatch.setattr(multipliers, "decrease_onset", no_convergence)
+    path = write_coeffs(tmp_path, "f.json", UNIT)
+    code = parse_and_dispatch(["multiplier-estimate", "--input", path, "--m", "5",
+                               "--alpha", "0.45", "--prime-limit", "10000"])
+    assert code == 2
+    assert "failed to converge" in capsys.readouterr().err

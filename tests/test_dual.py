@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from cesdirichlet.dual import (
     SENTINEL,
+    JagersTrace,
     bennett_equivalence_check,
     delta_norm_bounds,
     delta_norm_exact_p2,
@@ -14,8 +15,9 @@ from cesdirichlet.dual import (
     jagers_dual_norm,
     sigma_threshold,
 )
-from cesdirichlet.errors import DomainError, ResourceLimitError
-from cesdirichlet.kernels import zeta_real
+from cesdirichlet.enclosure import EPS, Enclosure, div_pos, ulp_down, ulp_up
+from cesdirichlet.errors import ArgminTieError, DomainError, ResourceLimitError
+from cesdirichlet.kernels import power_sum_range, zeta_real, zeta_tail
 from cesdirichlet.sequences import CoeffSeq, Exponent, dq_norm
 
 ZETA_2 = math.pi ** 2 / 6
@@ -42,6 +44,84 @@ small_seqs = st.dictionaries(
                        allow_nan=False, allow_infinity=False),
     min_size=1, max_size=6,
 ).map(CoeffSeq.from_dict)
+
+
+# ---------------------------------------------------------------------------
+# the former O(support^2) greedy, kept as a reference for the hull
+# ---------------------------------------------------------------------------
+
+class _Ambiguous(Exception):
+    def __init__(self, chain, candidates):
+        self.chain = chain
+        self.candidates = candidates
+
+
+def _reference_attempt(idx, w, e, prefix):
+    p, q = e.p, e.q
+    # cum[k] = sum_{idx[0] <= l < idx[k]} l^-p, Kahan-compensated
+    cum = np.zeros(idx.size)
+    total = comp = 0.0
+    for k in range(1, idx.size):
+        y = power_sum_range(p, int(idx[k - 1]), int(idx[k])) - comp
+        t = total + y
+        comp = (t - total) - y
+        total = cum[k] = t
+
+    def denom(a, b):
+        d = cum[b] - cum[a]
+        slack = 4.0 * EPS * (cum[b] + cum[a]) + 4.0 * EPS
+        return Enclosure(ulp_down(d - slack), ulp_up(d + slack))
+
+    pos = int(np.nonzero(w == w.max())[0][-1])
+    chain, terms = [int(idx[pos])], []
+    while True:
+        bm = float(w[pos])
+        cand = list(range(pos + 1, idx.size))
+        all_q = [div_pos(Enclosure(ulp_down(bm - w[j]), ulp_up(bm - w[j])), denom(pos, j))
+                 for j in cand]
+        b_here = zeta_tail(p, int(idx[pos]), prefix=prefix) + float(idx[pos]) ** -p
+        all_q.append(div_pos(bm, b_here))
+        ids = [int(idx[j]) for j in cand] + [SENTINEL]
+        min_hi = min(enc.hi for enc in all_q)
+        poss = [k for k, enc in enumerate(all_q) if enc.lo <= min_hi]
+        if len(poss) > 1:
+            if min_hi == 0.0 and all(all_q[k].hi == 0.0 for k in poss):
+                winner = max(poss)
+            else:
+                raise _Ambiguous(tuple(chain), tuple(ids[k] for k in poss))
+        else:
+            winner = poss[0]
+        if winner == len(cand):
+            delta_b, delta_big = bm, b_here
+        else:
+            delta_b, delta_big = bm - float(w[cand[winner]]), denom(pos, cand[winner])
+        chain.append(ids[winner])
+        num_pow = Enclosure(ulp_down(delta_b ** q, 2), ulp_up(delta_b ** q, 2))
+        terms.append(div_pos(num_pow, delta_big.power(q - 1.0) if q != 2.0 else delta_big))
+        if chain[-1] == SENTINEL:
+            break
+        pos = cand[winner]
+    total = Enclosure(0.0, 0.0)
+    for t in terms:
+        total = total + t
+    return JagersTrace(tuple(chain), tuple(range(1, len(chain))), total.root(q))
+
+
+def greedy_dual_norm_reference(b: CoeffSeq, e: Exponent) -> JagersTrace:
+    """The greedy chain by rescanning every later candidate at each step
+    (O(support^2)): B-differences from running totals of explicit
+    segment sums with a 4-ulp slack, sentinel tails from a 10^4-term
+    prefix plus an integral bracket, doubled up to three times while two
+    quotient enclosures overlap."""
+    if b.is_empty:
+        return JagersTrace((SENTINEL,), (), Enclosure(0.0, 0.0))
+    w = b.abs_values()
+    for round_ in range(4):
+        try:
+            return _reference_attempt(b.idx, w, e, 10_000 << round_)
+        except _Ambiguous as amb:
+            last = amb
+    raise ArgminTieError(last.chain, last.candidates)
 
 
 # ---------------------------------------------------------------------------
@@ -113,6 +193,73 @@ def test_jagers_tie_error_carries_candidates():
         jagers_dual_norm(b, E2)
     assert set(exc.value.candidates) >= {2, 3}
     assert exc.value.prefix_chain == (1,)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(p=st.sampled_from((1.5, 2.0, 3.0)),
+       idx=st.sets(st.integers(1, 60), min_size=1, max_size=12),
+       mags=st.lists(st.floats(1e-3, 1e3), min_size=12, max_size=12),
+       decreasing=st.booleans())
+def test_hull_matches_reference_greedy(p, idx, mags, decreasing):
+    mags = mags[:len(idx)]
+    if decreasing:
+        mags.sort(reverse=True)
+    b = CoeffSeq(np.array(sorted(idx)), np.array(mags, dtype=np.complex128))
+    e = Exponent.from_p(p)
+    try:
+        ref = greedy_dual_norm_reference(b, e)
+    except ArgminTieError:
+        return
+    hull = jagers_dual_norm(b, e)
+    assert hull.m_chain == ref.m_chain
+    assert hull.d_set == ref.d_set
+    assert ref.norm.encloses(hull.norm)
+
+
+def _draw(seed, size, top, sigma=0.8):
+    idx = np.sort(np.random.default_rng(seed).choice(top, size, replace=False) + 1)
+    return CoeffSeq(idx, (idx.astype(float) ** -sigma).astype(np.complex128))
+
+
+def test_jagers_benchmark_draw_has_no_tie():
+    # the fixed support-1000 draw of the benchmark's dual workload: the
+    # greedy raised ArgminTieError between 9137 and 9138 at p = 3, from
+    # cancellation in B-differences taken from running totals
+    b = _draw([30000, 1000], 1000, 30000)
+    e3 = Exponent.from_p(3.0)
+    trace = jagers_dual_norm(b, e3)
+    assert len(trace.m_chain) == 1001
+    assert trace.m_chain[:-1] == tuple(int(n) for n in b.idx)
+    assert bennett_equivalence_check(b, e3)
+
+
+def test_jagers_roadmap_reproducer_full_chain():
+    # 3000 indices from 1..30000, b = idx^-0.8, p = 2: every index is on the chain
+    trace = jagers_dual_norm(_draw(0, 3000, 30000), E2)
+    assert len(trace.m_chain) == 3001
+    assert trace.norm.width < 1e-13 * trace.norm.hi
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_jagers_support_1e5(p):
+    b = _draw(5, 10 ** 5, 10 ** 6)
+    trace = jagers_dual_norm(b, Exponent.from_p(p))
+    assert len(trace.m_chain) == 10 ** 5 + 1
+    assert trace.norm.width < 1e-13 * trace.norm.hi
+
+
+def test_jagers_start_from_exact_moduli():
+    # |1e-72 + 1j| rounds to 1.0 = |1| but exceeds it: the chain starts at 2
+    trace = jagers_dual_norm(CoeffSeq.from_dict({1: 1.0, 2: 1e-72 + 1j}), E2)
+    assert trace.m_chain == (2, SENTINEL)
+
+
+def test_jagers_huge_coefficients():
+    unit = jagers_dual_norm(seq((2, 1.0), (5, 0.5)), E2)
+    huge = jagers_dual_norm(seq((2, 1e308), (5, 0.5e308)), E2)
+    assert huge.m_chain == unit.m_chain
+    assert huge.norm.lo == pytest.approx(1e308 * unit.norm.lo, rel=1e-13)
+    assert huge.norm.hi == pytest.approx(1e308 * unit.norm.hi, rel=1e-13)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,15 @@ def test_invariants():
     assert e.contains(1.0) and e.contains(1.5) and not e.contains(1.6)
 
 
+def test_mid_does_not_overflow():
+    # lo + hi overflows; the enclosure of ces_norm of {2: 1e308, 5: 1e308}
+    e = Enclosure(1.144072958363912e308, 1.1440729583639287e308)
+    assert math.isfinite(e.mid)
+    assert e.lo <= e.mid <= e.hi
+    neg = Enclosure(-1.7e308, -1.6e308)
+    assert neg.lo <= neg.mid <= neg.hi
+
+
 def test_exact_and_encloses():
     e = Enclosure.exact(3.0)
     assert e.width == 0.0
