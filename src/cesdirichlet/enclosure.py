@@ -5,19 +5,30 @@ Every infinite series evaluated in this package is returned as an
 to contain the exact value.  Finite sums are returned as plain floats.
 
 Error model of ``kernels.hurwitz_zeta``, ``kernels.power_segment``,
-``sequences.ces_norm`` and ``dual.jagers_dual_norm``: a basic operation
+``sequences.ces_norm`` (stored or streamed) and
+``dual.jagers_dual_norm``: a basic operation
 rounds to nearest (relative error <= ``U`` = 2**-53; power-of-two
 scaling and negation are exact); numpy's ``power``,
 ``log1p``, ``expm1`` and complex ``abs`` are within 4 ulps, a relative
 error <= ``LIB`` = 8 U (measured worst against mpmath on x86-64, numpy
 2.4: 0.70, 0.57, 0.50, 1.75 ulps); ``np.sum`` of a contiguous array is
-pairwise, at most ``pairwise_depth(n)`` additions per term; a result
-below the normal range is off by at most ``TINY``.  Relative errors are
+pairwise, at most ``pairwise_depth(n)`` additions per term;
+``math.fsum`` is correctly rounded; a result below the normal range is
+off by at most ``TINY``.  Relative errors are
 counted to first order, a step of condition number <= 1 passing its
 argument's count on, and a count n becomes the bound ``gamma(n)`` =
 nU/(1 - nU) (Higham, "Accuracy and Stability of Numerical Algorithms",
 Lemma 3.1).  A power x^t whose exponent t was itself rounded is off by
 a further |t log x| U.
+
+``ces_norm`` sums in blocks of at most n entries.  Within a block the
+running sums A_k come from ``np.cumsum`` with each rounding recovered
+by TwoSum and added back, (1 + (n + 1)^2 U) U of exact; A crosses a
+block boundary as a carry hi + lo whose own error grows by at most
+(n + 1)^2 U^2 per block, so after J blocks every A_k is within
+(1 + J (n + 1)^2 U) U.  Each block's terms go through one pairwise
+``np.sum`` and the J block sums through ``math.fsum``, one rounding
+more when J > 1.
 
 The dense routines (``zeta_tail``, ``zeta_real``, ``delta_norm_exact_p2``,
 the Schur sums) widen each summation by four units in the last place per

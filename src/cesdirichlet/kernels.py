@@ -23,10 +23,8 @@ from .errors import ConvergenceError, DomainError
 # Explicit prefix length used to sharpen integral tail brackets.
 DEFAULT_TAIL_PREFIX = 10_000
 
-# Plain sieve above this limit would need too much memory; switch to
-# segments of ~4M odd numbers (caps the working set around 128 MB).
-_SEGMENT_THRESHOLD = 10 ** 8
-_SEGMENT_SIZE = 1 << 22
+# Odd numbers per sieve segment: a 1 MB flag array.
+_SEGMENT_SIZE = 1 << 20
 
 _MAX_SIEVE_LIMIT = 10 ** 9
 
@@ -57,29 +55,25 @@ class PrimeTable:
         return int(self.primes[r - 1])
 
 
-def _plain_sieve(limit: int) -> np.ndarray:
-    flags = np.ones(limit + 1, dtype=bool)
-    flags[:2] = False
-    for i in range(2, math.isqrt(limit) + 1):
-        if flags[i]:
-            flags[i * i:: i] = False
-    return np.nonzero(flags)[0].astype(np.int64)
-
-
-def _segmented_sieve(limit: int) -> np.ndarray:
-    base = _plain_sieve(math.isqrt(limit))
-    chunks = [base[base <= limit]]
-    lo = math.isqrt(limit) + 1
-    while lo <= limit:
-        hi = min(lo + _SEGMENT_SIZE, limit + 1)
+def _sieve(limit: int) -> np.ndarray:
+    """Primes <= limit (>= 2), segmented and odd-only: flag k of a
+    segment stands for 2k + 1, and the odd primes up to sqrt(limit)
+    strike their odd multiples from p^2 on, stepping p in k."""
+    root = math.isqrt(limit)
+    base = _sieve(root)[1:].tolist() if root >= 3 else []
+    chunks = [np.array([2], dtype=np.int64)]
+    stop = (limit - 1) // 2 + 1  # k = 1 .. (limit - 1) // 2 stand for 3 .. limit
+    for lo in range(1, stop, _SEGMENT_SIZE):
+        hi = min(lo + _SEGMENT_SIZE, stop)
         flags = np.ones(hi - lo, dtype=bool)
         for p in base:
-            p = int(p)
-            start = ((lo + p - 1) // p) * p
-            if start < hi:
-                flags[start - lo:: p] = False
-        chunks.append((np.nonzero(flags)[0] + lo).astype(np.int64))
-        lo = hi
+            first = (p * p) // 2
+            if first >= hi:
+                break
+            # 2k + 1 = 0 mod p  <=>  k = (p - 1)/2 mod p
+            first = max(first, lo + (p // 2 - lo) % p)
+            flags[first - lo:: p] = False
+        chunks.append(2 * (np.flatnonzero(flags) + lo) + 1)
     return np.concatenate(chunks)
 
 
@@ -89,12 +83,7 @@ def sieve_primes(limit: int) -> PrimeTable:
         raise DomainError(f"sieve limit must be an integer >= 2, got {limit!r}")
     if limit > _MAX_SIEVE_LIMIT:
         raise DomainError(f"sieve limit {limit} exceeds the {_MAX_SIEVE_LIMIT} memory guard")
-    limit = int(limit)
-    if limit <= _SEGMENT_THRESHOLD:
-        primes = _plain_sieve(limit)
-    else:
-        primes = _segmented_sieve(limit)
-    return PrimeTable(limit=limit, primes=primes)
+    return PrimeTable(limit=int(limit), primes=_sieve(int(limit)))
 
 
 def smooth_membership(n: int, r: int, table: PrimeTable) -> bool:

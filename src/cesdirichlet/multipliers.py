@@ -54,8 +54,8 @@ from .kernels import (
     power_sum_range,
     zeta_tail,
 )
-from .sequences import CoeffSeq, Exponent, ar_norm, ces_norm
-from .series import DirichletPoly, convolve, truncate
+from .sequences import CoeffSeq, Exponent, abs_sum_exponent, ar_norm, ces_norm, ces_norm_stream
+from .series import DirichletPoly, convolve, product_blocks, truncate
 
 HEURISTIC_WINDOW_FLAG = "heuristic-window"
 DESK_SCALE_FLAG = "desk-scale"
@@ -254,6 +254,7 @@ def multiplier_lower_estimate(
 ) -> MultiplierEstimate:
     """Certified quotient  ces(f*g).lo / ces(g).hi  for the (m, alpha)
     test function g, a valid lower bound for the multiplier norm of f.
+    The product f*g is streamed through the Cesaro sum, never stored.
 
     ``reference`` records the weighted-ell^1 norm  sum |a_n| n^{-1/q},
     which the quotient can never exceed.  When the strict window scan
@@ -285,8 +286,9 @@ def multiplier_lower_estimate(
         raise DomainError(
             f"conv_limit {conv_limit} below p_rm * max support = {p_rm * f.max_index}"
         )
-    prod = convolve(f, g, conv_limit)
-    num = ces_norm(prod.coeffs, e)
+    # sum |c_n| <= sum |a_k| sum |b_m| scales the streamed product f*g
+    scale = abs_sum_exponent(f.coeffs) + abs_sum_exponent(g.coeffs)
+    num = ces_norm_stream(product_blocks(f, g, conv_limit), scale, e)
     den = ces_norm(truncate(g, conv_limit).coeffs, e)
     ratio = num.lo / den.hi
     reference = ar_norm(f.coeffs, 1.0 / e.q)

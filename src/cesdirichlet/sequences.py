@@ -18,7 +18,11 @@ The norms implemented here:
 ``ces_norm`` costs O(support), whatever the largest index: the Cesaro
 mean A(n)/n has a constant numerator between support indices, so the
 sum over n collapses, by parts, to one certified Hurwitz zeta value
-(``kernels.hurwitz_zeta``) per support index.
+(``kernels.hurwitz_zeta``) per support index.  The sum runs over blocks
+of ``BLOCK`` support entries with A(n) carried between them, so a
+sequence may also arrive block by block and never be stored
+(``ces_norm_stream``).  Every norm scales |a| by a power of two first,
+so only a norm beyond the float64 range raises.
 """
 
 from __future__ import annotations
@@ -33,6 +37,10 @@ from .errors import DomainError, ResourceLimitError
 from .kernels import hurwitz_zeta
 
 _MN_SUPPORT_GUARD = 10_000
+
+# Support entries per block of the Cesaro sum; ``series.product_blocks``
+# cuts products to the same size.
+BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -150,20 +158,112 @@ class CoeffSeq:
 # Norms
 # ---------------------------------------------------------------------------
 
-def _prefix_sums(w: np.ndarray) -> np.ndarray:
-    """Running sums of the nonnegative ``w``, within (1 + len(w)**2 U) U
-    of exact: TwoSum (Knuth) recovers each rounding of np.cumsum exactly
-    and the summed errors are added back."""
-    a = np.cumsum(w)
-    if a.size > 1:
-        b_part = a[1:] - a[:-1]
-        a_part = a[1:] - b_part
-        np.subtract(a[:-1], a_part, out=a_part)
-        np.subtract(w[1:], b_part, out=b_part)
-        b_part += a_part
-        del a_part
-        a[1:] += np.cumsum(b_part, out=b_part)
+def _prefix_sums(w: np.ndarray, carry: list | None = None) -> np.ndarray:
+    """Running sums of the nonnegative ``w`` after the carry [hi, lo]
+    (default [0, 0], |lo| <= U hi), each within (1 + (n + 1)**2 U) U of
+    hi + lo + w_1 + ... + w_k for n = len(w): TwoSum (Knuth) recovers each
+    rounding of np.cumsum exactly and the summed errors, started from
+    lo, are added back.  A given ``carry`` is replaced by the next one:
+    hi' the last running sum, hi' + lo' within (n + 1)**2 U**2 of exact
+    and |lo'| <= U hi'."""
+    hi, lo = carry or (0.0, 0.0)
+    a = np.cumsum(np.concatenate(([hi], w)))
+    b_part = a[1:] - a[:-1]
+    a_part = a[1:] - b_part
+    np.subtract(a[:-1], a_part, out=a_part)
+    np.subtract(w, b_part, out=b_part)
+    b_part += a_part
+    del a_part
+    b_part[0] += lo
+    np.cumsum(b_part, out=b_part)
+    last = a[-1]
+    a = a[1:]
+    a += b_part
+    if carry is not None:
+        carry[:] = float(a[-1]), float(b_part[-1] - (a[-1] - last))
     return a
+
+
+def _scale(w: np.ndarray) -> tuple[int, int]:
+    """Scale the nonempty nonnegative ``w`` in place by 2**-shift, so that
+    its maximum lies in [1/2, 1); returns shift and top, the exponent of
+    the scaled sum (sum(w) 2**-top lies in [1/2, 1) up to rounding)."""
+    shift = math.frexp(float(w.max()))[1]
+    np.ldexp(w, -shift, out=w)
+    return shift, math.frexp(float(np.sum(w)))[1]
+
+
+def _unscale(x: float, shift: int, name: str) -> float:
+    try:
+        return math.ldexp(x, shift)
+    except OverflowError:
+        raise DomainError(f"the {name} exceeds the float64 range") from None
+
+
+def abs_sum_exponent(a: CoeffSeq) -> int:
+    """An exponent e with sum |a_n| <= 2**e up to rounding (0 for a = 0);
+    the sum of two such exponents scales the Cesaro sum of a product."""
+    return 0 if a.is_empty else sum(_scale(a.abs_values()))
+
+
+def _ces_enclosure(blocks, shift: int, top: int, p: float) -> Enclosure:
+    """The certified Cesaro norm from blocks (idx, w) of consecutive
+    support indices and |a| 2**-shift (``w`` is overwritten), with every
+    A(n) 2**-top at most about 1.  A(n) crosses block boundaries as the
+    carry of ``_prefix_sums``; error model in ``enclosure``."""
+    carry = [0.0, 0.0]
+    sums_lo, sums_hi = [], []
+    size = widest = 0
+    zeta_max = 0.0
+    for idx, w in blocks:
+        if float(w.min()) < 2.0 ** -1022:
+            raise DomainError("coefficient magnitudes span more than the float64 exponent range")
+        prev = carry[0]
+        cum = _prefix_sums(w, carry)
+        # w_k / A_{k-1} -> 1 - (A_{k-1}/A_k)^p in place; the first term is A_1^p
+        np.divide(w[1:], cum[:-1], out=w[1:])
+        if size:
+            w[0] /= prev
+        r = w if size else w[1:]
+        np.log1p(r, out=r)
+        r *= -p
+        np.expm1(r, out=r)
+        np.negative(r, out=r)
+        if not size:
+            w[0] = 1.0
+        np.ldexp(cum, -top, out=cum)
+        np.power(cum, p, out=cum)
+        w *= cum
+        del cum
+        lo, hi = hurwitz_zeta(p, idx)
+        if not size:
+            zeta_max = float(hi[0])
+        lo *= w
+        hi *= w
+        sums_lo.append(float(np.sum(lo)))
+        sums_hi.append(float(np.sum(hi)))
+        size += w.size
+        widest = max(widest, w.size)
+    if not size:
+        return Enclosure(0.0, 0.0)
+    # relative error counts in units of U (model in ``enclosure``):
+    # |a_k| LIB; running sums 1 + J (n + 1)^2 U on top; A_k^p p times both
+    # plus LIB; the ratio both plus 1, log1p and expm1 (condition <= 1)
+    # LIB and 1 each; the product with A_k^p 1 and with zeta 1; the sums
+    # of the blocks, and 1 more to join them
+    blocks_n = len(sums_lo)
+    rel_w, rel_a = LIB, LIB + 1.0 + blocks_n * (widest + 1) ** 2 * U
+    count = ((p * rel_a + LIB) + (rel_w + rel_a + 1) + 2 * (LIB + 1) + 2
+             + pairwise_depth(widest) + (blocks_n > 1))
+    g = gamma(count)
+    # underflow: each term may lose up to TINY in the ratio (scaled by p
+    # zeta), in A_k^p and the product (scaled by zeta) and in the last product
+    under = size * TINY * ((p + 2.0) * zeta_max + 2.0)
+    powered = Enclosure(max(0.0, ulp_down(math.fsum(sums_lo) * (1.0 - g) - under)),
+                        ulp_up(math.fsum(sums_hi) / (1.0 - g) + under, 2))
+    root = powered.root(p)
+    return Enclosure(_unscale(root.lo, shift + top, "Cesaro norm"),
+                     _unscale(root.hi, shift + top, "Cesaro norm"))
 
 
 def ces_norm(a: CoeffSeq, e: Exponent) -> Enclosure:
@@ -173,61 +273,36 @@ def ces_norm(a: CoeffSeq, e: Exponent) -> Enclosure:
     ||a||^p = sum_k zeta(p, i_k) (A_k^p - A_{k-1}^p), all terms >= 0, the
     last carrying the tail; A_k^p - A_{k-1}^p = A_k^p (1 - exp(-p log1p(
     w_k / A_{k-1}))) avoids cancellation.  |a| is scaled by powers of two
-    (the norm is homogeneous) so that A_K lies in [1/2, 1).
+    (the norm is homogeneous) so that A_K lies near [1/2, 1).  The sum
+    runs over blocks of ``BLOCK`` support entries.
     """
     if a.is_empty:
         return Enclosure(0.0, 0.0)
-    p = e.p
-    size = len(a)
     w = a.abs_values()
-    shift = math.frexp(float(w.max()))[1]
-    np.ldexp(w, -shift, out=w)
-    if float(w.min()) < 2.0 ** -1022:
-        raise DomainError("coefficient magnitudes span more than the float64 exponent range")
-    cum = _prefix_sums(w)
-    # w_k / A_{k-1} -> 1 - (A_{k-1}/A_k)^p in place; the first term is A_1^p
-    np.divide(w[1:], cum[:-1], out=w[1:])
-    np.log1p(w[1:], out=w[1:])
-    w[1:] *= -p
-    np.expm1(w[1:], out=w[1:])
-    np.negative(w[1:], out=w[1:])
-    w[0] = 1.0
-    top = math.frexp(float(cum[-1]))[1]
-    np.ldexp(cum, -top, out=cum)
-    np.power(cum, p, out=cum)
-    w *= cum
-    del cum
-    lo, hi = hurwitz_zeta(p, a.idx)
-    zeta_max = float(hi[0])
-    lo *= w
-    hi *= w
-    # relative error counts in units of U (model in ``enclosure``):
-    # |a_k| LIB; prefix sums 1 + K^2 U on top; A_k^p p times both plus
-    # LIB; the ratio both plus 1, log1p and expm1 (condition <= 1) LIB
-    # and 1 each; the product with A_k^p 1 and with zeta 1; the sum
-    rel_w, rel_a = LIB, LIB + 1.0 + size * size * U
-    count = (p * rel_a + LIB) + (rel_w + rel_a + 1) + 2 * (LIB + 1) + 2 + pairwise_depth(size)
-    g = gamma(count)
-    # underflow: each term may lose up to TINY in the ratio (scaled by p
-    # zeta), in A_k^p and the product (scaled by zeta) and in the last product
-    under = size * TINY * ((p + 2.0) * zeta_max + 2.0)
-    powered = Enclosure(max(0.0, ulp_down(float(np.sum(lo)) * (1.0 - g) - under)),
-                        ulp_up(float(np.sum(hi)) / (1.0 - g) + under, 2))
-    root = powered.root(p)
-    try:
-        return Enclosure(math.ldexp(root.lo, shift + top), math.ldexp(root.hi, shift + top))
-    except OverflowError:
-        raise DomainError("the Cesaro norm exceeds the float64 range") from None
+    shift, top = _scale(w)
+    step = BLOCK
+    blocks = ((a.idx[s:s + step], w[s:s + step]) for s in range(0, w.size, step))
+    return _ces_enclosure(blocks, shift, top, e.p)
+
+
+def ces_norm_stream(blocks, scale: int, e: Exponent) -> Enclosure:
+    """``ces_norm`` of a sequence that arrives as blocks (idx, val), each
+    nonempty, sorted, with nonzero finite values and above the block
+    before, with sum |a_n| <= 2**scale.  Only one block is held at a
+    time, so a product from ``series.product_blocks`` is never stored."""
+    return _ces_enclosure(((idx, np.ldexp(np.abs(val), -scale)) for idx, val in blocks),
+                          scale, 0, e.p)
 
 
 def lp_norm(a: CoeffSeq, p: float) -> float:
-    """Exact (sum |a_n|**p)**(1/p) for p >= 1."""
-    if p < 1:
-        raise DomainError(f"lp_norm needs p >= 1, got {p}")
+    """Exact (sum |a_n|**p)**(1/p) for 1 <= p < inf."""
+    if not 1 <= p < math.inf:
+        raise DomainError(f"lp_norm needs 1 <= p < inf, got {p}")
     if a.is_empty:
         return 0.0
     w = a.abs_values()
-    return float(math.fsum(w ** p)) ** (1.0 / p)
+    shift, _ = _scale(w)
+    return _unscale(float(math.fsum(w ** p)) ** (1.0 / p), shift, "lp norm")
 
 
 def least_decreasing_majorant(b: CoeffSeq, horizon: int) -> np.ndarray:
@@ -253,22 +328,35 @@ def dq_norm(b: CoeffSeq, e: Exponent) -> float:
     """(sum_n sup_{k>=n} |b_k|**q)**(1/q), exact for finite support.
 
     The majorant is constant between support indices, so the dense sum
-    collapses to suffix maxima weighted by index gaps.
+    collapses to suffix maxima weighted by index gaps.  |b| is scaled by
+    a power of two first (the norm is homogeneous).
     """
     if b.is_empty:
         return 0.0
     q = e.q
     w = b.abs_values()
+    shift, _ = _scale(w)
     suffix_max = np.maximum.accumulate(w[::-1])[::-1]
     gaps = np.diff(np.concatenate(([0], b.idx)))
-    return float(math.fsum(suffix_max ** q * gaps)) ** (1.0 / q)
+    return _unscale(float(math.fsum(suffix_max ** q * gaps)) ** (1.0 / q), shift, "dq norm")
 
 
 def ar_norm(a: CoeffSeq, r: float) -> float:
-    """Weighted absolute coefficient sum  sum |a_n| * n**-r (exact)."""
+    """Weighted absolute coefficient sum  sum |a_n| * n**-r (exact); |a|
+    is scaled by a power of two first (the sum is homogeneous)."""
+    if not math.isfinite(r):
+        raise DomainError(f"ar_norm needs a finite weight exponent, got {r}")
     if a.is_empty:
         return 0.0
-    return float(math.fsum(a.abs_values() * a.idx.astype(np.float64) ** -r))
+    w = a.abs_values()
+    shift, _ = _scale(w)
+    try:
+        total = math.fsum(w * a.idx.astype(np.float64) ** -r)
+    except OverflowError:
+        total = math.inf
+    if not math.isfinite(total):
+        raise DomainError("the weighted sum exceeds the float64 range")
+    return _unscale(total, shift, "weighted sum")
 
 
 def hardy_ratio(a: CoeffSeq, e: Exponent) -> float:

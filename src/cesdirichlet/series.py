@@ -2,10 +2,12 @@
 
 A ``DirichletPoly`` wraps a coefficient sequence interpreted as
 f(s) = sum a_n n^-s.  Pointwise products of two such polynomials
-correspond to the divisor convolution of their coefficients, which is
-what ``convolve`` computes.  ``qr_project`` keeps exactly the
-coefficients whose index factors over the first r primes; the
-projection is multiplicative on full-support products.
+correspond to the divisor convolution of their coefficients.
+``product_blocks`` yields that product in sorted blocks of bounded size,
+one at a time, for a consumer that never stores it whole (the streamed
+Cesaro sum); ``convolve`` joins the blocks.  ``qr_project`` keeps
+exactly the coefficients whose index factors over the first r primes;
+the projection is multiplicative on full-support products.
 
 Phase convention for evaluation off the real axis:
 n^{-it} = exp(-i t log n).
@@ -13,10 +15,13 @@ n^{-it} = exp(-i t log n).
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import sequences
 from .errors import DomainError
 from .kernels import PrimeTable, smooth_membership
 from .sequences import CoeffSeq
@@ -28,6 +33,10 @@ class EvalPoint:
 
     sigma: float
     t: float = 0.0
+
+    def __post_init__(self):
+        if not (math.isfinite(self.sigma) and math.isfinite(self.t)):
+            raise DomainError(f"evaluation point must be finite, got sigma={self.sigma}, t={self.t}")
 
 
 @dataclass(frozen=True)
@@ -61,37 +70,59 @@ class DirichletPoly:
         return self.coeffs == other.coeffs
 
 
-def convolve(f: DirichletPoly, g: DirichletPoly, limit: int) -> DirichletPoly:
-    """Coefficients c_n = sum_{k | n} a_k b_{n/k} for all n <= limit, exact.
+def product_blocks(f: DirichletPoly, g: DirichletPoly, limit: int):
+    """Coefficients c_n = sum_{k | n} a_k b_{n/k} for n <= limit, exact,
+    as blocks (idx, val): sorted, equal indices merged, zeros dropped,
+    each block above the one before; only one block is held at a time.
 
-    Iterates the sparse support of f against the support of g, so the
-    cost is the number of index pairs whose product stays below the
-    limit.
+    A block takes, for each index i of f, the contiguous slice of g with
+    i g_j in the block's window, at most ``sequences.BLOCK`` entries in
+    all (or one per index of f), merged by a stable argsort: equal
+    indices are summed in the order of f's indices.
     """
     if limit < 1:
         raise DomainError(f"convolution limit must be >= 1, got {limit}")
     fa, ga = f.coeffs, g.coeffs
     if fa.is_empty or ga.is_empty:
+        return
+    fi, fv, gi, gv = fa.idx, fa.val, ga.idx, ga.val
+    cap = np.searchsorted(gi, [min(limit // int(i), int(gi[-1])) for i in fi], side="right")
+    pos = np.zeros_like(cap)
+    while (live := np.flatnonzero(pos < cap)).size:
+        # the window ends at the first product past some index's share
+        stop = pos[live] + max(1, sequences.BLOCK // live.size)
+        ends = cap[live]
+        inside = stop < ends
+        if inside.any():
+            hi = int((fi[live[inside]] * gi[stop[inside]]).min())
+            ends = np.minimum(np.searchsorted(gi, -(-hi // fi[live])), ends)
+        idx = np.concatenate([fi[k] * gi[pos[k]:t] for k, t in zip(live, ends)])
+        val = np.concatenate([fv[k] * gv[pos[k]:t] for k, t in zip(live, ends)])
+        pos[live] = ends
+        order = np.argsort(idx, kind="stable")
+        idx, val = idx[order], val[order]
+        fresh = np.concatenate(([True], idx[1:] != idx[:-1]))
+        if not fresh.all():
+            starts = np.flatnonzero(fresh)
+            idx, val = idx[starts], np.add.reduceat(val, starts)
+        if not np.isfinite(val).all():
+            raise DomainError("coefficient values must be finite (no NaN or infinity)")
+        keep = val != 0
+        if not keep.all():
+            idx, val = idx[keep], val[keep]
+        if idx.size:
+            yield idx, val
+
+
+def convolve(f: DirichletPoly, g: DirichletPoly, limit: int) -> DirichletPoly:
+    """Coefficients c_n = sum_{k | n} a_k b_{n/k} for all n <= limit, exact:
+    the blocks of ``product_blocks`` joined."""
+    blocks = list(product_blocks(f, g, limit))
+    if not blocks:
         return DirichletPoly(CoeffSeq.empty())
-    idx_parts = []
-    val_parts = []
-    for i, a in zip(fa.idx, fa.val):
-        cap = limit // int(i)
-        take = np.searchsorted(ga.idx, cap, side="right")
-        if take == 0:
-            continue
-        idx_parts.append(int(i) * ga.idx[:take])
-        val_parts.append(a * ga.val[:take])
-    if not idx_parts:
-        return DirichletPoly(CoeffSeq.empty())
-    idx = np.concatenate(idx_parts)
-    val = np.concatenate(val_parts)
-    order = np.argsort(idx, kind="stable")
-    idx, val = idx[order], val[order]
-    boundaries = np.concatenate(([True], np.diff(idx) != 0))
-    starts = np.nonzero(boundaries)[0]
-    merged = np.add.reduceat(val, starts)
-    return DirichletPoly(CoeffSeq(idx[starts], merged))
+    idx = np.concatenate([b[0] for b in blocks])
+    val = np.concatenate([b[1] for b in blocks])
+    return DirichletPoly(CoeffSeq(idx, val, _validated=True))
 
 
 def evaluate(f: DirichletPoly, s: EvalPoint) -> complex:
@@ -102,9 +133,12 @@ def evaluate(f: DirichletPoly, s: EvalPoint) -> complex:
     base = c.idx.astype(np.float64)
     radial = base ** -s.sigma
     if s.t == 0.0:
-        return complex(np.sum(c.val * radial))
-    phase = np.exp(-1j * s.t * np.log(base))
-    return complex(np.sum(c.val * radial * phase))
+        value = complex(np.sum(c.val * radial))
+    else:
+        value = complex(np.sum(c.val * radial * np.exp(-1j * s.t * np.log(base))))
+    if not cmath.isfinite(value):
+        raise DomainError(f"f({s.sigma} + {s.t}i) leaves the float64 range")
+    return value
 
 
 def translate(f: DirichletPoly, r: float) -> DirichletPoly:
@@ -121,6 +155,8 @@ def truncate(f: DirichletPoly, n: int) -> DirichletPoly:
     if n < 1:
         raise DomainError(f"truncation index must be >= 1, got {n}")
     c = f.coeffs
+    if n >= c.max_index:
+        return f
     take = np.searchsorted(c.idx, n, side="right")
     return DirichletPoly(CoeffSeq(c.idx[:take].copy(), c.val[:take].copy(),
                                   _validated=True))

@@ -1,5 +1,6 @@
 """Containment of the certified Hurwitz and segment kernels, of
-``ces_norm`` and of ``jagers_dual_norm``.
+``ces_norm`` (whole, cut into small blocks, and streamed products) and
+of ``jagers_dual_norm``.
 
 mpmath's Hurwitz zeta at 40 digits is the independent reference, and
 the former dense ``ces_norm`` (a sweep over every integer up to the
@@ -20,7 +21,10 @@ from cesdirichlet.enclosure import EPS, LIB, U, Enclosure, ulp_down, ulp_up
 from cesdirichlet.errors import DomainError
 from cesdirichlet.dual import SENTINEL, jagers_dual_norm
 from cesdirichlet.kernels import DEFAULT_TAIL_PREFIX, hurwitz_zeta, power_segment, zeta_tail
-from cesdirichlet.sequences import CoeffSeq, Exponent, _prefix_sums, ces_norm
+from cesdirichlet import sequences
+from cesdirichlet.sequences import (CoeffSeq, Exponent, _prefix_sums, abs_sum_exponent, ces_norm,
+                                    ces_norm_stream)
+from cesdirichlet.series import DirichletPoly, convolve, product_blocks
 
 mpmath.mp.dps = 40
 
@@ -145,6 +149,46 @@ def test_ces_norm_inside_dense_reference(p, d):
     assert dense_ces_norm_reference(a, e).encloses(ces_norm(a, e))
 
 
+@SEEDED
+@given(p=st.sampled_from(P_SET), block=st.integers(1, 4), first=st.integers(1, 40),
+       gaps=st.lists(st.one_of(st.integers(1, 3), st.integers(1, 10 ** 12)), min_size=2,
+                     max_size=9),
+       vals=st.lists(values, min_size=10, max_size=10))
+def test_ces_norm_blocks_contain_mpmath(p, block, first, gaps, vals):
+    # blocks of 1..4 entries: the running sum crosses block boundaries
+    idx = np.cumsum([first] + gaps)
+    a = CoeffSeq(idx, np.array(vals[:idx.size]))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sequences, "BLOCK", block)
+        enc = ces_norm(a, Exponent.from_p(p))
+    assert enc.lo <= mp_ces_norm(a, p) <= enc.hi
+    assert enc.width <= 1e-13 * enc.hi
+
+
+small_supports = st.dictionaries(st.integers(1, 30), st.one_of(values, st.sampled_from([1.0, -1.0])),
+                                 min_size=1, max_size=8)
+
+
+@SEEDED
+@given(p=st.sampled_from(P_SET), block=st.sampled_from([1, 2, 5, 1 << 16]),
+       f=small_supports, g=small_supports, cut=st.floats(0.05, 1.0))
+def test_streamed_product_contains_mpmath(p, block, f, g, cut):
+    # the enclosure certifies the norm of the rounded product, which
+    # ``convolve`` (bitwise the same blocks) stores for the reference
+    f, g = DirichletPoly(CoeffSeq.from_dict(f)), DirichletPoly(CoeffSeq.from_dict(g))
+    limit = max(1, int(cut * f.max_index * g.max_index))
+    scale = abs_sum_exponent(f.coeffs) + abs_sum_exponent(g.coeffs)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sequences, "BLOCK", block)
+        enc = ces_norm_stream(product_blocks(f, g, limit), scale, Exponent.from_p(p))
+    prod = convolve(f, g, limit).coeffs
+    if prod.is_empty:
+        assert enc == Enclosure(0.0, 0.0)
+        return
+    assert enc.lo <= mp_ces_norm(prod, p) <= enc.hi
+    assert enc.width <= 1e-13 * enc.hi
+
+
 def test_ces_norm_rejects_inexact_indices():
     with pytest.raises(DomainError):
         ces_norm(CoeffSeq.from_pairs([(1, 1.0), (2 ** 53 + 1, 1.0)]), Exponent.from_p(2.0))
@@ -245,3 +289,18 @@ def test_prefix_sums_compensated():
     for k in range(0, w.size, 97):
         exact = mpmath.fsum(mpmath.mpf(float(t)) for t in w[:k + 1])
         assert abs(got[k] - exact) <= (1.0 + w.size ** 2 * U) * U * exact
+
+
+def test_prefix_sums_carry_across_blocks():
+    # 40 blocks of 50: every running sum within (1 + J (n + 1)^2 U) U,
+    # and the carry within J (n + 1)^2 U^2 of the exact total
+    rng = np.random.default_rng(4)
+    w = rng.random(2000) * np.exp(rng.uniform(-20.0, 0.0, 2000))
+    blocks, n = 40, 50
+    carry = [0.0, 0.0]
+    got = np.concatenate([_prefix_sums(w[s:s + n], carry) for s in range(0, w.size, n)])
+    exact = np.cumsum([mpmath.mpf(float(t)) for t in w])
+    for k in range(0, w.size, 37):
+        assert abs(got[k] - exact[k]) <= (1.0 + blocks * (n + 1) ** 2 * U) * U * exact[k]
+    assert abs(mpmath.mpf(carry[0]) + carry[1] - exact[-1]) <= blocks * (n + 1) ** 2 * U * U * exact[-1]
+    assert carry[0] == got[-1] and abs(carry[1]) <= U * carry[0]

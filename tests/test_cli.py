@@ -295,11 +295,12 @@ fuzz_argv = st.one_of(
     st.tuples(st.just("norm"), st.just("--space"), st.sampled_from(["ces", "lp", "dq"]),
               st.just("--p"), st.sampled_from(["1.01", "1.5", "2", "3", "0.5", "nan", "inf"])),
     st.tuples(st.just("norm"), st.just("--space"), st.just("ar"),
-              st.just("--r"), st.sampled_from(["0.5", "-3", "nan"])),
+              st.just("--r"), st.sampled_from(["0.5", "-3", "nan", "inf", "-inf"])),
     st.tuples(st.just("dual-norm"), st.just("--p"),
               st.sampled_from(["1.01", "1.5", "2", "3", "70", "1", "nan"])),
-    st.tuples(st.just("eval"), st.just("--sigma"), st.sampled_from(["0.5", "2", "-1e308", "nan"]),
-              st.just("--t"), st.sampled_from(["0", "1e300", "-3.5", "inf"])),
+    st.tuples(st.just("eval"), st.just("--sigma"),
+              st.sampled_from(["0.5", "2", "-1e308", "nan", "inf", "-inf"]),
+              st.just("--t"), st.sampled_from(["0", "1e300", "-3.5", "inf", "nan", "-inf"])),
 )
 
 
@@ -309,9 +310,46 @@ def test_exit_code_contract_fuzz(rows, argv, tmp_path_factory):
     # NaN and Infinity are written as the bare tokens json.load accepts
     path = tmp_path_factory.mktemp("fuzz") / "f.json"
     path.write_text(json.dumps({"coeffs": rows}))
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         code = parse_and_dispatch([*argv, "--input", str(path)])
     assert code in (0, 1, 2, 3)
+    if code == 0:
+        # strict JSON: NaN, Infinity and -Infinity are not JSON numbers
+        json.loads(out.getvalue(), parse_constant=_reject_constant)
+
+
+def _reject_constant(token):
+    raise AssertionError(f"non-JSON number {token} in the report")
+
+
+BIG = [{"n": 1, "re": 1e308}, {"n": 2, "re": 1e308}]
+
+
+@pytest.mark.parametrize("argv", [
+    ["norm", "--space", "lp", "--p", "2"],
+    ["norm", "--space", "dq", "--p", "2"],
+    ["norm", "--space", "ar", "--r", "0.5"],
+])
+def test_norms_huge_coefficients_finite(tmp_path, capsys, argv):
+    path = write_coeffs(tmp_path, "big.json", BIG)
+    assert parse_and_dispatch([*argv, "--input", path]) == 0
+    value = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert value["records"][0]["value"] > 1e308
+
+
+@pytest.mark.parametrize("argv, rows", [
+    (["eval", "--sigma", "2", "--t", "inf"], UNIT),
+    (["eval", "--sigma", "nan"], UNIT),
+    (["eval", "--sigma=-1e308"], BIG),
+    (["norm", "--space", "ar", "--r", "nan"], UNIT),
+    (["norm", "--space", "ar", "--r", "-3"], BIG),
+    (["norm", "--space", "lp", "--p", "inf"], UNIT),
+])
+def test_non_finite_values_exit_2(tmp_path, capsys, argv, rows):
+    path = write_coeffs(tmp_path, "f.json", rows)
+    assert parse_and_dispatch([*argv, "--input", path]) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_failed_self_check_exits_3(tmp_path, capsys, monkeypatch):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cesdirichlet import kernels
 from cesdirichlet.errors import DomainError
 from cesdirichlet.kernels import (
     decrease_onset,
@@ -53,11 +54,30 @@ def test_sieve_prefix_property():
     assert np.array_equal(large.primes[: len(small)], small.primes)
 
 
-def test_segmented_sieve_agrees():
-    # exercise the segmented path against the plain one on a window
-    from cesdirichlet.kernels import _plain_sieve, _segmented_sieve
+def plain_sieve_reference(limit: int) -> np.ndarray:
+    """The former unsegmented sieve over every integer up to the limit."""
+    flags = np.ones(limit + 1, dtype=bool)
+    flags[:2] = False
+    for i in range(2, math.isqrt(limit) + 1):
+        if flags[i]:
+            flags[i * i:: i] = False
+    return np.nonzero(flags)[0].astype(np.int64)
 
-    assert np.array_equal(_segmented_sieve(10 ** 6), _plain_sieve(10 ** 6))
+
+def test_segmented_sieve_agrees(monkeypatch):
+    for limit in [*range(2, 130), 10 ** 6 - 1, 10 ** 6]:
+        assert np.array_equal(sieve_primes(limit).primes, plain_sieve_reference(limit))
+    # segments of 64 odd numbers: many boundaries, primes up to 1e4 crossing them
+    monkeypatch.setattr(kernels, "_SEGMENT_SIZE", 64)
+    for limit in (127, 128, 129, 10 ** 4 + 7):
+        assert np.array_equal(sieve_primes(limit).primes, plain_sieve_reference(limit))
+
+
+@pytest.mark.parametrize("limit, count", [(10 ** 7, 664579), (10 ** 8, 5761455)])
+def test_sieve_prime_counts(limit, count):
+    table = sieve_primes(limit)
+    assert len(table) == count
+    assert table.primes.dtype == np.int64
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,8 +17,9 @@ from cesdirichlet.multipliers import (
     noncompactness_bound,
     schur_test,
 )
-from cesdirichlet.sequences import CoeffSeq, Exponent, ar_norm, ces_norm
-from cesdirichlet.series import DirichletPoly, translate
+from cesdirichlet.sequences import (CoeffSeq, Exponent, abs_sum_exponent, ar_norm, ces_norm,
+                                    ces_norm_stream)
+from cesdirichlet.series import DirichletPoly, product_blocks, translate
 
 E2 = Exponent.from_p(2.0)
 
@@ -193,6 +195,23 @@ def test_estimate_conv_limit_guard(table_1e4):
     f = DirichletPoly.from_pairs([(1, 1.0), (3, 1.0)])
     with pytest.raises(DomainError):
         multiplier_lower_estimate(f, 5, 0.45, E2, table_1e4, conv_limit=10)
+
+
+def test_streamed_numerator_memory():
+    # at prime limit 1e7 f*g has 2.0e6 entries; storing it and its sort
+    # temporaries took 278 MB, the stream holds one block at a time
+    table = sieve_primes(10 ** 7)
+    f = DirichletPoly.from_pairs([(1, 1.0), (2, 1.0), (3, 1.0)])
+    g = build_test_function(10, 0.45, E2, table, r_m=11)
+    scale = abs_sum_exponent(f.coeffs) + abs_sum_exponent(g.coeffs)
+    tracemalloc.start()
+    try:
+        num = ces_norm_stream(product_blocks(f, g, 3 * table.limit), scale, E2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20
+    assert 0 < num.width <= 1e-13 * num.hi
 
 
 # ---------------------------------------------------------------------------

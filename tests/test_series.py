@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cesdirichlet import sequences
 from cesdirichlet.errors import DomainError
 from cesdirichlet.kernels import sieve_primes
 from cesdirichlet.sequences import CoeffSeq, Exponent, ar_norm, ces_norm
@@ -13,6 +14,7 @@ from cesdirichlet.series import (
     EvalPoint,
     convolve,
     evaluate,
+    product_blocks,
     qr_project,
     translate,
     truncate,
@@ -113,6 +115,64 @@ def test_convolve_truncation_coherence(f, g, n):
 def test_convolve_domain():
     with pytest.raises(DomainError):
         convolve(DirichletPoly.one(), DirichletPoly.one(), 0)
+
+
+def convolve_reference(f: DirichletPoly, g: DirichletPoly, limit: int) -> DirichletPoly:
+    """The former convolve: every product stored, one global stable
+    argsort, equal indices summed by reduceat."""
+    fa, ga = f.coeffs, g.coeffs
+    idx_parts = []
+    val_parts = []
+    for i, a in zip(fa.idx, fa.val):
+        take = np.searchsorted(ga.idx, limit // int(i), side="right")
+        if take == 0:
+            continue
+        idx_parts.append(int(i) * ga.idx[:take])
+        val_parts.append(a * ga.val[:take])
+    if not idx_parts:
+        return DirichletPoly(CoeffSeq.empty())
+    idx = np.concatenate(idx_parts)
+    val = np.concatenate(val_parts)
+    order = np.argsort(idx, kind="stable")
+    idx, val = idx[order], val[order]
+    starts = np.nonzero(np.concatenate(([True], np.diff(idx) != 0)))[0]
+    return DirichletPoly(CoeffSeq(idx[starts], np.add.reduceat(val, starts)))
+
+
+# supports from a small range collide often; integer values cancel exactly
+block_polys = st.dictionaries(
+    st.integers(min_value=1, max_value=60),
+    st.one_of(st.complex_numbers(min_magnitude=1e-3, max_magnitude=5.0,
+                                 allow_nan=False, allow_infinity=False),
+              st.sampled_from([1.0, -1.0, 2.0, 1j])),
+    min_size=1, max_size=40,
+).map(lambda d: DirichletPoly(CoeffSeq.from_dict(d)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(f=block_polys, g=block_polys, block=st.sampled_from([1, 2, 3, 5, 16, 1 << 16]),
+       cut=st.floats(0.0, 1.2))
+def test_convolve_matches_reference_bitwise(f, g, block, cut):
+    limit = max(1, int(cut * f.max_index * g.max_index))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sequences, "BLOCK", block)
+        got = convolve(f, g, limit).coeffs
+        blocks = list(product_blocks(f, g, limit))
+    want = convolve_reference(f, g, limit).coeffs
+    assert got.idx.tobytes() == want.idx.tobytes()
+    assert got.val.tobytes() == want.val.tobytes()
+    live = sum(1 for i in f.coeffs.idx if g.coeffs.idx[0] * int(i) <= limit)
+    for (idx, val), nxt in zip(blocks, blocks[1:] + [None]):
+        assert idx.size <= max(block, live) and np.all(np.diff(idx) > 0)
+        assert np.all(val != 0)
+        if nxt is not None:
+            assert idx[-1] < nxt[0][0]
+
+
+def test_product_blocks_reject_overflow():
+    big = DirichletPoly.from_pairs([(1, 1e300), (2, 1e300)])
+    with pytest.raises(DomainError):
+        list(product_blocks(big, big, 4))
 
 
 # ---------------------------------------------------------------------------
