@@ -5,8 +5,9 @@ Every infinite series evaluated in this package is returned as an
 to contain the exact value.  Finite sums are returned as plain floats.
 
 Error model of ``kernels.hurwitz_zeta``, ``kernels.power_segment``,
-``sequences.ces_norm`` (stored or streamed) and
-``dual.jagers_dual_norm``: a basic operation
+``sequences.ces_norm`` (stored or streamed), ``dual.jagers_dual_norm``
+and the self-check bound of ``multipliers.multiplier_lower_estimate``
+on ``sequences.ar_norm``: a basic operation
 rounds to nearest (relative error <= ``U`` = 2**-53; power-of-two
 scaling and negation are exact); numpy's ``power``,
 ``log1p``, ``expm1`` and complex ``abs`` are within 4 ulps, a relative

@@ -58,10 +58,14 @@ class PrimeTable:
 def _sieve(limit: int) -> np.ndarray:
     """Primes <= limit (>= 2), segmented and odd-only: flag k of a
     segment stands for 2k + 1, and the odd primes up to sqrt(limit)
-    strike their odd multiples from p^2 on, stepping p in k."""
+    strike their odd multiples from p^2 on, stepping p in k.  The primes
+    fill one array sized by pi(x) < 1.25506 x / log x (x > 1; Rosser and
+    Schoenfeld, Illinois J. Math. 1962, (3.6)), shrunk in place at the end."""
     root = math.isqrt(limit)
     base = _sieve(root)[1:].tolist() if root >= 3 else []
-    chunks = [np.array([2], dtype=np.int64)]
+    primes = np.empty(int(1.25506 * limit / math.log(limit)) + 2, dtype=np.int64)
+    primes[0] = 2
+    count = 1
     stop = (limit - 1) // 2 + 1  # k = 1 .. (limit - 1) // 2 stand for 3 .. limit
     for lo in range(1, stop, _SEGMENT_SIZE):
         hi = min(lo + _SEGMENT_SIZE, stop)
@@ -73,8 +77,14 @@ def _sieve(limit: int) -> np.ndarray:
             # 2k + 1 = 0 mod p  <=>  k = (p - 1)/2 mod p
             first = max(first, lo + (p // 2 - lo) % p)
             flags[first - lo:: p] = False
-        chunks.append(2 * (np.flatnonzero(flags) + lo) + 1)
-    return np.concatenate(chunks)
+        found = np.flatnonzero(flags)
+        found += lo
+        found *= 2
+        found += 1
+        primes[count:count + found.size] = found
+        count += found.size
+    primes.resize(count, refcheck=False)
+    return primes
 
 
 def sieve_primes(limit: int) -> PrimeTable:

@@ -43,7 +43,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .enclosure import EPS, Enclosure, ulp_down, ulp_up
+from . import sequences
+from .enclosure import EPS, LIB, TINY, Enclosure, gamma, ulp_down, ulp_up
 from .errors import DomainError, SelfCheckError, WindowNotFoundError
 from .kernels import (
     PrimeTable,
@@ -188,22 +189,33 @@ def find_rm(m: int, table: PrimeTable) -> int:
     m p_r/(m+1) <= r log r <= m p_r/(m-1) for every r from r_m through
     the end of the table.  The certification is empirical over the
     table range only.  Raises WindowNotFoundError when even the last
-    index fails (the case for m >= 9 with tables up to 10^7)."""
+    index fails (the case for m >= 9 with tables up to 10^7).
+
+    The table is scanned from its end in chunks of ``sequences.BLOCK``
+    ranks, stopping at the first chunk with a failing rank."""
     if m < 2:
         raise DomainError(f"window parameter m must be >= 2, got {m}")
     count = len(table)
     if count < m + 2:
         raise WindowNotFoundError(f"table with {count} primes is too short for m={m}")
-    r = np.arange(1, count + 1, dtype=np.float64)
-    v = r * np.log(r)  # r log r; r=1 gives 0 and fails the lower side
-    pr = table.primes.astype(np.float64)
-    ok = (m * pr / (m + 1.0) <= v) & (v <= m * pr / (m - 1.0))
-    bad = np.nonzero(~ok)[0]
-    r_m = m + 1 if bad.size == 0 else max(m + 1, int(bad[-1]) + 2)
+    step = sequences.BLOCK
+    last_bad = -1
+    deviation = None
+    for s in range((count - 1) // step * step, -1, -step):
+        r = np.arange(s + 1, min(s + step, count) + 1, dtype=np.float64)
+        v = r * np.log(r)  # r log r; r=1 gives 0 and fails the lower side
+        pr = table.primes[s:s + step].astype(np.float64)
+        if deviation is None:
+            deviation = pr[-1] / v[-1] - 1.0
+        bad = np.flatnonzero(~((m * pr / (m + 1.0) <= v) & (v <= m * pr / (m - 1.0))))
+        if bad.size:
+            last_bad = s + int(bad[-1])
+            break
+    r_m = max(m + 1, last_bad + 2)
     if r_m > count:
         raise WindowNotFoundError(
             f"no r in 1..{count} satisfies the m={m} window through the table end "
-            f"(deviation at the end: {pr[-1] / v[-1] - 1.0:.4f} > 1/{m})"
+            f"(deviation at the end: {deviation:.4f} > 1/{m})"
         )
     return r_m
 
@@ -221,6 +233,11 @@ def build_test_function(
     alpha must lie in (1/(2q), 1/q) and r_m at or past the numerically
     certified onset of monotone decrease of (phi^alpha)'.  When r_m is
     not given the strict window scan is attempted first.
+
+    The support is the read-only view ``table.primes[r_m - 1:]``, not a
+    copy, and the values are real float64 (``CoeffSeq`` accepts both),
+    filled in blocks of ``sequences.BLOCK``: g adds one float64 array of
+    length pi(L) - r_m + 1 to the table.
     """
     q = e.q
     if not (1.0 / (2.0 * q) < alpha < 1.0 / q):
@@ -237,9 +254,12 @@ def build_test_function(
     count = len(table)
     if r_m > count:
         raise DomainError(f"r_m={r_m} exceeds the table ({count} primes)")
-    rs = np.arange(r_m, count + 1, dtype=np.float64)
-    values = phi_alpha_deriv_vec(rs, alpha).astype(np.complex128)
-    support = table.primes[r_m - 1:].copy()
+    support = table.primes[r_m - 1:]
+    values = np.empty(support.size)
+    step = sequences.BLOCK
+    for s in range(0, values.size, step):
+        rs = np.arange(r_m + s, r_m + min(s + step, values.size), dtype=np.float64)
+        values[s:s + step] = phi_alpha_deriv_vec(rs, alpha)
     return DirichletPoly(CoeffSeq(support, values, _validated=True))
 
 
@@ -257,9 +277,11 @@ def multiplier_lower_estimate(
     The product f*g is streamed through the Cesaro sum, never stored.
 
     ``reference`` records the weighted-ell^1 norm  sum |a_n| n^{-1/q},
-    which the quotient can never exceed.  When the strict window scan
-    fails, r_m falls back to the minimal admissible anchor m + 1 and the
-    estimate is flagged.
+    which the quotient can never exceed: a quotient above its certified
+    upper bound ``_reference_hi`` raises SelfCheckError (rounding the
+    quotient is monotone, so it cannot cross the bound by itself).  When
+    the strict window scan fails, r_m falls back to the minimal
+    admissible anchor m + 1 and the estimate is flagged.
     """
     if f.is_zero:
         raise DomainError("multiplier estimate needs a nonzero f")
@@ -292,7 +314,7 @@ def multiplier_lower_estimate(
     den = ces_norm(truncate(g, conv_limit).coeffs, e)
     ratio = num.lo / den.hi
     reference = ar_norm(f.coeffs, 1.0 / e.q)
-    if ratio > reference + 1e-9:
+    if ratio > _reference_hi(f.coeffs, 1.0 / e.q, reference):
         raise SelfCheckError(
             f"quotient {ratio} exceeds the weighted-ell1 reference {reference}; "
             "enclosure arithmetic is broken"
@@ -308,6 +330,20 @@ def multiplier_lower_estimate(
         window_verified=window_verified,
         flags=tuple(flags),
     )
+
+
+def _reference_hi(a: CoeffSeq, r: float, reference: float) -> float:
+    """An upper bound of the exact  sum |a_n| n^-r  (0 < r < 1) from
+    ``reference``, its value from ``ar_norm``.  Error model in
+    ``enclosure``: per term complex abs LIB, the int64 index to float64
+    1, the power LIB plus |r log n| U for the rounded exponent r = 1/q,
+    the product 1; ``math.fsum`` one rounding.  Below the normal range
+    the abs and the final scaling lose up to TINY, the scaling by
+    2**-shift and the product up to TINY 2**shift each (n^-r <= 1)."""
+    count = 2 * LIB + 2 + r * math.log(a.max_index)
+    shift = math.frexp(float(np.max(a.abs_values())))[1]
+    under = (len(a) + 1.0) * TINY + math.ldexp(2.0 * len(a), shift - 1074)
+    return ulp_up((reference + under) / (1.0 - gamma(count + 1)), 2)
 
 
 # ---------------------------------------------------------------------------

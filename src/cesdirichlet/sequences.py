@@ -66,7 +66,14 @@ class Exponent:
 
 class CoeffSeq:
     """Sparse complex sequence: strictly increasing indices >= 1, finite
-    nonzero values."""
+    nonzero values.
+
+    Values are complex128, except where a trusted builder passes
+    ``_validated=True`` with real float64 values (the prime-supported
+    test functions of ``multipliers.build_test_function``); every
+    consumer reads them through abs, products or ``real``/``imag``, so
+    both kinds behave the same.  Either array may be a read-only view.
+    """
 
     __slots__ = ("idx", "val")
 
@@ -200,10 +207,29 @@ def _unscale(x: float, shift: int, name: str) -> float:
         raise DomainError(f"the {name} exceeds the float64 range") from None
 
 
+def _abs_blocks(a: CoeffSeq, shift: int):
+    """|a| 2**-shift in fresh blocks (idx, w) of ``BLOCK`` support entries."""
+    step = BLOCK
+    for s in range(0, len(a), step):
+        w = np.abs(a.val[s:s + step])
+        np.ldexp(w, -shift, out=w)
+        yield a.idx[s:s + step], w
+
+
+def _abs_scale(a: CoeffSeq) -> tuple[int, int]:
+    """``_scale`` of the nonempty |a|, read block by block: shift and top,
+    with the block sums joined by ``math.fsum``."""
+    step = BLOCK
+    peak = max(float(np.max(np.abs(a.val[s:s + step]))) for s in range(0, len(a), step))
+    shift = math.frexp(peak)[1]
+    total = math.fsum(float(np.sum(w)) for _, w in _abs_blocks(a, shift))
+    return shift, math.frexp(total)[1]
+
+
 def abs_sum_exponent(a: CoeffSeq) -> int:
     """An exponent e with sum |a_n| <= 2**e up to rounding (0 for a = 0);
     the sum of two such exponents scales the Cesaro sum of a product."""
-    return 0 if a.is_empty else sum(_scale(a.abs_values()))
+    return 0 if a.is_empty else sum(_abs_scale(a))
 
 
 def _ces_enclosure(blocks, shift: int, top: int, p: float) -> Enclosure:
@@ -274,15 +300,13 @@ def ces_norm(a: CoeffSeq, e: Exponent) -> Enclosure:
     last carrying the tail; A_k^p - A_{k-1}^p = A_k^p (1 - exp(-p log1p(
     w_k / A_{k-1}))) avoids cancellation.  |a| is scaled by powers of two
     (the norm is homogeneous) so that A_K lies near [1/2, 1).  The sum
-    runs over blocks of ``BLOCK`` support entries.
+    runs over blocks of ``BLOCK`` support entries, |a| read one block at
+    a time, so only the sequence itself is held whole.
     """
     if a.is_empty:
         return Enclosure(0.0, 0.0)
-    w = a.abs_values()
-    shift, top = _scale(w)
-    step = BLOCK
-    blocks = ((a.idx[s:s + step], w[s:s + step]) for s in range(0, w.size, step))
-    return _ces_enclosure(blocks, shift, top, e.p)
+    shift, top = _abs_scale(a)
+    return _ces_enclosure(_abs_blocks(a, shift), shift, top, e.p)
 
 
 def ces_norm_stream(blocks, scale: int, e: Exponent) -> Enclosure:

@@ -151,15 +151,15 @@ def translate(f: DirichletPoly, r: float) -> DirichletPoly:
 
 
 def truncate(f: DirichletPoly, n: int) -> DirichletPoly:
-    """Drop all coefficients with index > n."""
+    """Drop all coefficients with index > n; the result shares f's
+    read-only arrays."""
     if n < 1:
         raise DomainError(f"truncation index must be >= 1, got {n}")
     c = f.coeffs
     if n >= c.max_index:
         return f
     take = np.searchsorted(c.idx, n, side="right")
-    return DirichletPoly(CoeffSeq(c.idx[:take].copy(), c.val[:take].copy(),
-                                  _validated=True))
+    return DirichletPoly(CoeffSeq(c.idx[:take], c.val[:take], _validated=True))
 
 
 def qr_project(f: DirichletPoly, r: int, table: PrimeTable) -> DirichletPoly:

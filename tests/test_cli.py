@@ -302,11 +302,44 @@ fuzz_argv = st.one_of(
               st.sampled_from(["0.5", "2", "-1e308", "nan", "inf", "-inf"]),
               st.just("--t"), st.sampled_from(["0", "1e300", "-3.5", "inf", "nan", "-inf"])),
 )
+# files small enough for an estimate to run at prime limits <= 1e4
+small_rows = st.lists(st.fixed_dictionaries({"n": st.integers(1, 30), "re": plain_value},
+                                            optional={"im": plain_value}),
+                      min_size=1, max_size=4, unique_by=lambda row: row["n"])
+
+
+def either(valid, invalid):
+    return st.one_of(st.sampled_from(valid), st.sampled_from(invalid))
+
+
+# each option is valid or invalid about equally often, so that some
+# requests get through; alpha lies inside (1/(2q), 1/q) for 0.3 and 0.45
+# at p = 2 and for 0.3 at p = 1.5
+fuzz_estimate_argv = st.tuples(
+    st.tuples(st.just("multiplier-estimate"),
+              st.just("--prime-limit"), st.sampled_from(["10", "100", "1000", "10000"]),
+              st.just("--m"), either(["2", "3"], ["0", "1", str(10 ** 23)]),
+              st.just("--alpha"),
+              either(["0.3", "0.45"], ["0.2", "0.6", "1e308", "nan", "inf", "-inf"]),
+              st.just("--p"), either(["2", "1.5"], ["1", "0.5", "1e308", "nan", "inf", "-inf"])),
+    *(st.one_of(st.just(()), st.tuples(st.just(flag), st.sampled_from(
+        ["0", "-1", "3", str(10 ** 30)]))) for flag in ("--r-m", "--conv-limit")),
+).map(lambda parts: sum(parts, ()))
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)
 @given(rows=fuzz_rows, argv=fuzz_argv)
 def test_exit_code_contract_fuzz(rows, argv, tmp_path_factory):
+    check_exit_contract(rows, argv, tmp_path_factory)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(rows=st.one_of(fuzz_rows, small_rows), argv=fuzz_estimate_argv)
+def test_exit_code_contract_fuzz_multiplier_estimate(rows, argv, tmp_path_factory):
+    check_exit_contract(rows, argv, tmp_path_factory)
+
+
+def check_exit_contract(rows, argv, tmp_path_factory):
     # NaN and Infinity are written as the bare tokens json.load accepts
     path = tmp_path_factory.mktemp("fuzz") / "f.json"
     path.write_text(json.dumps({"coeffs": rows}))

@@ -1,11 +1,14 @@
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
-from cesdirichlet.errors import DomainError, WindowNotFoundError
-from cesdirichlet.kernels import lambert_w, phi_xlogx, sieve_primes
+from cesdirichlet import multipliers, sequences
+from cesdirichlet.errors import DomainError, SelfCheckError, WindowNotFoundError
+from cesdirichlet.kernels import (decrease_onset, lambert_w, phi_alpha_deriv_vec, phi_xlogx,
+                                  sieve_primes)
 from cesdirichlet.multipliers import (
     HEURISTIC_WINDOW_FLAG,
     SequenceSpec,
@@ -106,6 +109,74 @@ def test_find_rm_unreachable_for_large_m(table_1e5):
 def test_find_rm_domain(table_1e5):
     with pytest.raises(DomainError):
         find_rm(1, table_1e5)
+
+
+def dense_find_rm(m, table):
+    """The window scan over the whole table at once (five full-length
+    float arrays), the reference for the chunked ``find_rm``."""
+    if m < 2:
+        raise DomainError(f"window parameter m must be >= 2, got {m}")
+    count = len(table)
+    if count < m + 2:
+        raise WindowNotFoundError(f"table with {count} primes is too short for m={m}")
+    r = np.arange(1, count + 1, dtype=np.float64)
+    v = r * np.log(r)
+    pr = table.primes.astype(np.float64)
+    ok = (m * pr / (m + 1.0) <= v) & (v <= m * pr / (m - 1.0))
+    bad = np.nonzero(~ok)[0]
+    r_m = m + 1 if bad.size == 0 else max(m + 1, int(bad[-1]) + 2)
+    if r_m > count:
+        raise WindowNotFoundError(
+            f"no r in 1..{count} satisfies the m={m} window through the table end "
+            f"(deviation at the end: {pr[-1] / v[-1] - 1.0:.4f} > 1/{m})"
+        )
+    return r_m
+
+
+def dense_test_function(m, alpha, e, table, r_m):
+    """The test function built in one piece, values complex, support
+    copied: the reference for the blocked ``build_test_function``."""
+    q = e.q
+    if not (1.0 / (2.0 * q) < alpha < 1.0 / q):
+        raise DomainError(f"alpha={alpha} outside (1/(2q), 1/q) = ({1/(2*q)}, {1/q})")
+    if r_m <= m or r_m < decrease_onset(1.0 / q) or r_m > len(table):
+        raise DomainError(f"bad r_m={r_m}")
+    rs = np.arange(r_m, len(table) + 1, dtype=np.float64)
+    values = phi_alpha_deriv_vec(rs, alpha).astype(np.complex128)
+    support = table.primes[r_m - 1:].copy()
+    return DirichletPoly(CoeffSeq(support, values, _validated=True))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except WindowNotFoundError as exc:
+        return f"WindowNotFoundError: {exc}"
+
+
+@pytest.mark.parametrize("block", [1, 3, 64])
+def test_chunked_find_rm_matches_dense(block, table_1e5, table_1e4, monkeypatch):
+    monkeypatch.setattr(sequences, "BLOCK", block)
+    short = sieve_primes(40)  # 12 primes: too short for m = 10 and 50
+    for table in (table_1e5, table_1e4, sieve_primes(200), short):
+        for m in (2, 3, 5, 10, 50):
+            assert _outcome(find_rm, m, table) == _outcome(dense_find_rm, m, table)
+
+
+@pytest.mark.parametrize("block", [1, 3, 64])
+def test_blocked_test_function_matches_dense(block, table_1e4, monkeypatch):
+    monkeypatch.setattr(sequences, "BLOCK", block)
+    for m, r_m in ((2, None), (5, None), (10, 11), (50, 51), (10, len(table_1e4))):
+        r_m = r_m or find_rm(m, table_1e4)
+        g = build_test_function(m, 0.45, E2, table_1e4, r_m=r_m).coeffs
+        ref = dense_test_function(m, 0.45, E2, table_1e4, r_m).coeffs
+        assert g.idx.tobytes() == ref.idx.tobytes()
+        assert g.abs_values().tobytes() == ref.abs_values().tobytes()
+        # g holds its values as real float64 and its support as a view of the table
+        assert g.val.dtype == np.float64
+        assert np.shares_memory(g.idx, table_1e4.primes)
+        assert not g.idx.flags.writeable and not g.val.flags.writeable
+        assert ces_norm(g, E2) == ces_norm(ref, E2)
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +283,46 @@ def test_streamed_numerator_memory():
         tracemalloc.stop()
     assert peak < 32 * 2 ** 20
     assert 0 < num.width <= 1e-13 * num.hi
+    # the whole estimate holds g's real values (5.1 MB) beside the table
+    # and moves everything else in blocks; the dense window scan, complex
+    # g and full |g| copies peaked at 23.8 MB (11.7 MB now)
+    tracemalloc.start()
+    try:
+        est = multiplier_lower_estimate(f, 10, 0.45, E2, table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2 ** 20
+    assert 0 < est.ratio <= est.reference
+
+
+def test_self_check_certified(table_1e4, monkeypatch):
+    # for f = 1 the quotient is ||g||.lo / ||g||.hi, within 1e-13 of the
+    # reference 1; a weighted sum short by 1e-10 (well inside the old
+    # absolute slack of 1e-9) must fail the self-check
+    f = DirichletPoly.one()
+    est = multiplier_lower_estimate(f, 5, 0.45, E2, table_1e4)
+    assert 1.0 - 1e-13 < est.ratio <= est.reference == 1.0
+    monkeypatch.setattr(multipliers, "ar_norm", lambda a, r: ar_norm(a, r) - 1e-10)
+    with pytest.raises(SelfCheckError, match="exceeds the weighted-ell1 reference"):
+        multiplier_lower_estimate(f, 5, 0.45, E2, table_1e4)
+
+
+def test_reference_upper_bound_contains_exact():
+    # magnitudes from 1e-300 to 1e300, indices up to 2**62
+    rng = np.random.default_rng(11)
+    for p in (1.01, 1.5, 2.0, 3.0):
+        r = 1.0 / Exponent.from_p(p).q
+        for size, top in ((1, 10), (5, 100), (40, 2 ** 40), (200, 2 ** 62)):
+            idx = np.sort(rng.choice(top, size=size, replace=False) + 1)
+            val = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+            a = CoeffSeq(idx, val * 10.0 ** rng.integers(-300, 300, size))
+            reference = ar_norm(a, r)
+            hi = multipliers._reference_hi(a, r, reference)
+            with mpmath.workdps(60):
+                exact = mpmath.fsum(abs(mpmath.mpc(complex(v))) * mpmath.mpf(int(n)) ** -r
+                                    for n, v in zip(a.idx, a.val))
+            assert exact <= hi <= reference * (1.0 + 1e-13) + 1e-300
 
 
 # ---------------------------------------------------------------------------

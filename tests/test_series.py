@@ -1,11 +1,13 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cesdirichlet import sequences
+from cesdirichlet.enclosure import gamma
 from cesdirichlet.errors import DomainError
 from cesdirichlet.kernels import sieve_primes
 from cesdirichlet.sequences import CoeffSeq, Exponent, ar_norm, ces_norm
@@ -67,16 +69,39 @@ def test_convolve_identity(f):
     assert convolve(f, DirichletPoly.one(), f.max_index) == f
 
 
-@settings(max_examples=30, deadline=None)
+def exact_convolution(f, g):
+    """Exact c_n = sum_{ij=n} f_i g_j as (real, imag) Fraction pairs, the
+    magnitude sums sum_{ij=n} |f_i||g_j| and the product counts."""
+    exact, mass, count = {}, {}, {}
+    for i, a in f.coeffs.entries():
+        for j, b in g.coeffs.entries():
+            re, im = exact.get(i * j, (Fraction(0), Fraction(0)))
+            ar, ai, br, bi = map(Fraction, (a.real, a.imag, b.real, b.imag))
+            exact[i * j] = (re + ar * br - ai * bi, im + ar * bi + ai * br)
+            mass[i * j] = mass.get(i * j, 0.0) + abs(a) * abs(b)
+            count[i * j] = count.get(i * j, 0) + 1
+    return exact, mass, count
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
 @given(f=small_polys, g=small_polys)
+@example(f=poly((1, 1.8125), (2, 1), (3, 1), (5, -1 + 1.3e-79j)),
+         g=poly((1, -1.8125 + 8e-91j), (2, 1), (3, 1), (5, -1 + 1.3e-79j)))
 def test_convolve_commutative(f, g):
-    # index arithmetic is exact; values agree to rounding (numpy complex
-    # products are not bitwise commutative)
+    # both orders against the exact convolution.  A complex product is
+    # within sqrt(2) gamma(2) of exact and k summed products add gamma(k - 1),
+    # relative to sum_{ij=n} |f_i||g_j|: colliding products that cancel
+    # leave order-dependent residues, or exact zeros (dropped, read as 0)
     limit = f.max_index * g.max_index
-    left = convolve(f, g, limit)
-    right = convolve(g, f, limit)
-    assert left.coeffs.idx.tolist() == right.coeffs.idx.tolist()
-    assert np.allclose(left.coeffs.val, right.coeffs.val, rtol=1e-12, atol=0)
+    exact, mass, count = exact_convolution(f, g)
+    for h in (convolve(f, g, limit), convolve(g, f, limit)):
+        got = dict(h.coeffs.entries())
+        assert set(got) <= set(exact)
+        for n, (re, im) in exact.items():
+            c = got.get(n, 0j)
+            err2 = (Fraction(c.real) - re) ** 2 + (Fraction(c.imag) - im) ** 2
+            bound = (math.sqrt(2.0) * gamma(2) + gamma(count[n] - 1)) * mass[n]
+            assert err2 <= Fraction(bound) ** 2
 
 
 def test_convolve_commutative_exact_integers():
