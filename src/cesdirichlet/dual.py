@@ -44,7 +44,7 @@ import numpy as np
 
 from .enclosure import EPS, LIB, TINY, U, Enclosure, gamma, pairwise_depth, ulp_down, ulp_up
 from .errors import ArgminTieError, DomainError, ResourceLimitError
-from .kernels import hurwitz_zeta, power_segment, zeta_real, zeta_tail
+from .kernels import hurwitz_zeta, power_segment, zeta_real
 from .sequences import CoeffSeq, Exponent
 
 SENTINEL = math.inf
@@ -359,13 +359,14 @@ def delta_norm_exact_p2(sigma: float, terms: int = 10 ** 6) -> Enclosure:
         base = ns ** (1.0 - sigma) * (-np.expm1(-sigma * np.log1p(1.0 / ns)))
         parts.append(float(np.sum(base * base)))
     explicit = math.fsum(parts)
-    zt = zeta_tail(2.0 * sigma, terms + 1)
+    # sum_{n > terms} (n + 1)^(-2 sigma) = zeta(2 sigma, terms + 2)
+    z_lo, z_hi = hurwitz_zeta(2.0 * sigma, [terms + 2])
     c_lo = (2.0 ** sigma - 1.0) ** 2
     c_hi = sigma * sigma
     slack = 4.0 * EPS * explicit
     sq = Enclosure(
-        ulp_down(explicit + c_lo * zt.lo) - slack,
-        ulp_up(explicit + c_hi * zt.hi) + slack,
+        ulp_down(explicit + c_lo * float(z_lo[0])) - slack,
+        ulp_up(explicit + c_hi * float(z_hi[0])) + slack,
     )
     return sq.root(2.0)
 

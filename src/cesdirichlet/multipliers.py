@@ -293,6 +293,11 @@ def multiplier_lower_estimate(
         except WindowNotFoundError:
             r_m = m + 1
             window_verified = False
+            if r_m > len(table):
+                raise DomainError(
+                    f"m={m} is too large for the table to prime limit {table.limit} "
+                    f"({len(table)} primes): its fallback anchor m + 1 lies past the end"
+                ) from None
     else:
         try:
             window_verified = r_m >= find_rm(m, table)

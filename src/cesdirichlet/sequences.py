@@ -19,10 +19,11 @@ The norms implemented here:
 mean A(n)/n has a constant numerator between support indices, so the
 sum over n collapses, by parts, to one certified Hurwitz zeta value
 (``kernels.hurwitz_zeta``) per support index.  The sum runs over blocks
-of ``BLOCK`` support entries with A(n) carried between them, so a
+of ``BLOCK`` = 2^15 support entries with A(n) carried between them, so a
 sequence may also arrive block by block and never be stored
-(``ces_norm_stream``).  Every norm scales |a| by a power of two first,
-so only a norm beyond the float64 range raises.
+(``ces_norm_stream``); each block's arrays are overwritten in place and
+freed before the next block is built.  Every norm scales |a| by a power
+of two first, so only a norm beyond the float64 range raises.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ _MN_SUPPORT_GUARD = 10_000
 
 # Support entries per block of the Cesaro sum; ``series.product_blocks``
 # cuts products to the same size.
-BLOCK = 1 << 16
+BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -207,22 +208,27 @@ def _unscale(x: float, shift: int, name: str) -> float:
         raise DomainError(f"the {name} exceeds the float64 range") from None
 
 
-def _abs_blocks(a: CoeffSeq, shift: int):
-    """|a| 2**-shift in fresh blocks (idx, w) of ``BLOCK`` support entries."""
+def _blocks(a: CoeffSeq):
+    """Views (idx, val) of ``a`` in blocks of ``BLOCK`` support entries."""
     step = BLOCK
-    for s in range(0, len(a), step):
-        w = np.abs(a.val[s:s + step])
+    return ((a.idx[s:s + step], a.val[s:s + step]) for s in range(0, len(a), step))
+
+
+def _abs_blocks(blocks, shift: int):
+    """|val| 2**-shift of each block (idx, val), in a fresh array scaled
+    in place."""
+    for idx, val in blocks:
+        w = np.abs(val)
         np.ldexp(w, -shift, out=w)
-        yield a.idx[s:s + step], w
+        yield idx, w
 
 
 def _abs_scale(a: CoeffSeq) -> tuple[int, int]:
     """``_scale`` of the nonempty |a|, read block by block: shift and top,
     with the block sums joined by ``math.fsum``."""
-    step = BLOCK
-    peak = max(float(np.max(np.abs(a.val[s:s + step]))) for s in range(0, len(a), step))
+    peak = max(float(np.max(np.abs(val))) for _, val in _blocks(a))
     shift = math.frexp(peak)[1]
-    total = math.fsum(float(np.sum(w)) for _, w in _abs_blocks(a, shift))
+    total = math.fsum(float(np.sum(w)) for _, w in _abs_blocks(_blocks(a), shift))
     return shift, math.frexp(total)[1]
 
 
@@ -270,6 +276,8 @@ def _ces_enclosure(blocks, shift: int, top: int, p: float) -> Enclosure:
         sums_hi.append(float(np.sum(hi)))
         size += w.size
         widest = max(widest, w.size)
+        # free this block before the next one is built
+        del idx, w, r, lo, hi
     if not size:
         return Enclosure(0.0, 0.0)
     # relative error counts in units of U (model in ``enclosure``):
@@ -306,7 +314,7 @@ def ces_norm(a: CoeffSeq, e: Exponent) -> Enclosure:
     if a.is_empty:
         return Enclosure(0.0, 0.0)
     shift, top = _abs_scale(a)
-    return _ces_enclosure(_abs_blocks(a, shift), shift, top, e.p)
+    return _ces_enclosure(_abs_blocks(_blocks(a), shift), shift, top, e.p)
 
 
 def ces_norm_stream(blocks, scale: int, e: Exponent) -> Enclosure:
@@ -314,8 +322,7 @@ def ces_norm_stream(blocks, scale: int, e: Exponent) -> Enclosure:
     nonempty, sorted, with nonzero finite values and above the block
     before, with sum |a_n| <= 2**scale.  Only one block is held at a
     time, so a product from ``series.product_blocks`` is never stored."""
-    return _ces_enclosure(((idx, np.ldexp(np.abs(val), -scale)) for idx, val in blocks),
-                          scale, 0, e.p)
+    return _ces_enclosure(_abs_blocks(blocks, scale), scale, 0, e.p)
 
 
 def lp_norm(a: CoeffSeq, p: float) -> float:

@@ -77,8 +77,9 @@ def product_blocks(f: DirichletPoly, g: DirichletPoly, limit: int):
 
     A block takes, for each index i of f, the contiguous slice of g with
     i g_j in the block's window, at most ``sequences.BLOCK`` entries in
-    all (or one per index of f), merged by a stable argsort: equal
-    indices are summed in the order of f's indices.
+    all (or one per index of f), written into one fresh idx/val pair.
+    A single slice is already sorted and distinct; several are merged by
+    a stable argsort, equal indices summed in the order of f's indices.
     """
     if limit < 1:
         raise DomainError(f"convolution limit must be >= 1, got {limit}")
@@ -86,6 +87,7 @@ def product_blocks(f: DirichletPoly, g: DirichletPoly, limit: int):
     if fa.is_empty or ga.is_empty:
         return
     fi, fv, gi, gv = fa.idx, fa.val, ga.idx, ga.val
+    vtype = np.result_type(fv, gv)
     cap = np.searchsorted(gi, [min(limit // int(i), int(gi[-1])) for i in fi], side="right")
     pos = np.zeros_like(cap)
     while (live := np.flatnonzero(pos < cap)).size:
@@ -96,15 +98,23 @@ def product_blocks(f: DirichletPoly, g: DirichletPoly, limit: int):
         if inside.any():
             hi = int((fi[live[inside]] * gi[stop[inside]]).min())
             ends = np.minimum(np.searchsorted(gi, -(-hi // fi[live])), ends)
-        idx = np.concatenate([fi[k] * gi[pos[k]:t] for k, t in zip(live, ends)])
-        val = np.concatenate([fv[k] * gv[pos[k]:t] for k, t in zip(live, ends)])
+        sizes = ends - pos[live]
+        idx = np.empty(int(sizes.sum()), dtype=np.int64)
+        val = np.empty(idx.size, dtype=vtype)
+        o = 0
+        for k, t, n in zip(live.tolist(), ends.tolist(), sizes.tolist()):
+            np.multiply(fi[k], gi[pos[k]:t], out=idx[o:o + n])
+            np.multiply(fv[k], gv[pos[k]:t], out=val[o:o + n])
+            o += n
         pos[live] = ends
-        order = np.argsort(idx, kind="stable")
-        idx, val = idx[order], val[order]
-        fresh = np.concatenate(([True], idx[1:] != idx[:-1]))
-        if not fresh.all():
-            starts = np.flatnonzero(fresh)
-            idx, val = idx[starts], np.add.reduceat(val, starts)
+        if np.count_nonzero(sizes) > 1:
+            order = np.argsort(idx, kind="stable")
+            idx, val = idx[order], val[order]
+            del order  # not held while the block is consumed
+            same = idx[1:] == idx[:-1]
+            if same.any():
+                starts = np.flatnonzero(np.concatenate(([True], ~same)))
+                idx, val = idx[starts], np.add.reduceat(val, starts)
         if not np.isfinite(val).all():
             raise DomainError("coefficient values must be finite (no NaN or infinity)")
         keep = val != 0

@@ -150,7 +150,8 @@ def test_ces_norm_inside_dense_reference(p, d):
 
 
 @SEEDED
-@given(p=st.sampled_from(P_SET), block=st.integers(1, 4), first=st.integers(1, 40),
+@given(p=st.sampled_from(P_SET), block=st.one_of(st.integers(1, 4), st.just(1 << 15)),
+       first=st.integers(1, 40),
        gaps=st.lists(st.one_of(st.integers(1, 3), st.integers(1, 10 ** 12)), min_size=2,
                      max_size=9),
        vals=st.lists(values, min_size=10, max_size=10))
@@ -170,7 +171,7 @@ small_supports = st.dictionaries(st.integers(1, 30), st.one_of(values, st.sample
 
 
 @SEEDED
-@given(p=st.sampled_from(P_SET), block=st.sampled_from([1, 2, 5, 1 << 16]),
+@given(p=st.sampled_from(P_SET), block=st.sampled_from([1, 2, 5, 1 << 15, 1 << 16]),
        f=small_supports, g=small_supports, cut=st.floats(0.05, 1.0))
 def test_streamed_product_contains_mpmath(p, block, f, g, cut):
     # the enclosure certifies the norm of the rounded product, which

@@ -410,3 +410,15 @@ def test_convergence_error_exits_2(tmp_path, capsys, monkeypatch):
                                "--alpha", "0.45", "--prime-limit", "10000"])
     assert code == 2
     assert "failed to converge" in capsys.readouterr().err
+
+
+def test_estimate_m_past_table_names_m(tmp_path, capsys):
+    # 25 primes below 100: the fallback anchor r_m = m + 1 = 31 lies past them,
+    # and the message names the m the caller gave, not that anchor
+    path = write_coeffs(tmp_path, "f.json", UNIT)
+    code = parse_and_dispatch(["multiplier-estimate", "--input", path, "--m", "30",
+                               "--alpha", "0.45", "--prime-limit", "100"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "m=30" in err and "prime limit 100" in err and "25 primes" in err
+    assert "r_m" not in err

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -380,6 +381,41 @@ def test_delta_exact_inside_both_brackets(sigma):
     blo, bhi = delta_norm_bounds(sigma, E2)
     assert enc.lo >= blo - 1e-9
     assert enc.hi <= bhi + 1e-9
+
+
+def mp_delta_norm_p2(sigma: float, head: int = 30, order: int = 45) -> mpmath.mpf:
+    """The exact p = 2 series at 40 digits, independent of the Hurwitz
+    kernel: terms below ``head`` summed directly; from there on
+    term_n = n^-2s h(1/n)^2 with h(x) = (1 - (1 + x)^-s)/x = sum_j b_j x^j,
+    so the rest is sum_j d_j zeta(2s + j, head) for d = b * b (the
+    neglected part is of order head^-order)."""
+    with mpmath.workdps(40):
+        s = mpmath.mpf(sigma)
+        b = [-mpmath.binomial(-s, j + 1) for j in range(order)]
+        d = [mpmath.fsum(b[i] * b[j - i] for i in range(j + 1)) for j in range(order)]
+        explicit = mpmath.fsum(mpmath.mpf(n) ** 2 * (mpmath.mpf(n) ** -s - mpmath.mpf(n + 1) ** -s) ** 2
+                               for n in range(1, head))
+        rest = mpmath.fsum(d[j] * mpmath.zeta(2 * s + j, head) for j in range(order))
+        return mpmath.sqrt(explicit + rest)
+
+
+def test_delta_reference_self_consistent():
+    # two different splits agree, and sigma = 1 gives sqrt(zeta(2) - 1)
+    with mpmath.workdps(40):
+        for sigma in (0.51, 0.75):
+            assert abs(mp_delta_norm_p2(sigma) - mp_delta_norm_p2(sigma, 5, 120)) <= 1e-30
+        assert abs(mp_delta_norm_p2(1.0) - mpmath.sqrt(mpmath.zeta(2) - 1)) <= 1e-30
+
+
+@pytest.mark.parametrize("terms", [1, 10 ** 4, 10 ** 5])
+@pytest.mark.parametrize("sigma", [0.51, 0.75, 1.0])
+def test_delta_exact_contains_mpmath(sigma, terms):
+    enc = delta_norm_exact_p2(sigma, terms=terms)
+    assert enc.lo <= mp_delta_norm_p2(sigma) <= enc.hi
+    if sigma == 1.0:
+        # the termwise bracket is exact at sigma = 1: only rounding and
+        # the certified tail remain
+        assert enc.width <= 1e-14 * enc.hi
 
 
 def test_delta_exact_domain_and_fallback():

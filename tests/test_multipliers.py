@@ -268,10 +268,15 @@ def test_estimate_conv_limit_guard(table_1e4):
         multiplier_lower_estimate(f, 5, 0.45, E2, table_1e4, conv_limit=10)
 
 
-def test_streamed_numerator_memory():
+@pytest.fixture(scope="module")
+def table_1e7():
+    return sieve_primes(10 ** 7)
+
+
+def test_streamed_numerator_memory(table_1e7):
     # at prime limit 1e7 f*g has 2.0e6 entries; storing it and its sort
     # temporaries took 278 MB, the stream holds one block at a time
-    table = sieve_primes(10 ** 7)
+    table = table_1e7
     f = DirichletPoly.from_pairs([(1, 1.0), (2, 1.0), (3, 1.0)])
     g = build_test_function(10, 0.45, E2, table, r_m=11)
     scale = abs_sum_exponent(f.coeffs) + abs_sum_exponent(g.coeffs)
@@ -285,7 +290,7 @@ def test_streamed_numerator_memory():
     assert 0 < num.width <= 1e-13 * num.hi
     # the whole estimate holds g's real values (5.1 MB) beside the table
     # and moves everything else in blocks; the dense window scan, complex
-    # g and full |g| copies peaked at 23.8 MB (11.7 MB now)
+    # g and full |g| copies peaked at 23.8 MB (7.9 MB now)
     tracemalloc.start()
     try:
         est = multiplier_lower_estimate(f, 10, 0.45, E2, table)
@@ -294,6 +299,22 @@ def test_streamed_numerator_memory():
         tracemalloc.stop()
     assert peak < 20 * 2 ** 20
     assert 0 < est.ratio <= est.reference
+
+
+def test_streamed_numerator_block_budget(table_1e7):
+    # one block of 2**15 products built in place, and freed before the
+    # next: the stream's traced peak beside the prebuilt table and g
+    # (6.6 MB with blocks of 2**16 and their concatenated temporaries)
+    f = DirichletPoly.from_pairs([(1, 1.0), (2, 1.0), (3, 1.0)])
+    g = build_test_function(10, 0.45, E2, table_1e7, r_m=11)
+    scale = abs_sum_exponent(f.coeffs) + abs_sum_exponent(g.coeffs)
+    tracemalloc.start()
+    try:
+        ces_norm_stream(product_blocks(f, g, 3 * table_1e7.limit), scale, E2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2 ** 20
 
 
 def test_self_check_certified(table_1e4, monkeypatch):

@@ -121,12 +121,16 @@ def test_convolve_commutative_exact_integers():
 
 @settings(max_examples=20, deadline=None)
 @given(f=small_polys, g=small_polys, h=small_polys)
+@example(f=poly((1, 0.40625)), g=poly((1, 0.375), (2, 0.001)), h=poly((1, -0.375), (2, 0.001)))
 def test_convolve_associative(f, g, h):
+    # products that cancel can round to an exact zero in one grouping
+    # only; a dropped zero reads as 0
     limit = f.max_index * g.max_index * h.max_index
-    left = convolve(convolve(f, g, limit), h, limit)
-    right = convolve(f, convolve(g, h, limit), limit)
-    assert left.coeffs.idx.tolist() == right.coeffs.idx.tolist()
-    assert np.allclose(left.coeffs.val, right.coeffs.val, rtol=1e-12, atol=1e-12)
+    left = dict(convolve(convolve(f, g, limit), h, limit).coeffs.entries())
+    right = dict(convolve(f, convolve(g, h, limit), limit).coeffs.entries())
+    support = sorted(set(left) | set(right))
+    assert np.allclose([left.get(n, 0j) for n in support], [right.get(n, 0j) for n in support],
+                       rtol=1e-12, atol=1e-12)
 
 
 @settings(max_examples=30, deadline=None)
@@ -175,7 +179,7 @@ block_polys = st.dictionaries(
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
-@given(f=block_polys, g=block_polys, block=st.sampled_from([1, 2, 3, 5, 16, 1 << 16]),
+@given(f=block_polys, g=block_polys, block=st.sampled_from([1, 2, 3, 5, 16, 1 << 15, 1 << 16]),
        cut=st.floats(0.0, 1.2))
 def test_convolve_matches_reference_bitwise(f, g, block, cut):
     limit = max(1, int(cut * f.max_index * g.max_index))
@@ -192,6 +196,26 @@ def test_convolve_matches_reference_bitwise(f, g, block, cut):
         assert np.all(val != 0)
         if nxt is not None:
             assert idx[-1] < nxt[0][0]
+
+
+@pytest.mark.parametrize("block", [1, 3, 16, 1 << 15])
+def test_single_slice_blocks_skip_the_merge(block, monkeypatch):
+    # with one index in f every block is one slice of g, already sorted
+    # and distinct: no argsort runs and the blocks match the reference
+    f = poly((3, 2.0 - 1.0j))
+    g = DirichletPoly(CoeffSeq(np.arange(1, 200, 2), np.linspace(-1.5, 2.0, 100) + 0.5j))
+    want = convolve_reference(f, g, 400).coeffs
+
+    def no_argsort(*args, **kwargs):
+        raise AssertionError("a single slice needs no merge")
+
+    monkeypatch.setattr(sequences, "BLOCK", block)
+    monkeypatch.setattr(np, "argsort", no_argsort)
+    blocks = list(product_blocks(f, g, 400))
+    monkeypatch.undo()
+    assert all(idx.size <= block for idx, _ in blocks)
+    assert np.concatenate([b[0] for b in blocks]).tobytes() == want.idx.tobytes()
+    assert np.concatenate([b[1] for b in blocks]).tobytes() == want.val.tobytes()
 
 
 def test_product_blocks_reject_overflow():
