@@ -42,7 +42,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .enclosure import EPS, LIB, TINY, U, Enclosure, gamma, pairwise_depth, ulp_down, ulp_up
+from .enclosure import LIB, TINY, U, Enclosure, gamma, pairwise_depth, ulp_down, ulp_up
 from .errors import ArgminTieError, DomainError, ResourceLimitError
 from .kernels import hurwitz_zeta, power_segment, zeta_real
 from .sequences import CoeffSeq, Exponent
@@ -359,14 +359,19 @@ def delta_norm_exact_p2(sigma: float, terms: int = 10 ** 6) -> Enclosure:
         base = ns ** (1.0 - sigma) * (-np.expm1(-sigma * np.log1p(1.0 / ns)))
         parts.append(float(np.sum(base * base)))
     explicit = math.fsum(parts)
+    # relative error counts in units of U (model in ``enclosure``): 1/n 1,
+    # log1p (condition <= 1) LIB, times sigma 1, expm1 (condition <= 1)
+    # LIB, n^(1 - sigma) LIB (1 - sigma is exact), the product 1: 3 LIB + 3
+    # per base, 6 LIB + 7 per term; the chunk's pairwise sum and the fsum
+    count = 6 * LIB + 7 + pairwise_depth(min(chunk, terms)) + 1
+    slack = ulp_up(gamma(count) * explicit)
     # sum_{n > terms} (n + 1)^(-2 sigma) = zeta(2 sigma, terms + 2)
     z_lo, z_hi = hurwitz_zeta(2.0 * sigma, [terms + 2])
     c_lo = (2.0 ** sigma - 1.0) ** 2
     c_hi = sigma * sigma
-    slack = 4.0 * EPS * explicit
     sq = Enclosure(
-        ulp_down(explicit + c_lo * float(z_lo[0])) - slack,
-        ulp_up(explicit + c_hi * float(z_hi[0])) + slack,
+        ulp_down(ulp_down(explicit - slack) + ulp_down(c_lo * float(z_lo[0]))),
+        ulp_up(ulp_up(explicit + slack) + ulp_up(c_hi * float(z_hi[0]))),
     )
     return sq.root(2.0)
 

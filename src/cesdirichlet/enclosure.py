@@ -33,12 +33,17 @@ entries adds about K 2^15 U, half of what blocks of 2^16 added.  Each
 block's terms go through one pairwise ``np.sum`` and the J block sums
 through ``math.fsum``, one rounding more when J > 1.
 
-The dense routines (``zeta_tail``, ``zeta_real``, the explicit terms of
-``delta_norm_exact_p2``, the Schur sums) widen each summation by four
-units in the last place per accumulated term, ``4 * EPS * sum(|terms|)``,
-on top of directed integral brackets for the tails; the tail of
-``delta_norm_exact_p2`` comes from ``hurwitz_zeta``.  All of this is
-engineering certification, not formally verified arithmetic.
+The dense routines (``zeta_tail``, ``zeta_real``, the Schur sums) widen
+each summation by four units in the last place per accumulated term,
+``4 * EPS * sum(|terms|)``, on top of directed integral brackets for the
+tails.  ``delta_norm_exact_p2`` follows the model above instead: each
+explicit term n^2 (n^-s - (n+1)^-s)^2, computed as the square of
+n^(1-s) (-expm1(-s log1p(1/n))), carries 6 LIB + 7 roundings, its chunk
+of at most 2^20 terms adds ``pairwise_depth`` and the ``math.fsum`` of
+the chunks one more, so the explicit sum is widened by gamma of that
+count (about 100), and the tail sum_{n > terms} (n + 1)^(-2s) comes
+from ``hurwitz_zeta``.  All of this is engineering certification, not
+formally verified arithmetic.
 """
 
 from __future__ import annotations

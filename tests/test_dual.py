@@ -414,8 +414,11 @@ def test_delta_exact_contains_mpmath(sigma, terms):
     assert enc.lo <= mp_delta_norm_p2(sigma) <= enc.hi
     if sigma == 1.0:
         # the termwise bracket is exact at sigma = 1: only rounding and
-        # the certified tail remain
-        assert enc.width <= 1e-14 * enc.hi
+        # the certified tail remain.  The explicit sum is widened by
+        # gamma(~100) of the error model, which the root passes on as a
+        # relative width of about 1.2e-14 (the zeta_tail bracket left 2e-9
+        # at 1e4 terms)
+        assert enc.width <= 2e-14 * enc.hi
 
 
 def test_delta_exact_domain_and_fallback():

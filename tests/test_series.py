@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -69,17 +70,21 @@ def test_convolve_identity(f):
     assert convolve(f, DirichletPoly.one(), f.max_index) == f
 
 
-def exact_convolution(f, g):
-    """Exact c_n = sum_{ij=n} f_i g_j as (real, imag) Fraction pairs, the
-    magnitude sums sum_{ij=n} |f_i||g_j| and the product counts."""
+def exact_convolution(*polys):
+    """Exact c_n = sum_{ij...=n} f_i g_j ... as (real, imag) Fraction
+    pairs, the magnitude sums sum_{ij...=n} |f_i||g_j|... and the product
+    counts."""
     exact, mass, count = {}, {}, {}
-    for i, a in f.coeffs.entries():
-        for j, b in g.coeffs.entries():
-            re, im = exact.get(i * j, (Fraction(0), Fraction(0)))
-            ar, ai, br, bi = map(Fraction, (a.real, a.imag, b.real, b.imag))
-            exact[i * j] = (re + ar * br - ai * bi, im + ar * bi + ai * br)
-            mass[i * j] = mass.get(i * j, 0.0) + abs(a) * abs(b)
-            count[i * j] = count.get(i * j, 0) + 1
+    for terms in itertools.product(*(f.coeffs.entries() for f in polys)):
+        n = math.prod(i for i, _ in terms)
+        pr, pi = Fraction(1), Fraction(0)
+        for _, a in terms:
+            ar, ai = Fraction(a.real), Fraction(a.imag)
+            pr, pi = pr * ar - pi * ai, pr * ai + pi * ar
+        re, im = exact.get(n, (Fraction(0), Fraction(0)))
+        exact[n] = (re + pr, im + pi)
+        mass[n] = mass.get(n, 0.0) + math.prod(abs(a) for _, a in terms)
+        count[n] = count.get(n, 0) + 1
     return exact, mass, count
 
 
@@ -123,14 +128,24 @@ def test_convolve_commutative_exact_integers():
 @given(f=small_polys, g=small_polys, h=small_polys)
 @example(f=poly((1, 0.40625)), g=poly((1, 0.375), (2, 0.001)), h=poly((1, -0.375), (2, 0.001)))
 def test_convolve_associative(f, g, h):
-    # products that cancel can round to an exact zero in one grouping
-    # only; a dropped zero reads as 0
+    # both groupings against the exact triple convolution.  Each of the
+    # two convolutions is within beta = sqrt(2) gamma(2) + gamma(k - 1) of
+    # exact relative to its magnitude sum (test_convolve_commutative), k
+    # at most the triple count, and the first one's error passes through
+    # the second: 2 beta + beta^2 relative to sum |f_i||g_j||h_l|.
+    # Products that cancel can round to an exact zero in one grouping only
+    # (dropped, read as 0), so the groupings need not share an index list
     limit = f.max_index * g.max_index * h.max_index
-    left = dict(convolve(convolve(f, g, limit), h, limit).coeffs.entries())
-    right = dict(convolve(f, convolve(g, h, limit), limit).coeffs.entries())
-    support = sorted(set(left) | set(right))
-    assert np.allclose([left.get(n, 0j) for n in support], [right.get(n, 0j) for n in support],
-                       rtol=1e-12, atol=1e-12)
+    exact, mass, count = exact_convolution(f, g, h)
+    for w in (convolve(convolve(f, g, limit), h, limit),
+              convolve(f, convolve(g, h, limit), limit)):
+        got = dict(w.coeffs.entries())
+        assert set(got) <= set(exact)
+        for n, (re, im) in exact.items():
+            c = got.get(n, 0j)
+            err2 = (Fraction(c.real) - re) ** 2 + (Fraction(c.imag) - im) ** 2
+            beta = math.sqrt(2.0) * gamma(2) + gamma(count[n] - 1)
+            assert err2 <= Fraction((2.0 * beta + beta * beta) * mass[n]) ** 2
 
 
 @settings(max_examples=30, deadline=None)
