@@ -17,7 +17,6 @@ from .errors import (
     WindowNotFoundError,
 )
 from .kernels import (
-    DEFAULT_TAIL_PREFIX,
     PrimeTable,
     decrease_onset,
     lambert_w,

@@ -146,7 +146,7 @@ def _cmd_delta_norm(args, out):
             raise DomainError("--exact is available for p = 2 only")
         rec["norm"] = delta_norm_exact_p2(args.sigma, terms=args.terms)
     else:
-        lo, hi = delta_norm_bounds(args.sigma, e, terms=args.terms)
+        lo, hi = delta_norm_bounds(args.sigma, e)
         rec["norm"] = Enclosure(lo, hi)
     _print_report([rec], args.format, None, out)
     return EXIT_OK
@@ -294,7 +294,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("delta-norm", help="point-evaluation norm bounds")
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--sigma", type=float, required=True)
-    p.add_argument("--terms", type=int, default=10 ** 6)
+    p.add_argument("--terms", type=int, default=10 ** 6,
+                   help="explicit terms of the --exact series (applies to --exact only)")
     p.add_argument("--exact", action="store_true", help="exact p=2 series enclosure")
     add_common(p)
     p.set_defaults(func=_cmd_delta_norm)

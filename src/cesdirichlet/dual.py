@@ -316,17 +316,15 @@ def bennett_equivalence_check(b: CoeffSeq, e: Exponent, slack: float = 1e-9) -> 
 # Point-evaluation norms
 # ---------------------------------------------------------------------------
 
-def delta_norm_bounds(sigma: float, e: Exponent, terms: int = 10 ** 6) -> tuple[float, float]:
-    """Two-sided bounds for the point-evaluation norm at abscissa sigma:
+def delta_norm_bounds(sigma: float, e: Exponent) -> tuple[float, float]:
+    """Two-sided bounds for the point-evaluation norm at abscissa
+    1/q < sigma < inf:
 
         (1/q) zeta(sigma q)^(1/q)  <=  norm  <=  min(sigma, (p-1)^(1/p)) zeta(sigma q)^(1/q).
     """
-    if sigma <= 1.0 / e.q:
-        raise DomainError(
-            f"point evaluation is unbounded for abscissa {sigma} <= 1/q = {1.0 / e.q}"
-        )
-    z = zeta_real(sigma * e.q, terms)
-    zq = z.root(e.q)
+    if not 1.0 / e.q < sigma < math.inf:
+        raise DomainError(f"point evaluation needs 1/q = {1.0 / e.q} < sigma < inf, got {sigma}")
+    zq = zeta_real(sigma * e.q).root(e.q)
     lo = ulp_down(zq.lo / e.q, 2)
     hi = ulp_up(min(sigma, (e.p - 1.0) ** (1.0 / e.p)) * zq.hi, 2)
     return lo, hi
@@ -343,8 +341,8 @@ def delta_norm_exact_p2(sigma: float, terms: int = 10 ** 6) -> Enclosure:
     For sigma > 1 the exact-series representation is not available and
     the two-sided bounds are returned as the enclosure instead.
     """
-    if sigma <= 0.5:
-        raise DomainError(f"exact p=2 series requires sigma > 1/2, got {sigma}")
+    if not 0.5 < sigma < math.inf:
+        raise DomainError(f"exact p=2 series requires 1/2 < sigma < inf, got {sigma}")
     if terms < 1:
         raise DomainError("need at least one explicit term")
     if sigma > 1.0:

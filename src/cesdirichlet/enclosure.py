@@ -33,11 +33,15 @@ entries adds about K 2^15 U, half of what blocks of 2^16 added.  Each
 block's terms go through one pairwise ``np.sum`` and the J block sums
 through ``math.fsum``, one rounding more when J > 1.
 
-The dense routines (``zeta_tail``, ``zeta_real``, the Schur sums) widen
-each summation by four units in the last place per accumulated term,
-``4 * EPS * sum(|terms|)``, on top of directed integral brackets for the
-tails.  ``delta_norm_exact_p2`` follows the model above instead: each
-explicit term n^2 (n^-s - (n+1)^-s)^2, computed as the square of
+Every sum of n^-x over a range of integers is one call of the two
+kernels: ``kernels.zeta_real`` is ``hurwitz_zeta(x, 1)`` (past x = 64,
+which the kernel rejects, 1 <= zeta(x) <= 1 + 2^-x (x+1)/(x-1) rounded
+outward), ``kernels.zeta_tail(x, n)`` is ``hurwitz_zeta(x, n + 1)`` and
+``kernels.power_sum_range`` one ``power_segment``, which admits x = 1
+for the harmonic sums.  So the point-evaluation bounds and the Schur
+``power`` sums (zeta(q beta + 1) whole, or the harmonic witness) carry
+the kernels' margins.  In ``delta_norm_exact_p2`` each explicit term
+n^2 (n^-s - (n+1)^-s)^2, computed as the square of
 n^(1-s) (-expm1(-s log1p(1/n))), carries 6 LIB + 7 roundings, its chunk
 of at most 2^20 terms adds ``pairwise_depth`` and the ``math.fsum`` of
 the chunks one more, so the explicit sum is widened by gamma of that

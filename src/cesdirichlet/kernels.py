@@ -1,7 +1,8 @@
 """Number-theoretic and special-function kernels.
 
 Prime generation, membership in the p_1..p_r-smooth integers, certified
-real zeta values and tails, certified Hurwitz zeta values, the principal
+Hurwitz zeta values and power-sum segments (and the real zeta values,
+tails and power sums taken from them), the principal
 Lambert W branch, and the derivative of (x log x)**alpha used by the
 prime-supported multiplier test functions.
 
@@ -13,22 +14,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .enclosure import EPS, LIB, Enclosure, gamma, ulp_down, ulp_up
+from .enclosure import LIB, Enclosure, gamma, ulp_down, ulp_up
 from .errors import ConvergenceError, DomainError
-
-# Explicit prefix length used to sharpen integral tail brackets.
-DEFAULT_TAIL_PREFIX = 10_000
 
 # Odd numbers per sieve segment: a 1 MB flag array.
 _SEGMENT_SIZE = 1 << 20
 
 _MAX_SIEVE_LIMIT = 10 ** 9
-
-_SUM_CHUNK = 1 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -130,60 +125,8 @@ def smooth_membership(n: int, r: int, table: PrimeTable) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Certified zeta values and tails
+# Certified zeta values, tails and power sums
 # ---------------------------------------------------------------------------
-
-def power_sum_range(x: float, start: int, stop: int) -> float:
-    """sum_{n=start}^{stop-1} n**-x, exact to rounding (chunked + fsum)."""
-    if stop <= start:
-        return 0.0
-    parts = []
-    for lo in range(start, stop, _SUM_CHUNK):
-        hi = min(lo + _SUM_CHUNK, stop)
-        ns = np.arange(lo, hi, dtype=np.float64)
-        parts.append(float(np.sum(ns ** -x)))
-    return math.fsum(parts)
-
-
-def _integral_bracket(x: float, n: int) -> tuple[float, float]:
-    # (n+1)^{1-x}/(x-1) <= sum_{k>n} k^-x <= n^{1-x}/(x-1)
-    lo = (n + 1.0) ** (1.0 - x) / (x - 1.0)
-    hi = float(n) ** (1.0 - x) / (x - 1.0)
-    return ulp_down(lo, 2), ulp_up(hi, 2)
-
-
-@lru_cache(maxsize=4096)
-def zeta_tail(x: float, n: int, prefix: int = DEFAULT_TAIL_PREFIX) -> Enclosure:
-    """Enclosure of sum_{k>n} k**-x for x > 1.
-
-    The defining integral bracket is sharpened by summing ``prefix``
-    terms explicitly; endpoints carry the 4-ulp-per-term slack.
-    """
-    if x <= 1.0:
-        raise DomainError(f"zeta tail diverges for exponent {x} <= 1")
-    if n < 1:
-        raise DomainError(f"tail start must be >= 1, got {n}")
-    if prefix < 0:
-        raise DomainError("prefix length must be >= 0")
-    explicit = power_sum_range(x, n + 1, n + prefix + 1)
-    blo, bhi = _integral_bracket(x, n + prefix)
-    slack = 4.0 * EPS * explicit
-    return Enclosure(ulp_down(explicit + blo) - slack, ulp_up(explicit + bhi) + slack)
-
-
-@lru_cache(maxsize=1024)
-def zeta_real(x: float, terms: int) -> Enclosure:
-    """Enclosure of zeta(x) for real x > 1 from ``terms`` explicit terms
-    plus the integral tail bracket."""
-    if x <= 1.0:
-        raise DomainError(f"zeta(x) diverges for x = {x} <= 1")
-    if terms < 1:
-        raise DomainError(f"need at least one explicit term, got {terms}")
-    partial = power_sum_range(x, 1, terms + 1)
-    blo, bhi = _integral_bracket(x, terms)
-    slack = 4.0 * EPS * partial
-    return Enclosure(ulp_down(partial + blo) - slack, ulp_up(partial + bhi) + slack)
-
 
 # Euler-Maclaurin for the Hurwitz zeta function: Bernoulli numbers
 # B_2, B_4, ..., B_18.  K = 8 of them enter the sum; B_18 bounds the remainder.
@@ -212,13 +155,14 @@ def _em_sum(m: np.ndarray, x: float, coef: list[float]) -> np.ndarray:
     return acc
 
 
-def _em_setup(x, n) -> tuple[float, np.ndarray, int, list[float]]:
-    """Checks shared by the Euler-Maclaurin kernels.  Returns x, the
-    int64 indices, N0 = 16 + ceil(x) and C_1..C_{K+1},
-    C_j = B_2j/(2j)! x (x+1) ... (x+2j-2)."""
+def _em_setup(x, n, harmonic=False) -> tuple[float, np.ndarray, int, list[float]]:
+    """Checks shared by the Euler-Maclaurin kernels (``harmonic`` admits
+    x = 1).  Returns x, the int64 indices, N0 = 16 + ceil(x) and
+    C_1..C_{K+1}, C_j = B_2j/(2j)! x (x+1) ... (x+2j-2)."""
     x = float(x)
-    if not 1.0 < x <= _MAX_HURWITZ_EXPONENT:
-        raise DomainError(f"Hurwitz kernel needs 1 < x <= {_MAX_HURWITZ_EXPONENT:g}, got {x}")
+    if not ((x >= 1.0 if harmonic else x > 1.0) and x <= _MAX_HURWITZ_EXPONENT):
+        raise DomainError(f"{'segment' if harmonic else 'Hurwitz'} kernel needs "
+                          f"1 {'<=' if harmonic else '<'} x <= {_MAX_HURWITZ_EXPONENT:g}, got {x}")
     n = np.asarray(n, dtype=np.int64)
     if n.size and (int(n.min()) < 1 or int(n.max()) > _MAX_EXACT_INDEX):
         raise DomainError(f"Hurwitz kernel indices must lie in [1, 2**53], got "
@@ -281,7 +225,7 @@ def hurwitz_zeta(x: float, n) -> tuple[np.ndarray, np.ndarray]:
 
 def power_segment(x: float, a, b) -> tuple[np.ndarray, np.ndarray]:
     """Certified [lo, hi] arrays of S_x(a, b) = sum_{a <= k < b} k**-x for
-    integer arrays 1 <= a < b <= 2**53 and real 1 < x <= 64, with
+    integer arrays 1 <= a < b <= 2**53 and real 1 <= x <= 64, with
     x log2(b) <= 1000 so that every term is a normal float.
 
     Unlike zeta(x, a) - zeta(x, b), which cancels when b - a << a, the
@@ -293,9 +237,10 @@ def power_segment(x: float, a, b) -> tuple[np.ndarray, np.ndarray]:
     S = a^(1-x) (E(x-1)/(x-1) + y E(x)/2 + sum_j C_j y^2j E(x+2j-1)) + R.
     k**-x is completely monotone, so R lies between 0 and the first
     omitted term a^(1-x) C_{K+1} y^(2K+2) E(x+2K+1) (Graham, Knuth and
-    Patashnik, "Concrete Mathematics", section 9.5).
+    Patashnik, "Concrete Mathematics", section 9.5).  At x = 1 the first
+    term E(x-1)/(x-1) is its limit L and a^(1-x) = 1: the harmonic sums.
     """
-    x, b, n0, coef = _em_setup(x, b)
+    x, b, n0, coef = _em_setup(x, b, harmonic=True)
     a = np.asarray(a, dtype=np.int64)
     if a.shape != b.shape or (a.size and (int(a.min()) < 1 or bool(np.any(a >= b)))):
         raise DomainError("segments need integer arrays of equal shape with 1 <= a < b")
@@ -313,7 +258,7 @@ def power_segment(x: float, a, b) -> tuple[np.ndarray, np.ndarray]:
         def e_of(s):
             return -np.expm1(-s * ell)
 
-        terms = [e_of(x - 1.0) / (x - 1.0), 0.5 * y * e_of(x)]
+        terms = [ell if x == 1.0 else e_of(x - 1.0) / (x - 1.0), 0.5 * y * e_of(x)]
         v = y * y
         pw = v
         for j, c in enumerate(coef[:-1], start=1):
@@ -331,7 +276,10 @@ def power_segment(x: float, a, b) -> tuple[np.ndarray, np.ndarray]:
         # 1/400 of the first (E(s)/E(x-1) <= s/(x-1), and the Horner
         # damping of ``hurwitz_zeta``), so with the 9 additions the
         # bracket is within 4 LIB + 24 U of exact; the power adds LIB,
-        # the products 2.  The remainder is doubled to cover its rounding
+        # the products 2.  At x = 1 the first term L is within LIB + 1 U
+        # (the quotient, log1p), the others stay within the same fractions
+        # of it (E(s)/L <= s) and the power is exactly 1, so the same count
+        # holds.  The remainder is doubled to cover its rounding
         g = gamma(5 * LIB + 26)
         scale = np.power(af, 1.0 - x)
         lo[em] = bracket * scale * ulp_down(1.0 - g)
@@ -350,6 +298,31 @@ def power_segment(x: float, a, b) -> tuple[np.ndarray, np.ndarray]:
         lo[small] = (head + lo[small]) * ulp_down(1.0 - g)
         hi[small] = (head + hi[small]) * ulp_up(1.0 + g)
     return lo, hi
+
+
+def _single(lo: np.ndarray, hi: np.ndarray) -> Enclosure:
+    return Enclosure(float(lo[0]), float(hi[0]))
+
+
+def power_sum_range(x: float, start: int, stop: int) -> Enclosure:
+    """Enclosure of sum_{n=start}^{stop-1} n**-x for 1 <= start < stop and
+    1 <= x <= 64, one ``power_segment``."""
+    return _single(*power_segment(x, [start], [stop]))
+
+
+def zeta_tail(x: float, n: int) -> Enclosure:
+    """Enclosure of sum_{k>n} k**-x = zeta(x, n + 1), one ``hurwitz_zeta``."""
+    return _single(*hurwitz_zeta(x, [n + 1]))
+
+
+def zeta_real(x: float) -> Enclosure:
+    """Enclosure of zeta(x) for real x > 1: ``hurwitz_zeta(x, 1)`` up to
+    x = 64.  Past it, 1 <= zeta(x) <= 1 + 2^-x + int_2^inf t^-x dt
+    = 1 + 2^-x (x+1)/(x-1), rounded outward; written 2^-x (1 + 2/(x-1)),
+    the excess stays finite at x = inf."""
+    if x > _MAX_HURWITZ_EXPONENT:
+        return Enclosure(1.0, ulp_up(1.0 + 2.0 ** -x * (1.0 + 2.0 / (x - 1.0))))
+    return _single(*hurwitz_zeta(x, [1]))
 
 
 # ---------------------------------------------------------------------------

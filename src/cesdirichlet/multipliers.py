@@ -53,7 +53,7 @@ from .kernels import (
     phi_xlogx,
     lambert_w,
     power_sum_range,
-    zeta_tail,
+    zeta_real,
 )
 from .sequences import CoeffSeq, Exponent, abs_sum_exponent, ar_norm, ces_norm, ces_norm_stream
 from .series import DirichletPoly, convolve, product_blocks, truncate
@@ -109,11 +109,11 @@ class SequenceSpec:
             if self.finite is None:
                 raise DomainError("finite spec needs a coefficient sequence")
         elif self.kind == "log_power":
-            if self.alpha is None or self.alpha <= 0:
-                raise DomainError("log_power spec needs alpha > 0")
+            if self.alpha is None or not 0 < self.alpha < math.inf:
+                raise DomainError(f"log_power spec needs a finite alpha > 0, got {self.alpha}")
         elif self.kind == "power":
-            if self.beta is None:
-                raise DomainError("power spec needs a real beta")
+            if self.beta is None or not math.isfinite(self.beta):
+                raise DomainError(f"power spec needs a finite real beta, got {self.beta}")
         else:
             raise DomainError(f"unknown sequence kind {self.kind!r}")
 
@@ -470,14 +470,15 @@ def schur_test(spec: SequenceSpec, e: Exponent, horizon: int) -> tuple[str, Encl
     """Decide whether  sum_n sup_{k>=n} |b_k|^q / k  is finite.
 
     verdict 'schur': the sum converges; the enclosure certifies its
-    value (explicit terms to the horizon plus an integral tail bracket).
+    value (for 'log_power' explicit terms to the horizon plus an integral
+    tail bracket, for 'power' the whole zeta(q beta + 1)).
     verdict 'not_schur': a divergent minorant is established; the
     enclosure then holds only the horizon-truncated partial sum (a
     lower bound).  'inconclusive' is reserved for families the
     bracketing cannot decide; the built-in kinds are always decided.
     """
-    if horizon < 2:
-        raise DomainError(f"horizon must be >= 2, got {horizon}")
+    if not 2 <= horizon < 2 ** 53:
+        raise DomainError(f"horizon must lie in [2, 2**53), got {horizon}")
     q = e.q
     if spec.kind == "finite":
         return _schur_finite(spec.finite, q)
@@ -501,13 +502,11 @@ def schur_test(spec: SequenceSpec, e: Exponent, horizon: int) -> tuple[str, Encl
         beta = spec.beta
         exponent = q * beta + 1.0
         if beta > 0:
-            # t_n = n^-(q beta + 1) decreasing, exponent > 1
-            partial = power_sum_range(exponent, 1, horizon + 1)
-            total = (zeta_tail(exponent, horizon) + partial).widen(4.0 * EPS * partial)
-            return "schur", total
+            # t_n = n^-(q beta + 1) decreasing, exponent > 1: the sum is zeta
+            return "schur", zeta_real(exponent)
         if beta == 0:
-            partial = power_sum_range(1.0, 1, horizon + 1)
-            return "not_schur", Enclosure(ulp_down(partial, 4), ulp_up(partial, 4))
+            # the harmonic sum to the horizon
+            return "not_schur", power_sum_range(1.0, 1, horizon + 1)
         # beta < 0: |b_k|^q / k grows without bound, each sup is infinite;
         # report the horizon-truncated sup-sum as the divergent witness
         t_top = float(horizon) ** (-exponent)

@@ -169,7 +169,7 @@ def run_point_eval_p2(seed: int = DEFAULT_SEED) -> SuiteResult:
         failures.append(f"sigma=1 run took {call_s:.3f}s >= 1s")
     for sigma in (0.6, 0.75, 0.9):
         e = delta_norm_exact_p2(sigma, terms=10 ** 6)
-        z = zeta_real(2.0 * sigma, 10 ** 6)
+        z = zeta_real(2.0 * sigma)
         lo_b = (2.0 ** sigma - 1.0) * math.sqrt(z.hi - 1.0)
         hi_b = sigma * math.sqrt(z.lo - 1.0)
         # containment certified against the conservative bracket endpoints

@@ -17,10 +17,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dense_reference import dense_zeta_tail
 from cesdirichlet.enclosure import EPS, LIB, U, Enclosure, ulp_down, ulp_up
 from cesdirichlet.errors import DomainError
 from cesdirichlet.dual import SENTINEL, jagers_dual_norm
-from cesdirichlet.kernels import DEFAULT_TAIL_PREFIX, hurwitz_zeta, power_segment, zeta_tail
+from cesdirichlet.kernels import hurwitz_zeta, power_segment
 from cesdirichlet import sequences
 from cesdirichlet.sequences import (CoeffSeq, Exponent, _prefix_sums, abs_sum_exponent, ces_norm,
                                     ces_norm_stream)
@@ -38,14 +39,15 @@ values = st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3,
 
 def dense_ces_norm_reference(a: CoeffSeq, e: Exponent) -> Enclosure:
     """The former ces_norm: (A(n)/n)^p summed densely for n below the
-    largest index N, plus A_N^p (N^-p + zeta_tail(p, N))."""
+    largest index N, plus A_N^p (N^-p + sum_{k>N} k^-p), the tail from the
+    dense prefix and integral bracket of ``dense_reference``."""
     p = e.p
     cum = np.cumsum(a.abs_values())
     first, last = int(a.idx[0]), int(a.idx[-1])
     ns = np.arange(first, last, dtype=np.int64)
     pos = np.searchsorted(a.idx, ns, side="right") - 1
     explicit = math.fsum((cum[pos] / ns.astype(np.float64)) ** p)
-    tail = zeta_tail(p, last, prefix=DEFAULT_TAIL_PREFIX) + float(last) ** -p
+    tail = dense_zeta_tail(p, last) + float(last) ** -p
     head = float(cum[-1]) ** p
     slack = 4.0 * EPS * (explicit + head * tail.hi)
     return Enclosure(ulp_down(explicit + head * tail.lo) - slack,
@@ -97,7 +99,7 @@ def test_hurwitz_domain(x, ns):
 
 
 @SEEDED
-@given(p=st.sampled_from(P_SET), starts=st.lists(indices, min_size=1, max_size=6),
+@given(p=st.sampled_from((1.0,) + P_SET), starts=st.lists(indices, min_size=1, max_size=6),
        gaps=st.lists(st.one_of(st.integers(1, 40), st.integers(1, 10 ** 15)),
                      min_size=6, max_size=6))
 def test_segment_contains_mpmath(p, starts, gaps):
@@ -110,6 +112,8 @@ def test_segment_contains_mpmath(p, starts, gaps):
     for m, n, l, h in zip(a.tolist(), b.tolist(), lo, hi):
         if n - m <= 40:
             ref = mpmath.fsum(mpmath.mpf(k) ** -s for k in range(m, n))
+        elif p == 1.0:
+            ref = mpmath.harmonic(n - 1) - mpmath.harmonic(m - 1)
         else:
             ref = mpmath.zeta(s, m) - mpmath.zeta(s, n)
         assert l <= ref <= h, (p, m, n, l, h, ref)

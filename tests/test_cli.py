@@ -1,7 +1,12 @@
 import contextlib
+import importlib
+import importlib.util
 import io
 import json
 import math
+import sys
+import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -133,6 +138,22 @@ def test_delta_norm_domain_exit(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("exact", [[], ["--exact"]])
+@pytest.mark.parametrize("sigma", ["nan", "inf", "-inf", "0.5"])
+def test_delta_norm_sigma_outside_domain_exits_2(capsys, sigma, exact):
+    # bounded point evaluation needs 1/q < sigma < inf
+    assert parse_and_dispatch(["delta-norm", "--p", "2", f"--sigma={sigma}", *exact]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "error:" in captured.err
+
+
+def test_delta_norm_past_kernel_exponent(capsys):
+    # sigma q = 80 lies past the Hurwitz kernel's x <= 64
+    assert parse_and_dispatch(["delta-norm", "--p", "2", "--sigma", "40"]) == 0
+    rec = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)["records"][0]
+    assert rec["norm"]["lo"] <= 1.0 <= rec["norm"]["hi"]
+
+
 def test_unknown_verb_exit():
     assert parse_and_dispatch(["frobnicate"]) == 1
 
@@ -220,6 +241,20 @@ def test_schur_verb(capsys):
     assert code == 0
     rec = json.loads(capsys.readouterr().out)["records"][0]
     assert rec["verdict"] == "schur"
+
+
+@pytest.mark.parametrize("beta, verdict", [("0", "not_schur"), ("0.5", "schur")])
+def test_schur_power_far_horizon(capsys, beta, verdict):
+    # zeta(q beta + 1) whole, or the harmonic sum to 1e12 from one segment
+    t0 = time.perf_counter()
+    code = parse_and_dispatch(["schur-test", "--kind", "power", "--beta", beta,
+                               "--horizon", "1000000000000"])
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 0
+    rec = json.loads(capsys.readouterr().out)["records"][0]
+    assert rec["verdict"] == verdict
+    want = math.pi ** 2 / 6 if verdict == "schur" else math.log(1e12) + 0.5772156649015329
+    assert rec["value"]["lo"] <= want * (1 + 1e-12) and want * (1 - 1e-12) <= rec["value"]["hi"]
 
 
 def test_monomial_check_verb(capsys):
@@ -378,6 +413,10 @@ def test_norms_huge_coefficients_finite(tmp_path, capsys, argv):
     (["norm", "--space", "ar", "--r", "nan"], UNIT),
     (["norm", "--space", "ar", "--r", "-3"], BIG),
     (["norm", "--space", "lp", "--p", "inf"], UNIT),
+    (["schur-test", "--kind", "power", "--beta", "nan"], UNIT),
+    (["schur-test", "--kind", "power", "--beta", "inf"], UNIT),
+    (["schur-test", "--kind", "log-power", "--alpha", "nan"], UNIT),
+    (["schur-test", "--kind", "log-power", "--alpha", "inf"], UNIT),
 ])
 def test_non_finite_values_exit_2(tmp_path, capsys, argv, rows):
     path = write_coeffs(tmp_path, "f.json", rows)
@@ -422,3 +461,16 @@ def test_estimate_m_past_table_names_m(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "m=30" in err and "prime limit 100" in err and "25 primes" in err
     assert "r_m" not in err
+
+
+def test_trace_targets_resolve(monkeypatch):
+    # the benchmark's --trace 1 wraps these bindings by name; loaded by
+    # file path, as the benchmark directory is not a package
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracing)  # for its dataclass
+    spec.loader.exec_module(tracing)
+    for mod, fname, _ in tracing.TARGETS:
+        module = importlib.import_module(f"{tracing.PACKAGE}.{mod}")
+        assert callable(getattr(module, fname, None)), f"{mod}.{fname}"

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dense_reference import dense_power_sum, dense_zeta_real, dense_zeta_tail
 from cesdirichlet.dual import (
     SENTINEL,
     JagersTrace,
@@ -18,7 +19,7 @@ from cesdirichlet.dual import (
 )
 from cesdirichlet.enclosure import EPS, Enclosure, div_pos, ulp_down, ulp_up
 from cesdirichlet.errors import ArgminTieError, DomainError, ResourceLimitError
-from cesdirichlet.kernels import power_sum_range, zeta_real, zeta_tail
+from cesdirichlet.kernels import zeta_real
 from cesdirichlet.sequences import CoeffSeq, Exponent, dq_norm
 
 ZETA_2 = math.pi ** 2 / 6
@@ -28,10 +29,10 @@ E2 = Exponent.from_p(2.0)
 ZETA2_INV_SQRT = 0.7796968012336761
 SQRT_ZETA2_MINUS_1 = 0.8030778709740584
 SIGMA_P2 = 1.7180297582234814
-# high-precision series values for the exact p = 2 point-evaluation norm
-# (Euler-Maclaurin summation at 40 digits; plain Richardson acceleration
-# silently misconverges on this series, so the method matters)
-DELTA_EXACT = {0.6: 1.2523852863228009, 0.75: 0.9196991702579470, 0.9: 0.8291089911942133}
+# high-precision series values for the exact p = 2 point-evaluation norm,
+# from the 40-digit expansion of ``mp_delta_norm_p2`` (plain Richardson
+# acceleration silently misconverges on this series, so the method matters)
+DELTA_EXACT = {0.6: 1.2523852863880134, 0.75: 0.9196991702579470, 0.9: 0.8291089911942133}
 DELTA_WIDTH_CAP = {0.6: 2e-2, 0.75: 1e-3, 0.9: 1e-5}
 
 
@@ -63,7 +64,7 @@ def _reference_attempt(idx, w, e, prefix):
     cum = np.zeros(idx.size)
     total = comp = 0.0
     for k in range(1, idx.size):
-        y = power_sum_range(p, int(idx[k - 1]), int(idx[k])) - comp
+        y = dense_power_sum(p, int(idx[k - 1]), int(idx[k])) - comp
         t = total + y
         comp = (t - total) - y
         total = cum[k] = t
@@ -80,7 +81,7 @@ def _reference_attempt(idx, w, e, prefix):
         cand = list(range(pos + 1, idx.size))
         all_q = [div_pos(Enclosure(ulp_down(bm - w[j]), ulp_up(bm - w[j])), denom(pos, j))
                  for j in cand]
-        b_here = zeta_tail(p, int(idx[pos]), prefix=prefix) + float(idx[pos]) ** -p
+        b_here = dense_zeta_tail(p, int(idx[pos]), prefix=prefix) + float(idx[pos]) ** -p
         all_q.append(div_pos(bm, b_here))
         ids = [int(idx[j]) for j in cand] + [SENTINEL]
         min_hi = min(enc.hi for enc in all_q)
@@ -368,12 +369,15 @@ def test_delta_exact_against_highprecision(sigma):
     enc = delta_norm_exact_p2(sigma, terms=10 ** 6)
     assert enc.contains(DELTA_EXACT[sigma])
     assert enc.width < DELTA_WIDTH_CAP[sigma]
+    ref = float(mp_delta_norm_p2(sigma))
+    assert abs(DELTA_EXACT[sigma] - ref) <= 2 * math.ulp(ref)
 
 
 @pytest.mark.parametrize("sigma", [0.6, 0.75, 0.9, 1.0])
 def test_delta_exact_inside_both_brackets(sigma):
     enc = delta_norm_exact_p2(sigma, terms=10 ** 5)
-    z = zeta_real(2.0 * sigma, 10 ** 5)
+    z = zeta_real(2.0 * sigma)
+    assert dense_zeta_real(2.0 * sigma, 10 ** 5).encloses(z)
     lo_b = (2.0 ** sigma - 1.0) * math.sqrt(z.hi - 1.0)
     hi_b = sigma * math.sqrt(z.lo - 1.0)
     assert enc.lo >= lo_b - 1e-9

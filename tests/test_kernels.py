@@ -5,7 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dense_reference import dense_power_sum, dense_zeta_real, dense_zeta_tail
+
 from cesdirichlet import kernels
+from cesdirichlet.enclosure import Enclosure
 from cesdirichlet.errors import DomainError
 from cesdirichlet.kernels import (
     decrease_onset,
@@ -85,33 +88,61 @@ def test_sieve_prime_counts(limit, count):
 # ---------------------------------------------------------------------------
 
 def test_zeta2_enclosure():
-    z = zeta_real(2.0, 10 ** 6)
+    z = zeta_real(2.0)
     assert z.contains(ZETA_2)
     assert z.width < 1e-11
 
 
 def test_zeta_single_term_bracket():
-    z = zeta_real(2.0, 1)
+    # the former one-term setting: 1 plus the bare integral bracket
+    z = zeta_real(2.0)
     assert z.contains(ZETA_2)
     assert z.lo >= 1.0
+    assert dense_zeta_real(2.0, 1).encloses(z)
 
 
 def test_zeta_15():
-    z = zeta_real(1.5, 10 ** 6)
+    z = zeta_real(1.5)
     assert z.contains(ZETA_15)
 
 
 def test_zeta_against_mpmath():
     mp = pytest.importorskip("mpmath")
-    for x in (1.25, 1.5, 2.0, 3.0, 5.0):
-        z = zeta_real(x, 200_000)
-        assert z.lo <= float(mp.zeta(x)) <= z.hi
+    with mp.workdps(40):
+        for x in (1.01, 1.25, 1.5, 2.0, 3.0, 5.0, 64.0, 65.0, 200.0):
+            z = zeta_real(x)
+            assert z.lo <= mp.zeta(x) <= z.hi
+            assert z.width <= 3e-14 * z.hi
+
+
+def test_zeta_past_kernel_range():
+    # x > 64: 1 <= zeta(x) <= 1 + 2^-x (x+1)/(x-1) < 1 + 2^-63, one ulp wide
+    for x in (64.5, 200.0, 1e300, math.inf):
+        assert zeta_real(x) == Enclosure(1.0, math.nextafter(1.0, 2.0))
+
+
+def test_tail_and_power_sum_against_mpmath():
+    mp = pytest.importorskip("mpmath")
+    # 80 digits: at 40, mpmath's zeta(64, 101) is already off by 8e-16
+    with mp.workdps(80):
+        for x, n in ((1.01, 1), (1.01, 2 ** 40), (2.0, 7), (2.0, 17), (5.0, 10 ** 6), (64.0, 100)):
+            t = zeta_tail(x, n)
+            assert t.lo <= mp.zeta(x, n + 1) <= t.hi
+        for x, start, stop in ((1.0, 1, 2), (1.0, 1, 10 ** 12 + 1), (1.0, 17, 10 ** 15),
+                               (1.5, 3, 40), (3.0, 1, 100), (64.0, 2, 9)):
+            s = power_sum_range(x, start, stop)
+            if x == 1.0:
+                ref = mp.harmonic(stop - 1) - mp.harmonic(start - 1)
+            else:
+                ref = mp.zeta(x, start) - mp.zeta(x, stop)
+            assert s.lo <= ref <= s.hi
+            assert s.width <= 3e-14 * s.hi
 
 
 @pytest.mark.parametrize("x", [1.0, 0.5, -2.0])
 def test_zeta_divergent_domain(x):
     with pytest.raises(DomainError):
-        zeta_real(x, 100)
+        zeta_real(x)
     with pytest.raises(DomainError):
         zeta_tail(x, 5)
 
@@ -122,9 +153,11 @@ def test_zeta_tail_basic():
 
 
 def test_zeta_tail_bare_bracket():
-    t = zeta_tail(2.0, 7, prefix=0)
-    assert t.lo == pytest.approx(8.0 ** -1, rel=1e-12)
-    assert t.hi == pytest.approx(7.0 ** -1, rel=1e-12)
+    # the former prefix = 0 setting: the bare integral bracket [1/8, 1/7]
+    bare = dense_zeta_tail(2.0, 7, prefix=0)
+    assert bare.lo == pytest.approx(8.0 ** -1, rel=1e-12)
+    assert bare.hi == pytest.approx(7.0 ** -1, rel=1e-12)
+    assert bare.encloses(zeta_tail(2.0, 7))
 
 
 def test_zeta_tail_integral_window():
@@ -144,20 +177,24 @@ def test_zeta_tail_nesting():
 
 
 def test_zeta_real_nested_in_terms():
-    prev = zeta_real(2.0, 10)
+    # the former explicit-term counts nest, and each encloses the kernel's value
+    z = zeta_real(2.0)
+    prev = dense_zeta_real(2.0, 10)
     for terms in (100, 1_000, 10_000):
-        cur = zeta_real(2.0, terms)
+        cur = dense_zeta_real(2.0, terms)
         assert cur.lo >= prev.lo - 1e-12
         assert cur.hi <= prev.hi + 1e-12
+        assert cur.encloses(z)
         prev = cur
 
 
 def test_power_sum_range_matches_zeta_split():
-    z = zeta_real(3.0, 5_000)
+    z = zeta_real(3.0)
     head = power_sum_range(3.0, 1, 100)
     tail = zeta_tail(3.0, 99)
-    assert tail.lo + head <= z.hi + 1e-12
-    assert tail.hi + head >= z.lo - 1e-12
+    assert tail.lo + head.lo <= z.hi
+    assert tail.hi + head.hi >= z.lo
+    assert head.contains(dense_power_sum(3.0, 1, 100))
 
 
 # ---------------------------------------------------------------------------

@@ -285,7 +285,7 @@ def test_point_eval_bound_random_campaign():
 
     rng = np.random.default_rng(7)
     sigma = 0.75
-    z_hi = zeta_real(2.0 * sigma, 10 ** 5).hi
+    z_hi = zeta_real(2.0 * sigma).hi
     cap = min(sigma, 1.0) * math.sqrt(z_hi)
     for _ in range(100):
         size = int(rng.integers(1, 12))
