@@ -59,14 +59,15 @@ from .dual import (
 )
 from .multipliers import (
     MultiplierEstimate,
-    SequenceSpec,
     build_test_function,
     find_rm,
     lemma_j_check,
     monomial_multiplier_check,
     multiplier_lower_estimate,
     noncompactness_bound,
-    schur_test,
+    schur_finite,
+    schur_log_power,
+    schur_power,
 )
 
 __version__ = "0.1.0"

@@ -24,7 +24,8 @@ from .enclosure import Enclosure
 from .errors import (ArgminTieError, ConvergenceError, DomainError, InputError,
                      ResourceLimitError, SelfCheckError, WindowNotFoundError)
 from .kernels import sieve_primes
-from .multipliers import SequenceSpec, monomial_multiplier_check, multiplier_lower_estimate, schur_test
+from .multipliers import (monomial_multiplier_check, multiplier_lower_estimate, schur_finite,
+                          schur_log_power, schur_power)
 from .reports import emit_report, parse_json
 from .sequences import CoeffSeq, Exponent, ar_norm, ces_norm, dq_norm, lp_norm
 from .series import DirichletPoly, EvalPoint, convolve, evaluate, qr_project
@@ -218,16 +219,15 @@ def _cmd_schur_test(args, out):
     if args.kind == "finite":
         if not args.input:
             raise _UsageError("--kind finite requires --input")
-        spec = SequenceSpec.from_finite(load_coeffs(args.input))
+        verdict, enc = schur_finite(load_coeffs(args.input), e)
     elif args.kind == "log-power":
         if args.alpha is None:
             raise _UsageError("--kind log-power requires --alpha")
-        spec = SequenceSpec.from_log_power(args.alpha)
+        verdict, enc = schur_log_power(args.alpha, e, args.horizon)
     else:
         if args.beta is None:
             raise _UsageError("--kind power requires --beta")
-        spec = SequenceSpec.from_power(args.beta)
-    verdict, enc = schur_test(spec, e, horizon=args.horizon)
+        verdict, enc = schur_power(args.beta, e, args.horizon)
     rec = {"kind": args.kind, "p": args.p, "horizon": args.horizon,
            "verdict": verdict, "value": enc}
     _print_report([rec], args.format, None, out)
@@ -347,7 +347,7 @@ def build_parser() -> _Parser:
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--beta", type=float, default=None)
     p.add_argument("--p", type=float, default=2.0)
-    p.add_argument("--horizon", type=int, default=10 ** 5)
+    p.add_argument("--horizon", type=int, default=10 ** 5, help="log-power and power only")
     add_common(p)
     p.set_defaults(func=_cmd_schur_test)
 

@@ -380,8 +380,7 @@ def sigma_threshold(e: Exponent) -> float:
 
         sigma_p = p - 1 + (log(p - 1) + log zeta(p)) / log 2,
 
-    evaluated from the midpoint of the certified zeta(p) = zeta(p, 1)
-    enclosure of ``hurwitz_zeta`` (relative width about 1e-14)."""
-    lo, hi = hurwitz_zeta(e.p, [1])
-    z = 0.5 * (float(lo[0]) + float(hi[0]))
+    evaluated from the midpoint of the certified ``zeta_real(p)``
+    enclosure (relative width about 1e-14)."""
+    z = zeta_real(e.p).mid
     return e.p - 1.0 + (math.log(e.p - 1.0) + math.log(z)) / math.log(2.0)

@@ -26,9 +26,11 @@ identity numerically from both sides:
 * ``noncompactness_bound`` checks the quantitative lower bound
   ||m^{1/q} m^-s f|| >= (1/2) ||f||  behind the absence of nonzero
   compact multipliers,
-* ``schur_test`` decides whether coefficientwise multiplication by a
-  sequence family maps the space into the multiplier algebra, via the
-  summability of  sup_{k>=n} |b_k|^q / k.
+* ``schur_finite``, ``schur_log_power`` and ``schur_power`` decide
+  whether coefficientwise multiplication by a sequence family (finitely
+  supported, (log n)^-alpha, n^-beta) maps the space into the
+  multiplier algebra, via the summability of  sup_{k>=n} |b_k|^q / k;
+  only log-power and power take a horizon (``schur-test --horizon``).
 
 The quotient estimates converge to the multiplier norm only in a limit
 whose entry threshold (n_m of order p_{r_m}^{m r_m}) is far beyond any
@@ -38,8 +40,9 @@ rigorous limit and are flagged as such, never silently asserted.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -77,57 +80,9 @@ class MultiplierEstimate:
     flags: tuple = field(default_factory=tuple)
 
     def as_record(self) -> dict:
-        return {
-            "m": self.m,
-            "alpha": self.alpha,
-            "r_m": self.r_m,
-            "prime_limit": self.prime_limit,
-            "conv_limit": self.conv_limit,
-            "ratio": self.ratio,
-            "reference": self.reference,
-            "window_verified": self.window_verified,
-            "flag": ",".join(self.flags),
-        }
-
-
-@dataclass(frozen=True)
-class SequenceSpec:
-    """A coefficient-sequence family for the Schur test.
-
-    kind 'finite'    -- an explicit finitely supported sequence,
-    kind 'log_power' -- b_n = (log n)^-alpha for n >= 2 (alpha > 0),
-    kind 'power'     -- b_n = n^-beta for n >= 1.
-    """
-
-    kind: str
-    finite: CoeffSeq | None = None
-    alpha: float | None = None
-    beta: float | None = None
-
-    def __post_init__(self):
-        if self.kind == "finite":
-            if self.finite is None:
-                raise DomainError("finite spec needs a coefficient sequence")
-        elif self.kind == "log_power":
-            if self.alpha is None or not 0 < self.alpha < math.inf:
-                raise DomainError(f"log_power spec needs a finite alpha > 0, got {self.alpha}")
-        elif self.kind == "power":
-            if self.beta is None or not math.isfinite(self.beta):
-                raise DomainError(f"power spec needs a finite real beta, got {self.beta}")
-        else:
-            raise DomainError(f"unknown sequence kind {self.kind!r}")
-
-    @classmethod
-    def from_finite(cls, seq: CoeffSeq) -> "SequenceSpec":
-        return cls(kind="finite", finite=seq)
-
-    @classmethod
-    def from_log_power(cls, alpha: float) -> "SequenceSpec":
-        return cls(kind="log_power", alpha=float(alpha))
-
-    @classmethod
-    def from_power(cls, beta: float) -> "SequenceSpec":
-        return cls(kind="power", beta=float(beta))
+        rec = asdict(self)
+        rec["flag"] = ",".join(rec.pop("flags"))
+        return rec
 
 
 # ---------------------------------------------------------------------------
@@ -286,23 +241,18 @@ def multiplier_lower_estimate(
     if f.is_zero:
         raise DomainError("multiplier estimate needs a nonzero f")
     flags = [DESK_SCALE_FLAG]
-    window_verified = True
+    try:
+        onset = find_rm(m, table)
+    except WindowNotFoundError:
+        onset = None
     if r_m is None:
-        try:
-            r_m = find_rm(m, table)
-        except WindowNotFoundError:
-            r_m = m + 1
-            window_verified = False
-            if r_m > len(table):
-                raise DomainError(
-                    f"m={m} is too large for the table to prime limit {table.limit} "
-                    f"({len(table)} primes): its fallback anchor m + 1 lies past the end"
-                ) from None
-    else:
-        try:
-            window_verified = r_m >= find_rm(m, table)
-        except WindowNotFoundError:
-            window_verified = False
+        r_m = m + 1 if onset is None else onset
+        if r_m > len(table):
+            raise DomainError(
+                f"m={m} is too large for the table to prime limit {table.limit} "
+                f"({len(table)} primes): its fallback anchor m + 1 lies past the end"
+            )
+    window_verified = onset is not None and r_m >= onset
     if not window_verified:
         flags.append(HEURISTIC_WINDOW_FLAG)
     g = build_test_function(m, alpha, e, table, r_m=r_m)
@@ -447,70 +397,71 @@ def noncompactness_bound(f: DirichletPoly, m: int, e: Exponent,
 # Schur multipliers into the weighted-ell^1 algebra
 # ---------------------------------------------------------------------------
 
-def _schur_finite(seq: CoeffSeq, q: float) -> tuple[str, Enclosure]:
-    # the sup-sequence vanishes past the support, so the full sum is finite
-    # and exactly computable whatever the horizon
-    if seq.is_empty:
+def schur_finite(b: CoeffSeq, e: Exponent) -> tuple[str, Enclosure]:
+    """Schur test of a finitely supported b: always 'schur', the sup-sum
+    enclosed exactly (the sup-sequence vanishes past the support)."""
+    if b.is_empty:
         return "schur", Enclosure(0.0, 0.0)
-    w = seq.abs_values() ** q / seq.idx.astype(np.float64)
+    w = b.abs_values() ** e.q / b.idx.astype(np.float64)
     suffix_max = np.maximum.accumulate(w[::-1])[::-1]
-    gaps = np.diff(np.concatenate(([0], seq.idx)))
+    gaps = np.diff(np.concatenate(([0], b.idx)))
     total = float(math.fsum(suffix_max * gaps))
     return "schur", Enclosure(ulp_down(total, 4), ulp_up(total, 4))
 
 
-def _integral_log_tail(c: float, n: int) -> Enclosure:
-    # integral brackets for sum_{k>n} 1/(k log^c k), c > 1
-    lo = math.log(n + 1.0) ** (1.0 - c) / (c - 1.0)
-    hi = math.log(float(n)) ** (1.0 - c) / (c - 1.0)
-    return Enclosure(ulp_down(lo, 2), ulp_up(hi, 2))
+def _log_power_terms(c: float, horizon: int):
+    """t_n = (log n)^-c / n for n = 2..horizon, computed in blocks of BLOCK."""
+    step = sequences.BLOCK
+    for s in range(2, horizon + 1, step):
+        ns = np.arange(s, min(s + step, horizon + 1), dtype=np.float64)
+        yield from (np.log(ns) ** -c / ns).tolist()
 
 
-def schur_test(spec: SequenceSpec, e: Exponent, horizon: int) -> tuple[str, Enclosure]:
-    """Decide whether  sum_n sup_{k>=n} |b_k|^q / k  is finite.
-
-    verdict 'schur': the sum converges; the enclosure certifies its
-    value (for 'log_power' explicit terms to the horizon plus an integral
-    tail bracket, for 'power' the whole zeta(q beta + 1)).
-    verdict 'not_schur': a divergent minorant is established; the
-    enclosure then holds only the horizon-truncated partial sum (a
-    lower bound).  'inconclusive' is reserved for families the
-    bracketing cannot decide; the built-in kinds are always decided.
-    """
+def schur_log_power(alpha: float, e: Exponent, horizon: int) -> tuple[str, Enclosure]:
+    """Schur test of b_n = (log n)^-alpha, n >= 2: 'schur' iff q alpha > 1,
+    enclosing the terms to the horizon plus an integral tail bracket;
+    'not_schur' encloses only the partial sum to the horizon."""
+    if not 0 < alpha < math.inf:
+        raise DomainError(f"log_power needs a finite alpha > 0, got {alpha}")
     if not 2 <= horizon < 2 ** 53:
         raise DomainError(f"horizon must lie in [2, 2**53), got {horizon}")
-    q = e.q
-    if spec.kind == "finite":
-        return _schur_finite(spec.finite, q)
+    c = e.q * alpha
+    # t_n is decreasing from n = 2, so sup_{k>=n} t_k = t_n; the n = 1
+    # term equals t_2 (the sequence starts at 2).  fsum is exact, so the
+    # blocks do not change the sum.
+    terms = _log_power_terms(c, horizon)
+    t2 = next(terms)
+    partial = t2 + math.fsum(itertools.chain([t2], terms))
+    if c > 1.0:
+        # integral brackets for the tail sum_{k>horizon} 1/(k log^c k)
+        lo = math.log(horizon + 1.0) ** (1.0 - c) / (c - 1.0)
+        hi = math.log(float(horizon)) ** (1.0 - c) / (c - 1.0)
+        tail = Enclosure(ulp_down(lo, 2), ulp_up(hi, 2))
+        return "schur", (tail + partial).widen(4.0 * EPS * partial)
+    # c <= 1: termwise at least 1/(n log n) for n >= 3 up to a constant,
+    # and sum 1/(n log n) diverges
+    return "not_schur", Enclosure(ulp_down(partial, 4), ulp_up(partial, 4))
 
-    if spec.kind == "log_power":
-        c = q * spec.alpha
-        # t_n = (log n)^-c / n is decreasing from n = 2, so sup_{k>=n} t_k = t_n;
-        # the n = 1 term equals t_2 (the sequence starts at 2).
-        ns = np.arange(2, horizon + 1, dtype=np.float64)
-        terms = np.log(ns) ** -c / ns
-        partial = float(terms[0] + math.fsum(terms))
-        if c > 1.0:
-            tail = _integral_log_tail(c, horizon)
-            total = (tail + partial).widen(4.0 * EPS * partial)
-            return "schur", total
-        # c <= 1: termwise at least 1/(n log n) for n >= 3 up to a constant,
-        # and sum 1/(n log n) diverges
+
+def schur_power(beta: float, e: Exponent, horizon: int) -> tuple[str, Enclosure]:
+    """Schur test of b_n = n^-beta, n >= 1: 'schur' iff beta > 0, enclosing
+    zeta(q beta + 1); 'not_schur' a lower bound of the sup-sum to the horizon."""
+    if not math.isfinite(beta):
+        raise DomainError(f"power needs a finite real beta, got {beta}")
+    if not 2 <= horizon < 2 ** 53:
+        raise DomainError(f"horizon must lie in [2, 2**53), got {horizon}")
+    exponent = e.q * beta + 1.0
+    if beta > 0:
+        # t_n = n^-(q beta + 1) decreasing, exponent > 1: the sum is zeta
+        return "schur", zeta_real(exponent)
+    if beta == 0:
+        # the harmonic sum to the horizon
+        return "not_schur", power_sum_range(1.0, 1, horizon + 1)
+    # beta < 0: t_k = k^-exponent with exponent < 1, so the sum diverges
+    # (each sup is infinite once t_k grows); the witness horizon t_horizon
+    # is at most the sup-sum with sups taken up to the horizon
+    try:
+        partial = float(horizon) ** (-exponent) * horizon
         return "not_schur", Enclosure(ulp_down(partial, 4), ulp_up(partial, 4))
-
-    if spec.kind == "power":
-        beta = spec.beta
-        exponent = q * beta + 1.0
-        if beta > 0:
-            # t_n = n^-(q beta + 1) decreasing, exponent > 1: the sum is zeta
-            return "schur", zeta_real(exponent)
-        if beta == 0:
-            # the harmonic sum to the horizon
-            return "not_schur", power_sum_range(1.0, 1, horizon + 1)
-        # beta < 0: |b_k|^q / k grows without bound, each sup is infinite;
-        # report the horizon-truncated sup-sum as the divergent witness
-        t_top = float(horizon) ** (-exponent)
-        partial = t_top * horizon
-        return "not_schur", Enclosure(ulp_down(partial, 4), ulp_up(partial, 4))
-
-    return "inconclusive", Enclosure(0.0, 0.0)
+    except (OverflowError, ValueError):  # the power, or an endpoint, is not finite
+        raise DomainError(f"the beta={beta} sup-sum witness exceeds the float64 range") from None

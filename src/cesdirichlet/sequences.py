@@ -193,13 +193,12 @@ def _prefix_sums(w: np.ndarray, carry: list | None = None) -> np.ndarray:
     return a
 
 
-def _scale(w: np.ndarray) -> tuple[int, int]:
+def _scale(w: np.ndarray) -> int:
     """Scale the nonempty nonnegative ``w`` in place by 2**-shift, so that
-    its maximum lies in [1/2, 1); returns shift and top, the exponent of
-    the scaled sum (sum(w) 2**-top lies in [1/2, 1) up to rounding)."""
+    its maximum lies in [1/2, 1); returns shift."""
     shift = math.frexp(float(w.max()))[1]
     np.ldexp(w, -shift, out=w)
-    return shift, math.frexp(float(np.sum(w)))[1]
+    return shift
 
 
 def _unscale(x: float, shift: int, name: str) -> float:
@@ -225,8 +224,8 @@ def _abs_blocks(blocks, shift: int):
 
 
 def _abs_scale(a: CoeffSeq) -> tuple[int, int]:
-    """``_scale`` of the nonempty |a|, read block by block: shift and top,
-    with the block sums joined by ``math.fsum``."""
+    """``_scale``'s shift of the nonempty |a|, read block by block, and top,
+    the exponent of the scaled sum (block sums joined by ``math.fsum``)."""
     peak = max(float(np.max(np.abs(val))) for _, val in _blocks(a))
     shift = math.frexp(peak)[1]
     total = math.fsum(float(np.sum(w)) for _, w in _abs_blocks(_blocks(a), shift))
@@ -334,7 +333,7 @@ def lp_norm(a: CoeffSeq, p: float) -> float:
     if a.is_empty:
         return 0.0
     w = a.abs_values()
-    shift, _ = _scale(w)
+    shift = _scale(w)
     return _unscale(float(math.fsum(w ** p)) ** (1.0 / p), shift, "lp norm")
 
 
@@ -368,7 +367,7 @@ def dq_norm(b: CoeffSeq, e: Exponent) -> float:
         return 0.0
     q = e.q
     w = b.abs_values()
-    shift, _ = _scale(w)
+    shift = _scale(w)
     suffix_max = np.maximum.accumulate(w[::-1])[::-1]
     gaps = np.diff(np.concatenate(([0], b.idx)))
     return _unscale(float(math.fsum(suffix_max ** q * gaps)) ** (1.0 / q), shift, "dq norm")
@@ -382,7 +381,7 @@ def ar_norm(a: CoeffSeq, r: float) -> float:
     if a.is_empty:
         return 0.0
     w = a.abs_values()
-    shift, _ = _scale(w)
+    shift = _scale(w)
     try:
         total = math.fsum(w * a.idx.astype(np.float64) ** -r)
     except OverflowError:

@@ -28,12 +28,12 @@ from .dual import (
 )
 from .kernels import lambert_w, phi_xlogx, sieve_primes, zeta_real
 from .multipliers import (
-    SequenceSpec,
     lemma_j_check,
     monomial_multiplier_check,
     multiplier_lower_estimate,
     noncompactness_bound,
-    schur_test,
+    schur_finite,
+    schur_log_power,
 )
 from .sequences import CoeffSeq, Exponent, ces_norm, hardy_ratio, m_n_functionals_p2
 from .series import DirichletPoly, convolve, qr_project
@@ -337,15 +337,15 @@ def run_schur(seed: int = DEFAULT_SEED) -> SuiteResult:
     rng = np.random.default_rng(seed)
     failures = []
     e2 = Exponent.from_p(2.0)
-    verdict, enc = schur_test(SequenceSpec.from_log_power(1.0), e2, 10 ** 5)
+    verdict, enc = schur_log_power(1.0, e2, 10 ** 5)
     if verdict != "schur" or not math.isfinite(enc.hi):
         failures.append(f"log alpha=1.0: verdict {verdict}, enclosure {enc}")
-    verdict, _ = schur_test(SequenceSpec.from_log_power(0.4), e2, 10 ** 5)
+    verdict, _ = schur_log_power(0.4, e2, 10 ** 5)
     if verdict != "not_schur":
         failures.append(f"log alpha=0.4: verdict {verdict}, expected not_schur")
     for _ in range(10):
         b = random_seq(rng, max_len=12, max_index=60)
-        verdict, enc = schur_test(SequenceSpec.from_finite(b), e2, 100)
+        verdict, enc = schur_finite(b, e2)
         if verdict != "schur":
             failures.append(f"finite sequence gave verdict {verdict}")
     return _finish("schur", 5.0, t0, failures, {})

@@ -336,6 +336,9 @@ fuzz_argv = st.one_of(
     st.tuples(st.just("eval"), st.just("--sigma"),
               st.sampled_from(["0.5", "2", "-1e308", "nan", "inf", "-inf"]),
               st.just("--t"), st.sampled_from(["0", "1e300", "-3.5", "inf", "nan", "-inf"])),
+    st.tuples(st.just("schur-test"), st.just("--kind"), st.just("power"),
+              st.just("--beta"), st.sampled_from(["0.5", "0", "-1", "-300", "-1000", "nan"]),
+              st.just("--horizon"), st.sampled_from(["1", "2", "100000", str(2 ** 53)])),
 )
 # files small enough for an estimate to run at prime limits <= 1e4
 small_rows = st.lists(st.fixed_dictionaries({"n": st.integers(1, 30), "re": plain_value},
@@ -417,6 +420,10 @@ def test_norms_huge_coefficients_finite(tmp_path, capsys, argv):
     (["schur-test", "--kind", "power", "--beta", "inf"], UNIT),
     (["schur-test", "--kind", "log-power", "--alpha", "nan"], UNIT),
     (["schur-test", "--kind", "log-power", "--alpha", "inf"], UNIT),
+    (["schur-test", "--kind", "power", "--beta=-1000"], UNIT),
+    (["schur-test", "--kind", "power", "--beta=-300", "--horizon", "100000"], UNIT),
+    (["schur-test", "--kind", "power", "--beta=-154.5", "--horizon", "10"], UNIT),
+    (["schur-test", "--kind", "power", "--beta=-1e308", "--horizon", "10"], UNIT),
 ])
 def test_non_finite_values_exit_2(tmp_path, capsys, argv, rows):
     path = write_coeffs(tmp_path, "f.json", rows)

@@ -6,19 +6,21 @@ import numpy as np
 import pytest
 
 from cesdirichlet import multipliers, sequences
+from cesdirichlet.enclosure import EPS, Enclosure, ulp_down, ulp_up
 from cesdirichlet.errors import DomainError, SelfCheckError, WindowNotFoundError
 from cesdirichlet.kernels import (decrease_onset, lambert_w, phi_alpha_deriv_vec, phi_xlogx,
                                   sieve_primes)
 from cesdirichlet.multipliers import (
     HEURISTIC_WINDOW_FLAG,
-    SequenceSpec,
     build_test_function,
     find_rm,
     lemma_j_check,
     monomial_multiplier_check,
     multiplier_lower_estimate,
     noncompactness_bound,
-    schur_test,
+    schur_finite,
+    schur_log_power,
+    schur_power,
 )
 from cesdirichlet.sequences import (CoeffSeq, Exponent, abs_sum_exponent, ar_norm, ces_norm,
                                     ces_norm_stream)
@@ -421,27 +423,27 @@ def test_noncompact_rejects_zero():
 # ---------------------------------------------------------------------------
 
 def test_schur_finite_always():
-    verdict, enc = schur_test(SequenceSpec.from_finite(CoeffSeq.from_pairs([(2, 3.0)])), E2, 10)
+    verdict, enc = schur_finite(CoeffSeq.from_pairs([(2, 3.0)]), E2)
     assert verdict == "schur"
     # sup-sum: positions 1 and 2 both see |3|^2/2
     assert enc.lo == pytest.approx(9.0, rel=1e-12)
 
 
 def test_schur_log_power_threshold():
-    v1, enc1 = schur_test(SequenceSpec.from_log_power(1.0), E2, 10 ** 5)
+    v1, enc1 = schur_log_power(1.0, E2, 10 ** 5)
     assert v1 == "schur" and enc1.width < 1e-3
-    v2, _ = schur_test(SequenceSpec.from_log_power(0.4), E2, 10 ** 5)
+    v2, _ = schur_log_power(0.4, E2, 10 ** 5)
     assert v2 == "not_schur"
-    v3, _ = schur_test(SequenceSpec.from_log_power(0.5), E2, 10 ** 4)
+    v3, _ = schur_log_power(0.5, E2, 10 ** 4)
     assert v3 == "not_schur"  # q alpha = 1 exactly: divergent
 
 
 def test_schur_power_kinds():
-    v, enc = schur_test(SequenceSpec.from_power(0.5), E2, 10 ** 4)
+    v, enc = schur_power(0.5, E2, 10 ** 4)
     assert v == "schur"
     assert enc.contains(math.pi ** 2 / 6)  # q beta + 1 = 2
-    assert schur_test(SequenceSpec.from_power(0.0), E2, 100)[0] == "not_schur"
-    assert schur_test(SequenceSpec.from_power(-1.0), E2, 100)[0] == "not_schur"
+    assert schur_power(0.0, E2, 100)[0] == "not_schur"
+    assert schur_power(-1.0, E2, 100)[0] == "not_schur"
 
 
 def test_schur_translated_series_joins_algebra():
@@ -450,14 +452,68 @@ def test_schur_translated_series_joins_algebra():
     f = DirichletPoly.from_pairs([(n, 1.0) for n in range(1, 50)])
     shifted = translate(f, 0.25)
     assert ar_norm(shifted.coeffs, 0.5) < ar_norm(f.coeffs, 0.25)
-    verdict, _ = schur_test(SequenceSpec.from_finite(shifted.coeffs), E2, 100)
+    verdict, _ = schur_finite(shifted.coeffs, E2)
     assert verdict == "schur"
 
 
 def test_sequence_spec_validation():
     with pytest.raises(DomainError):
-        SequenceSpec(kind="log_power", alpha=-1.0)
+        schur_log_power(-1.0, E2, 10)
     with pytest.raises(DomainError):
-        SequenceSpec(kind="mystery")
+        schur_log_power(1.0, E2, 1)
     with pytest.raises(DomainError):
-        schur_test(SequenceSpec.from_log_power(1.0), E2, 1)
+        schur_power(0.5, E2, 1)
+    with pytest.raises(DomainError):
+        schur_power(-1.0, E2, 2 ** 53)
+
+
+def _dense_log_power_sum(c, horizon):
+    # the former dense form: every term of the horizon in one array
+    ns = np.arange(2, horizon + 1, dtype=np.float64)
+    terms = np.log(ns) ** -c / ns
+    return float(terms[0] + math.fsum(terms))
+
+
+@pytest.mark.parametrize("block", [1, 3, 16, 1 << 15])
+def test_schur_log_power_blocks_bitwise(monkeypatch, block):
+    # fsum is exact whatever the chunking: the blocked partial sum, hence
+    # the enclosure, equals the dense one bit for bit, across block edges
+    monkeypatch.setattr(sequences, "BLOCK", block)
+    horizons = [2, 3, 17, 18, 1000] if block < 1 << 15 else [2, 17, 40_000, 65_537, 100_001]
+    for p in (1.1, 1.5, 2.0, 3.0):
+        e = Exponent.from_p(p)
+        for alpha in (0.3, 0.5, 1.0, 2.5):
+            for horizon in horizons:
+                partial = _dense_log_power_sum(e.q * alpha, horizon)
+                verdict, enc = schur_log_power(alpha, e, horizon)
+                if verdict == "not_schur":
+                    assert (enc.lo, enc.hi) == (ulp_down(partial, 4), ulp_up(partial, 4))
+                else:
+                    c = e.q * alpha
+                    lo = math.log(horizon + 1.0) ** (1.0 - c) / (c - 1.0)
+                    hi = math.log(float(horizon)) ** (1.0 - c) / (c - 1.0)
+                    tail = Enclosure(ulp_down(lo, 2), ulp_up(hi, 2))
+                    want = (tail + partial).widen(4.0 * EPS * partial)
+                    assert (enc.lo, enc.hi) == (want.lo, want.hi)
+
+
+def test_schur_log_power_memory():
+    # blocks of 2**15 terms (1.5 MiB traced): the dense arange and its
+    # temporaries at this horizon took 69 MiB
+    tracemalloc.start()
+    try:
+        verdict, _ = schur_log_power(1.0, E2, 3 * 10 ** 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict == "schur"
+    assert peak <= 8 * 2 ** 20
+
+
+def test_schur_power_negative_beta_witness():
+    # the divergent witness horizon^(-(q beta + 1)) * horizon, 4 ulp wide
+    for beta, horizon in ((-1.0, 100), (-1.0, 10 ** 5), (-0.25, 7), (-29.5, 10 ** 5)):
+        partial = float(horizon) ** (-(E2.q * beta + 1.0)) * horizon
+        verdict, enc = schur_power(beta, E2, horizon)
+        assert verdict == "not_schur"
+        assert (enc.lo, enc.hi) == (ulp_down(partial, 4), ulp_up(partial, 4))
