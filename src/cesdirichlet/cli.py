@@ -2,9 +2,10 @@
 
 Exit codes: 0 success, 1 usage error, 2 domain/input error or a
 numerical method that did not converge, 3 verification-suite failure or
-a failed self-check of the enclosure arithmetic.  All randomized
-campaigns take --seed (default 42); identical argv and seed produce
-byte-identical reports (timings go to stderr, never into report output).
+a failed self-check of the enclosure arithmetic.  Only the randomized
+verbs (dual-norm, monomial-check, verify) take --seed (default 42);
+identical argv and seed produce byte-identical reports (timings go to
+stderr, never into report output).
 
 Coefficient files use the sparse JSON shape
 ``{"coeffs": [{"n": 2, "re": 1.0, "im": 0.0}, ...]}`` --
@@ -20,7 +21,6 @@ import sys
 
 
 from .dual import delta_norm_bounds, delta_norm_exact_p2, dual_norm_oracle, jagers_dual_norm
-from .enclosure import Enclosure
 from .errors import (ArgminTieError, ConvergenceError, DomainError, InputError,
                      ResourceLimitError, SelfCheckError, WindowNotFoundError)
 from .kernels import sieve_primes
@@ -90,10 +90,6 @@ def dump_coeffs(seq: CoeffSeq) -> dict:
     }
 
 
-def _print_report(records, fmt, kind, out):
-    out.write(emit_report(records, fmt, kind=kind))
-
-
 # ---------------------------------------------------------------------------
 # verb handlers
 # ---------------------------------------------------------------------------
@@ -118,7 +114,7 @@ def _cmd_norm(args, out):
             raise _UsageError("--space ar requires --r")
         rec["r"] = args.r
         rec["value"] = ar_norm(seq, args.r)
-    _print_report([rec], args.format, "norm", out)
+    out.write(emit_report([rec], args.format, kind="norm"))
     return EXIT_OK
 
 
@@ -135,7 +131,7 @@ def _cmd_dual_norm(args, out):
     }
     if args.oracle:
         rec["oracle"] = dual_norm_oracle(seq, e, restarts=args.restarts, seed=args.seed)
-    _print_report([rec], args.format, None, out)
+    out.write(emit_report([rec], args.format))
     return EXIT_OK
 
 
@@ -147,9 +143,8 @@ def _cmd_delta_norm(args, out):
             raise DomainError("--exact is available for p = 2 only")
         rec["norm"] = delta_norm_exact_p2(args.sigma, terms=args.terms)
     else:
-        lo, hi = delta_norm_bounds(args.sigma, e)
-        rec["norm"] = Enclosure(lo, hi)
-    _print_report([rec], args.format, None, out)
+        rec["norm"] = delta_norm_bounds(args.sigma, e)
+    out.write(emit_report([rec], args.format))
     return EXIT_OK
 
 
@@ -157,7 +152,7 @@ def _cmd_eval(args, out):
     seq = load_coeffs(args.input)
     value = evaluate(DirichletPoly(seq), EvalPoint(sigma=args.sigma, t=args.t))
     rec = {"input": args.input, "sigma": args.sigma, "t": args.t, "value": value}
-    _print_report([rec], args.format, None, out)
+    out.write(emit_report([rec], args.format))
     return EXIT_OK
 
 
@@ -192,7 +187,7 @@ def _cmd_multiplier_estimate(args, out):
         f, args.m, args.alpha, e, table,
         conv_limit=args.conv_limit, r_m=args.r_m,
     )
-    _print_report([est.as_record()], args.format, "multiplier-estimate", out)
+    out.write(emit_report([est.as_record()], args.format, kind="multiplier-estimate"))
     return EXIT_OK
 
 
@@ -210,7 +205,7 @@ def _cmd_monomial_check(args, out):
         "lower_est": lower,
         "bound": float(args.m) ** (-1.0 / e.q),
     }
-    _print_report([rec], args.format, None, out)
+    out.write(emit_report([rec], args.format))
     return EXIT_OK
 
 
@@ -230,7 +225,7 @@ def _cmd_schur_test(args, out):
         verdict, enc = schur_power(args.beta, e, args.horizon)
     rec = {"kind": args.kind, "p": args.p, "horizon": args.horizon,
            "verdict": verdict, "value": enc}
-    _print_report([rec], args.format, None, out)
+    out.write(emit_report([rec], args.format))
     return EXIT_OK
 
 
@@ -271,16 +266,12 @@ def build_parser() -> _Parser:
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def add_common(p):
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--seed", type=int, default=42)
-
     p = sub.add_parser("norm", help="sequence-space norm of a coefficient file")
     p.add_argument("--space", choices=("ces", "lp", "dq", "ar"), required=True)
     p.add_argument("--p", type=float, default=2.0)
     p.add_argument("--r", type=float, default=None, help="weight exponent for --space ar")
     p.add_argument("--input", required=True)
-    add_common(p)
+    p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=_cmd_norm)
 
     p = sub.add_parser("dual-norm", help="exact dual norm with greedy trace")
@@ -288,7 +279,8 @@ def build_parser() -> _Parser:
     p.add_argument("--input", required=True)
     p.add_argument("--oracle", action="store_true", help="also run the ascent oracle")
     p.add_argument("--restarts", type=int, default=6)
-    add_common(p)
+    p.add_argument("--format", choices=("json", "csv"), default="json")
+    p.add_argument("--seed", type=int, default=42)
     p.set_defaults(func=_cmd_dual_norm)
 
     p = sub.add_parser("delta-norm", help="point-evaluation norm bounds")
@@ -297,14 +289,14 @@ def build_parser() -> _Parser:
     p.add_argument("--terms", type=int, default=10 ** 6,
                    help="explicit terms of the --exact series (applies to --exact only)")
     p.add_argument("--exact", action="store_true", help="exact p=2 series enclosure")
-    add_common(p)
+    p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=_cmd_delta_norm)
 
     p = sub.add_parser("eval", help="evaluate a Dirichlet polynomial at a point")
     p.add_argument("--input", required=True)
     p.add_argument("--sigma", type=float, required=True)
     p.add_argument("--t", type=float, default=0.0)
-    add_common(p)
+    p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("convolve", help="divisor-convolution product of two polynomials")
@@ -312,13 +304,11 @@ def build_parser() -> _Parser:
     p.add_argument("--with", dest="with_input", required=True)
     p.add_argument("--limit", type=int, required=True)
     p.add_argument("--output", default=None)
-    add_common(p)
     p.set_defaults(func=_cmd_convolve)
 
     p = sub.add_parser("project", help="keep coefficients with p_1..p_r-smooth index")
     p.add_argument("--input", required=True)
     p.add_argument("--r", type=int, required=True)
-    add_common(p)
     p.set_defaults(func=_cmd_project)
 
     p = sub.add_parser("multiplier-estimate", help="certified multiplier-norm lower estimate")
@@ -330,7 +320,7 @@ def build_parser() -> _Parser:
     p.add_argument("--conv-limit", type=int, default=None)
     p.add_argument("--r-m", type=int, default=None,
                    help="window anchor override (flagged heuristic when unverified)")
-    add_common(p)
+    p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=_cmd_multiplier_estimate)
 
     p = sub.add_parser("monomial-check", help="two-sided monomial multiplier probe")
@@ -338,7 +328,8 @@ def build_parser() -> _Parser:
     p.add_argument("--p", type=float, default=2.0)
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--j-probe", type=int, default=10 ** 6)
-    add_common(p)
+    p.add_argument("--format", choices=("json", "csv"), default="json")
+    p.add_argument("--seed", type=int, default=42)
     p.set_defaults(func=_cmd_monomial_check)
 
     p = sub.add_parser("schur-test", help="coefficientwise-multiplier summability test")
@@ -347,20 +338,22 @@ def build_parser() -> _Parser:
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--beta", type=float, default=None)
     p.add_argument("--p", type=float, default=2.0)
-    p.add_argument("--horizon", type=int, default=10 ** 5, help="log-power and power only")
-    add_common(p)
+    p.add_argument("--horizon", type=int, default=10 ** 5,
+                   help="log-power (at most 10**8, time linear in it) and power only")
+    p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=_cmd_schur_test)
 
     p = sub.add_parser("verify", help="run the acceptance suites")
     p.add_argument("--suite", default="all", choices=["all", *ALL_SUITES])
     p.add_argument("--report", default=None, help="write suite records to this file")
-    add_common(p)
+    p.add_argument("--format", choices=("json", "csv"), default="json")
+    p.add_argument("--seed", type=int, default=42)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("report", help="re-emit a JSON report, e.g. as CSV")
     p.add_argument("--input", required=True)
     p.add_argument("--kind", default=None, help="column registry to use for CSV")
-    add_common(p)
+    p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=_cmd_report)
 
     return parser

@@ -45,7 +45,7 @@ import numpy as np
 from .enclosure import LIB, TINY, U, Enclosure, gamma, pairwise_depth, ulp_down, ulp_up
 from .errors import ArgminTieError, DomainError, ResourceLimitError
 from .kernels import hurwitz_zeta, power_segment, zeta_real
-from .sequences import CoeffSeq, Exponent
+from .sequences import CoeffSeq, Exponent, _scale, _unscale
 
 SENTINEL = math.inf
 
@@ -160,8 +160,7 @@ def jagers_dual_norm(b: CoeffSeq, e: Exponent) -> JagersTrace:
     p = e.p
     w = b.abs_values()
     # the dual norm is homogeneous: |b| is scaled by a power of two into [1/2, 1)
-    shift = math.frexp(float(w.max()))[1]
-    np.ldexp(w, -shift, out=w)
+    shift = _scale(w)
     # |b| is exact for a real or imaginary value and within LIB otherwise,
     # scaled below the normal range within TINY; twice that also covers
     # the roundings of the differences it enters
@@ -190,10 +189,7 @@ def jagers_dual_norm(b: CoeffSeq, e: Exponent) -> JagersTrace:
     delta_b = w[pos[:-1]] - w[pos[1:]]
     delta_err = err[pos[:-1]] + err[pos[1:]]
     norm = _chain_norm(delta_b - delta_err, delta_b + delta_err, d_lo[1:], d_hi[1:], e)
-    try:
-        norm = Enclosure(math.ldexp(norm.lo, shift), math.ldexp(norm.hi, shift))
-    except OverflowError:
-        raise DomainError("the dual norm exceeds the float64 range") from None
+    norm = Enclosure(_unscale(norm.lo, shift, "dual norm"), _unscale(norm.hi, shift, "dual norm"))
     return JagersTrace(m_chain=tuple(chain), d_set=tuple(range(1, len(chain))), norm=norm)
 
 
@@ -316,18 +312,17 @@ def bennett_equivalence_check(b: CoeffSeq, e: Exponent, slack: float = 1e-9) -> 
 # Point-evaluation norms
 # ---------------------------------------------------------------------------
 
-def delta_norm_bounds(sigma: float, e: Exponent) -> tuple[float, float]:
+def delta_norm_bounds(sigma: float, e: Exponent) -> Enclosure:
     """Two-sided bounds for the point-evaluation norm at abscissa
-    1/q < sigma < inf:
+    1/q < sigma < inf, as an enclosure:
 
         (1/q) zeta(sigma q)^(1/q)  <=  norm  <=  min(sigma, (p-1)^(1/p)) zeta(sigma q)^(1/q).
     """
     if not 1.0 / e.q < sigma < math.inf:
         raise DomainError(f"point evaluation needs 1/q = {1.0 / e.q} < sigma < inf, got {sigma}")
     zq = zeta_real(sigma * e.q).root(e.q)
-    lo = ulp_down(zq.lo / e.q, 2)
-    hi = ulp_up(min(sigma, (e.p - 1.0) ** (1.0 / e.p)) * zq.hi, 2)
-    return lo, hi
+    return Enclosure(ulp_down(zq.lo / e.q, 2),
+                     ulp_up(min(sigma, (e.p - 1.0) ** (1.0 / e.p)) * zq.hi, 2))
 
 
 def delta_norm_exact_p2(sigma: float, terms: int = 10 ** 6) -> Enclosure:
@@ -346,8 +341,7 @@ def delta_norm_exact_p2(sigma: float, terms: int = 10 ** 6) -> Enclosure:
     if terms < 1:
         raise DomainError("need at least one explicit term")
     if sigma > 1.0:
-        lo, hi = delta_norm_bounds(sigma, Exponent.from_p(2.0))
-        return Enclosure(lo, hi)
+        return delta_norm_bounds(sigma, Exponent.from_p(2.0))
     parts = []
     chunk = 1 << 20
     for lo_n in range(1, terms + 1, chunk):

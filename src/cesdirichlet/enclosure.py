@@ -5,7 +5,8 @@ Every infinite series evaluated in this package is returned as an
 to contain the exact value.  Finite sums are returned as plain floats.
 
 Error model of ``kernels.hurwitz_zeta``, ``kernels.power_segment``,
-``sequences.ces_norm`` (stored or streamed), ``dual.jagers_dual_norm``
+``sequences.ces_norm_stream`` (which ``ces_norm`` is, over the stored
+sequence's own blocks), ``dual.jagers_dual_norm``
 and the self-check bound of ``multipliers.multiplier_lower_estimate``
 on ``sequences.ar_norm``: a basic operation
 rounds to nearest (relative error <= ``U`` = 2**-53; power-of-two
@@ -22,7 +23,7 @@ nU/(1 - nU) (Higham, "Accuracy and Stability of Numerical Algorithms",
 Lemma 3.1).  A power x^t whose exponent t was itself rounded is off by
 a further |t log x| U.
 
-``ces_norm`` sums in blocks of at most n entries.  Within a block the
+``ces_norm_stream`` sums in blocks of at most n entries.  Within a block the
 running sums A_k come from ``np.cumsum`` with each rounding recovered
 by TwoSum and added back, (1 + (n + 1)^2 U) U of exact; A crosses a
 block boundary as a carry hi + lo whose own error grows by at most

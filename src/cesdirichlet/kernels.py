@@ -135,7 +135,6 @@ _BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617
 _EM_TERMS = len(_BERNOULLI) - 1
 _MAX_HURWITZ_EXPONENT = 64.0
 _MAX_EXACT_INDEX = 2 ** 53
-_HURWITZ_BLOCK = 1 << 15
 
 
 def _em_sum(m: np.ndarray, x: float, coef: list[float]) -> np.ndarray:
@@ -201,13 +200,8 @@ def hurwitz_zeta(x: float, n) -> tuple[np.ndarray, np.ndarray]:
     f_lo = ulp_down(1.0 - gamma(LIB + 13))
     f_hi = ulp_up(1.0 + (gamma(LIB + 13) + eps_r))
     coef.reverse()
-    lo = np.empty(n.shape)
-    hi = np.empty(n.shape)
-    flat_n, flat_lo, flat_hi = n.reshape(-1), lo.reshape(-1), hi.reshape(-1)
-    for s in range(0, flat_n.size, _HURWITZ_BLOCK):
-        em = _em_sum(flat_n[s:s + _HURWITZ_BLOCK].astype(np.float64), x, coef)
-        np.multiply(em, f_lo, out=flat_lo[s:s + _HURWITZ_BLOCK])
-        np.multiply(em, f_hi, out=flat_hi[s:s + _HURWITZ_BLOCK])
+    em = _em_sum(n.astype(np.float64), x, coef)
+    lo, hi = em * f_lo, em * f_hi
     small = n < n0
     if small.any():
         # zeta(x, n) = sum_{n <= k < N0} k^-x + zeta(x, N0): LIB per term,

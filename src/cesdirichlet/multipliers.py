@@ -48,7 +48,7 @@ import numpy as np
 
 from . import sequences
 from .enclosure import EPS, LIB, TINY, Enclosure, gamma, ulp_down, ulp_up
-from .errors import DomainError, SelfCheckError, WindowNotFoundError
+from .errors import DomainError, ResourceLimitError, SelfCheckError, WindowNotFoundError
 from .kernels import (
     PrimeTable,
     decrease_onset,
@@ -63,6 +63,9 @@ from .series import DirichletPoly, convolve, product_blocks, truncate
 
 HEURISTIC_WINDOW_FLAG = "heuristic-window"
 DESK_SCALE_FLAG = "desk-scale"
+
+# ``schur_log_power`` sums every term up to its horizon, about 70 ns each
+_LOG_POWER_HORIZON_GUARD = 10 ** 8
 
 
 @dataclass(frozen=True)
@@ -88,13 +91,6 @@ class MultiplierEstimate:
 # ---------------------------------------------------------------------------
 # Monomial multipliers
 # ---------------------------------------------------------------------------
-
-def _random_poly(rng: np.random.Generator, max_len: int = 24, max_index: int = 200) -> DirichletPoly:
-    size = int(rng.integers(1, max_len + 1))
-    idx = rng.choice(np.arange(1, max_index + 1), size=size, replace=False)
-    val = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-    return DirichletPoly(CoeffSeq(np.sort(idx).astype(np.int64), val))
-
 
 def monomial_multiplier_check(
     m: int,
@@ -122,7 +118,7 @@ def monomial_multiplier_check(
     upper_ok = True
     mono = DirichletPoly.monomial(m)
     for _ in range(samples):
-        g = _random_poly(rng)
+        g = DirichletPoly(sequences.random_seq(rng, max_index=200))
         prod = convolve(mono, g, m * g.max_index)
         lhs = ces_norm(prod.coeffs, e)
         rhs = ces_norm(g.coeffs, e)
@@ -420,11 +416,15 @@ def _log_power_terms(c: float, horizon: int):
 def schur_log_power(alpha: float, e: Exponent, horizon: int) -> tuple[str, Enclosure]:
     """Schur test of b_n = (log n)^-alpha, n >= 2: 'schur' iff q alpha > 1,
     enclosing the terms to the horizon plus an integral tail bracket;
-    'not_schur' encloses only the partial sum to the horizon."""
+    'not_schur' encloses only the partial sum to the horizon.  Every term
+    is summed, so horizons past ``_LOG_POWER_HORIZON_GUARD`` are refused."""
     if not 0 < alpha < math.inf:
         raise DomainError(f"log_power needs a finite alpha > 0, got {alpha}")
     if not 2 <= horizon < 2 ** 53:
         raise DomainError(f"horizon must lie in [2, 2**53), got {horizon}")
+    if horizon > _LOG_POWER_HORIZON_GUARD:
+        raise ResourceLimitError(
+            f"log-power horizon {horizon} exceeds the {_LOG_POWER_HORIZON_GUARD} time guard")
     c = e.q * alpha
     # t_n is decreasing from n = 2, so sup_{k>=n} t_k = t_n; the n = 1
     # term equals t_2 (the sequence starts at 2).  fsum is exact, so the

@@ -18,13 +18,14 @@ The norms implemented here:
 ``ces_norm`` costs O(support), whatever the largest index: the Cesaro
 mean A(n)/n has a constant numerator between support indices, so the
 sum over n collapses, by parts, to one certified Hurwitz zeta value
-(``kernels.hurwitz_zeta``) per support index.  The sum runs over blocks
-of ``BLOCK`` = 2^15 support entries with A(n) carried between them, so a
-sequence may also arrive block by block and never be stored
-(``ces_norm_stream``); each block's |a| is transformed in place, and
-while the next block is built only the previous block's index and |a|
-arrays are still held.  Every norm scales |a| by a power of two first,
-so only a norm beyond the float64 range raises.
+(``kernels.hurwitz_zeta``) per support index.  ``ces_norm_stream`` sums
+over blocks of at most ``BLOCK`` = 2^15 support entries with A(n)
+carried between them, so a sequence may arrive block by block and never
+be stored; ``ces_norm`` is that sum over its own blocks.  Each block's
+|a| is transformed in place, and while the next block is built only the
+previous block's index and |a| arrays are still held.  Every norm
+scales |a| by a power of two first, so only a norm beyond the float64
+range raises.
 """
 
 from __future__ import annotations
@@ -163,6 +164,24 @@ class CoeffSeq:
         return f"CoeffSeq({body})"
 
 
+def random_seq(
+    rng: np.random.Generator,
+    max_len: int = 24,
+    max_index: int = 300,
+    integer: bool = False,
+    min_len: int = 1,
+) -> CoeffSeq:
+    """min_len..max_len random indices in 1..max_index with standard complex
+    normal values, or with ``integer`` integers in [-3, 3] (zeros dropped)."""
+    size = int(rng.integers(min_len, max_len + 1))
+    idx = np.sort(rng.choice(np.arange(1, max_index + 1), size=size, replace=False))
+    if integer:
+        val = rng.integers(-3, 4, size=size).astype(np.complex128)
+    else:
+        val = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    return CoeffSeq(idx.astype(np.int64), val)
+
+
 # ---------------------------------------------------------------------------
 # Norms
 # ---------------------------------------------------------------------------
@@ -223,31 +242,44 @@ def _abs_blocks(blocks, shift: int):
         yield idx, w
 
 
-def _abs_scale(a: CoeffSeq) -> tuple[int, int]:
-    """``_scale``'s shift of the nonempty |a|, read block by block, and top,
-    the exponent of the scaled sum (block sums joined by ``math.fsum``)."""
-    peak = max(float(np.max(np.abs(val))) for _, val in _blocks(a))
-    shift = math.frexp(peak)[1]
-    total = math.fsum(float(np.sum(w)) for _, w in _abs_blocks(_blocks(a), shift))
-    return shift, math.frexp(total)[1]
-
-
 def abs_sum_exponent(a: CoeffSeq) -> int:
-    """An exponent e with sum |a_n| <= 2**e up to rounding (0 for a = 0);
-    the sum of two such exponents scales the Cesaro sum of a product."""
-    return 0 if a.is_empty else sum(_abs_scale(a))
+    """An exponent e with sum |a_n| <= 2**e up to rounding (0 for a = 0):
+    ``_scale``'s shift of |a|, read block by block, plus the exponent of
+    the scaled sum (block sums joined by ``math.fsum``).  The sum of two
+    such exponents scales the Cesaro sum of a product."""
+    if a.is_empty:
+        return 0
+    shift = math.frexp(max(float(np.max(np.abs(val))) for _, val in _blocks(a)))[1]
+    total = math.fsum(float(np.sum(w)) for _, w in _abs_blocks(_blocks(a), shift))
+    return shift + math.frexp(total)[1]
 
 
-def _ces_enclosure(blocks, shift: int, top: int, p: float) -> Enclosure:
-    """The certified Cesaro norm from blocks (idx, w) of consecutive
-    support indices and |a| 2**-shift (``w`` is overwritten), with every
-    A(n) 2**-top at most about 1.  A(n) crosses block boundaries as the
-    carry of ``_prefix_sums``; error model in ``enclosure``."""
+def ces_norm(a: CoeffSeq, e: Exponent) -> Enclosure:
+    """Certified enclosure of the Cesaro-mean norm of ``a``, in O(support):
+    ``ces_norm_stream`` of its own blocks at ``abs_sum_exponent``, so |a|
+    is read one block at a time and only ``a`` itself is held whole."""
+    return ces_norm_stream(_blocks(a), abs_sum_exponent(a), e)
+
+
+def ces_norm_stream(blocks, scale: int, e: Exponent) -> Enclosure:
+    """``ces_norm`` of a sequence that arrives as blocks (idx, val), each
+    nonempty, sorted, with nonzero finite values and above the block
+    before, with sum |a_n| <= 2**scale.  Only one block is held at a
+    time, so a product from ``series.product_blocks`` is never stored.
+
+    A(n) is constant between support indices i_1 < ... < i_K, so by parts
+    ||a||^p = sum_k zeta(p, i_k) (A_k^p - A_{k-1}^p), all terms >= 0, the
+    last carrying the tail; A_k^p - A_{k-1}^p = A_k^p (1 - exp(-p log1p(
+    w_k / A_{k-1}))) avoids cancellation.  |a| is scaled by 2**-scale
+    (the norm is homogeneous), so every A(n) is at most about 1.  A(n)
+    crosses block boundaries as the carry of ``_prefix_sums``; error
+    model in ``enclosure``."""
+    p = e.p
     carry = [0.0, 0.0]
     sums_lo, sums_hi = [], []
     size = widest = 0
     zeta_max = 0.0
-    for idx, w in blocks:
+    for idx, w in _abs_blocks(blocks, scale):
         if float(w.min()) < 2.0 ** -1022:
             raise DomainError("coefficient magnitudes span more than the float64 exponent range")
         prev = carry[0]
@@ -263,7 +295,6 @@ def _ces_enclosure(blocks, shift: int, top: int, p: float) -> Enclosure:
         np.negative(r, out=r)
         if not size:
             w[0] = 1.0
-        np.ldexp(cum, -top, out=cum)
         np.power(cum, p, out=cum)
         w *= cum
         del cum
@@ -297,33 +328,8 @@ def _ces_enclosure(blocks, shift: int, top: int, p: float) -> Enclosure:
     powered = Enclosure(max(0.0, ulp_down(math.fsum(sums_lo) * (1.0 - g) - under)),
                         ulp_up(math.fsum(sums_hi) / (1.0 - g) + under, 2))
     root = powered.root(p)
-    return Enclosure(_unscale(root.lo, shift + top, "Cesaro norm"),
-                     _unscale(root.hi, shift + top, "Cesaro norm"))
-
-
-def ces_norm(a: CoeffSeq, e: Exponent) -> Enclosure:
-    """Certified enclosure of the Cesaro-mean norm of ``a``, in O(support).
-
-    A(n) is constant between support indices i_1 < ... < i_K, so by parts
-    ||a||^p = sum_k zeta(p, i_k) (A_k^p - A_{k-1}^p), all terms >= 0, the
-    last carrying the tail; A_k^p - A_{k-1}^p = A_k^p (1 - exp(-p log1p(
-    w_k / A_{k-1}))) avoids cancellation.  |a| is scaled by powers of two
-    (the norm is homogeneous) so that A_K lies near [1/2, 1).  The sum
-    runs over blocks of ``BLOCK`` support entries, |a| read one block at
-    a time, so only the sequence itself is held whole.
-    """
-    if a.is_empty:
-        return Enclosure(0.0, 0.0)
-    shift, top = _abs_scale(a)
-    return _ces_enclosure(_abs_blocks(_blocks(a), shift), shift, top, e.p)
-
-
-def ces_norm_stream(blocks, scale: int, e: Exponent) -> Enclosure:
-    """``ces_norm`` of a sequence that arrives as blocks (idx, val), each
-    nonempty, sorted, with nonzero finite values and above the block
-    before, with sum |a_n| <= 2**scale.  Only one block is held at a
-    time, so a product from ``series.product_blocks`` is never stored."""
-    return _ces_enclosure(_abs_blocks(blocks, scale), scale, 0, e.p)
+    return Enclosure(_unscale(root.lo, scale, "Cesaro norm"),
+                     _unscale(root.hi, scale, "Cesaro norm"))
 
 
 def lp_norm(a: CoeffSeq, p: float) -> float:

@@ -35,7 +35,7 @@ from .multipliers import (
     schur_finite,
     schur_log_power,
 )
-from .sequences import CoeffSeq, Exponent, ces_norm, hardy_ratio, m_n_functionals_p2
+from .sequences import CoeffSeq, Exponent, ces_norm, hardy_ratio, m_n_functionals_p2, random_seq
 from .series import DirichletPoly, convolve, qr_project
 
 # sigma_p at p = 2 and the frozen dual-norm plateau value; both follow
@@ -72,22 +72,6 @@ class SuiteResult:
             elif isinstance(v, (int, str, bool)):
                 bits.append(f"{k}={v}")
         return ", ".join(bits[:6])
-
-
-def random_seq(
-    rng: np.random.Generator,
-    max_len: int = 24,
-    max_index: int = 300,
-    integer: bool = False,
-    min_len: int = 1,
-) -> CoeffSeq:
-    size = int(rng.integers(min_len, max_len + 1))
-    idx = np.sort(rng.choice(np.arange(1, max_index + 1), size=size, replace=False))
-    if integer:
-        val = rng.integers(-3, 4, size=size).astype(np.complex128)
-    else:
-        val = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-    return CoeffSeq(idx.astype(np.int64), val)
 
 
 def _finish(name, budget, t0, failures, details) -> SuiteResult:

@@ -91,6 +91,17 @@ def test_hurwitz_both_sides_of_head():
         assert np.all(np.diff(hi) < 0)
 
 
+def test_hurwitz_long_array_matches_single_calls():
+    # one call on 70,000 indices, across what were the kernel's own blocks
+    # of 2^15, gives the bits of one call per index
+    rng = np.random.default_rng(5)
+    ns = np.concatenate([np.arange(1, 40_001), rng.integers(1, 2 ** 53, 30_000)])
+    lo, hi = hurwitz_zeta(2.5, ns)
+    single = [hurwitz_zeta(2.5, ns[k:k + 1]) for k in range(ns.size)]
+    assert np.array_equal(lo.view(np.int64), np.concatenate([l for l, _ in single]).view(np.int64))
+    assert np.array_equal(hi.view(np.int64), np.concatenate([h for _, h in single]).view(np.int64))
+
+
 @pytest.mark.parametrize("x, ns", [(2.0, [2 ** 53 + 1]), (2.0, [0]), (1.0, [1]),
                                    (65.0, [1]), (30.0, [10 ** 12])])
 def test_hurwitz_domain(x, ns):
@@ -206,6 +217,36 @@ def test_ces_norm_huge_coefficients():
     assert math.isfinite(huge.hi)
     assert huge.lo == pytest.approx(1e308 * unit.lo, rel=1e-13)
     assert huge.hi == pytest.approx(1e308 * unit.hi, rel=1e-13)
+
+
+def _bits_or_error(norm):
+    try:
+        enc = norm()
+    except DomainError as ex:
+        return str(ex)
+    return enc.lo.hex(), enc.hi.hex()
+
+
+@SEEDED
+@given(p=st.sampled_from((1.1, 1.5, 2.0, 3.0, 7.0)), block=st.integers(1, 5),
+       first=st.integers(1, 40),
+       gaps=st.lists(st.one_of(st.integers(1, 3), st.integers(1, 10 ** 12)), max_size=11),
+       mags=st.lists(st.tuples(st.floats(1.0, 9.99), st.integers(-300, 300),
+                               st.floats(0.0, 6.3)), min_size=12, max_size=12))
+def test_ces_norm_is_the_stream_of_its_blocks(p, block, first, gaps, mags):
+    # blocks of 1..5 entries, so A(n) crosses block edges, and magnitudes
+    # 1e-300..1e301, so the scaling decides between a norm and the
+    # exponent-range error: both answers agree bit for bit
+    idx = np.cumsum([first] + gaps)
+    a = CoeffSeq(idx, np.array([m * 10.0 ** k * complex(math.cos(t), math.sin(t))
+                                for m, k, t in mags[:idx.size]]))
+    e = Exponent.from_p(p)
+    blocks = [(a.idx[s:s + block], a.val[s:s + block]) for s in range(0, len(a), block)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sequences, "BLOCK", block)
+        whole = _bits_or_error(lambda: ces_norm(a, e))
+        streamed = _bits_or_error(lambda: ces_norm_stream(iter(blocks), abs_sum_exponent(a), e))
+    assert whole == streamed
 
 
 def test_coeffseq_rejects_non_finite():

@@ -154,6 +154,27 @@ def test_delta_norm_past_kernel_exponent(capsys):
     assert rec["norm"]["lo"] <= 1.0 <= rec["norm"]["hi"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["convolve", "--input", "F", "--with", "F", "--limit", "6", "--format", "csv"],
+    ["project", "--input", "F", "--r", "1", "--format", "json"],
+    ["norm", "--space", "ces", "--input", "F", "--seed", "3"],
+    ["delta-norm", "--p", "2", "--sigma", "1", "--seed", "3"],
+    ["eval", "--input", "F", "--sigma", "1", "--seed", "3"],
+    ["convolve", "--input", "F", "--with", "F", "--limit", "6", "--seed", "3"],
+    ["project", "--input", "F", "--r", "1", "--seed", "3"],
+    ["multiplier-estimate", "--input", "F", "--m", "2", "--alpha", "0.3", "--seed", "3"],
+    ["schur-test", "--kind", "power", "--beta", "1", "--seed", "3"],
+    ["report", "--input", "F", "--seed", "3"],
+])
+def test_unread_options_are_usage_errors(tmp_path, capsys, argv):
+    # each verb takes --format and --seed only where it reads them, so a
+    # flag it would ignore (convolve always prints JSON) is refused
+    path = write_coeffs(tmp_path, "f.json", UNIT)
+    assert parse_and_dispatch([path if a == "F" else a for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "unrecognized arguments" in captured.err
+
+
 def test_unknown_verb_exit():
     assert parse_and_dispatch(["frobnicate"]) == 1
 
@@ -241,6 +262,18 @@ def test_schur_verb(capsys):
     assert code == 0
     rec = json.loads(capsys.readouterr().out)["records"][0]
     assert rec["verdict"] == "schur"
+
+
+def test_schur_log_power_far_horizon_exits_2(capsys):
+    # log-power sums every term up to the horizon: past 10**8 it is
+    # refused at once rather than run for hours
+    t0 = time.perf_counter()
+    code = parse_and_dispatch(["schur-test", "--kind", "log-power", "--alpha", "1",
+                               "--horizon", "1000000000000"])
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "guard" in captured.err
 
 
 @pytest.mark.parametrize("beta, verdict", [("0", "not_schur"), ("0.5", "schur")])

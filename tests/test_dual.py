@@ -264,6 +264,14 @@ def test_jagers_huge_coefficients():
     assert huge.norm.hi == pytest.approx(1e308 * unit.norm.hi, rel=1e-13)
 
 
+def test_jagers_norm_past_float64_range():
+    # |b_16| zeta(2, 16)^(-1/2), about 5.9e308: the scaled chain is finite
+    # and only the final scaling overflows
+    b = CoeffSeq(np.arange(1, 17), np.full(16, 1.5e308))
+    with pytest.raises(DomainError, match="^the dual norm exceeds the float64 range$"):
+        jagers_dual_norm(b, E2)
+
+
 # ---------------------------------------------------------------------------
 # ascent oracle against the chain
 # ---------------------------------------------------------------------------
@@ -325,17 +333,17 @@ def test_equivalence_explicit():
 # ---------------------------------------------------------------------------
 
 def test_delta_bounds_p2_sigma1():
-    lo, hi = delta_norm_bounds(1.0, E2)
-    assert lo == pytest.approx(0.5 * math.sqrt(ZETA_2), rel=1e-9)
-    assert hi == pytest.approx(math.sqrt(ZETA_2), rel=1e-9)
+    b = delta_norm_bounds(1.0, E2)
+    assert b.lo == pytest.approx(0.5 * math.sqrt(ZETA_2), rel=1e-9)
+    assert b.hi == pytest.approx(math.sqrt(ZETA_2), rel=1e-9)
 
 
 def test_delta_bounds_ordering():
     for p in (1.5, 2.0, 3.0):
         e = Exponent.from_p(p)
         for sigma in (1.0 / e.q + 0.1, 1.0, 2.0):
-            lo, hi = delta_norm_bounds(sigma, e)
-            assert lo <= hi
+            b = delta_norm_bounds(sigma, e)
+            assert b.lo <= b.hi
 
 
 def test_delta_bounds_domain():
@@ -346,8 +354,8 @@ def test_delta_bounds_domain():
 
 
 def test_delta_bounds_contain_plateau():
-    lo, hi = delta_norm_bounds(2.5, E2)
-    assert lo <= ZETA2_INV_SQRT <= hi
+    b = delta_norm_bounds(2.5, E2)
+    assert b.lo <= ZETA2_INV_SQRT <= b.hi
 
 
 def test_delta_exact_sigma1():
@@ -382,9 +390,9 @@ def test_delta_exact_inside_both_brackets(sigma):
     hi_b = sigma * math.sqrt(z.lo - 1.0)
     assert enc.lo >= lo_b - 1e-9
     assert enc.hi <= hi_b + 1e-9
-    blo, bhi = delta_norm_bounds(sigma, E2)
-    assert enc.lo >= blo - 1e-9
-    assert enc.hi <= bhi + 1e-9
+    b = delta_norm_bounds(sigma, E2)
+    assert enc.lo >= b.lo - 1e-9
+    assert enc.hi <= b.hi + 1e-9
 
 
 def mp_delta_norm_p2(sigma: float, head: int = 30, order: int = 45) -> mpmath.mpf:
@@ -433,8 +441,8 @@ def test_delta_exact_domain_and_fallback():
     # past sigma = 1 the exact series is unproven; the two-sided bounds
     # are returned instead
     enc = delta_norm_exact_p2(1.5)
-    lo, hi = delta_norm_bounds(1.5, E2)
-    assert (enc.lo, enc.hi) == (lo, hi)
+    b = delta_norm_bounds(1.5, E2)
+    assert (enc.lo, enc.hi) == (b.lo, b.hi)
 
 
 # ---------------------------------------------------------------------------

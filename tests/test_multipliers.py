@@ -7,7 +7,7 @@ import pytest
 
 from cesdirichlet import multipliers, sequences
 from cesdirichlet.enclosure import EPS, Enclosure, ulp_down, ulp_up
-from cesdirichlet.errors import DomainError, SelfCheckError, WindowNotFoundError
+from cesdirichlet.errors import DomainError, ResourceLimitError, SelfCheckError, WindowNotFoundError
 from cesdirichlet.kernels import (decrease_onset, lambert_w, phi_alpha_deriv_vec, phi_xlogx,
                                   sieve_primes)
 from cesdirichlet.multipliers import (
@@ -508,6 +508,20 @@ def test_schur_log_power_memory():
         tracemalloc.stop()
     assert verdict == "schur"
     assert peak <= 8 * 2 ** 20
+
+
+def test_schur_log_power_horizon_guard(monkeypatch):
+    # time is linear in the horizon, so past 10**8 the test is refused
+    # before a single term is computed
+    def no_terms(c, horizon):
+        raise AssertionError("a term was computed")
+
+    monkeypatch.setattr(multipliers, "_log_power_terms", no_terms)
+    for horizon in (10 ** 8 + 1, 10 ** 12, 2 ** 53 - 1):
+        with pytest.raises(ResourceLimitError, match="guard"):
+            schur_log_power(1.0, E2, horizon)
+    with pytest.raises(AssertionError, match="a term was computed"):
+        schur_log_power(1.0, E2, 10 ** 8)
 
 
 def test_schur_power_negative_beta_witness():
