@@ -119,6 +119,8 @@ def _cmd_norm(args, out):
 
 
 def _cmd_dual_norm(args, out):
+    if not args.oracle and (args.restarts is not None or args.seed is not None):
+        raise _UsageError("--restarts and --seed apply to --oracle only")
     seq = load_coeffs(args.input)
     e = Exponent.from_p(args.p)
     trace = jagers_dual_norm(seq, e)
@@ -130,7 +132,9 @@ def _cmd_dual_norm(args, out):
         "d_set_size": len(trace.d_set),
     }
     if args.oracle:
-        rec["oracle"] = dual_norm_oracle(seq, e, restarts=args.restarts, seed=args.seed)
+        restarts = 6 if args.restarts is None else args.restarts
+        seed = 42 if args.seed is None else args.seed
+        rec["oracle"] = dual_norm_oracle(seq, e, restarts=restarts, seed=seed)
     out.write(emit_report([rec], args.format))
     return EXIT_OK
 
@@ -278,9 +282,9 @@ def build_parser() -> _Parser:
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--input", required=True)
     p.add_argument("--oracle", action="store_true", help="also run the ascent oracle")
-    p.add_argument("--restarts", type=int, default=6)
+    p.add_argument("--restarts", type=int, default=None, help="oracle restarts (default 6)")
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--seed", type=int, default=None, help="oracle seed (default 42)")
     p.set_defaults(func=_cmd_dual_norm)
 
     p = sub.add_parser("delta-norm", help="point-evaluation norm bounds")
@@ -339,7 +343,7 @@ def build_parser() -> _Parser:
     p.add_argument("--beta", type=float, default=None)
     p.add_argument("--p", type=float, default=2.0)
     p.add_argument("--horizon", type=int, default=10 ** 5,
-                   help="log-power (at most 10**8, time linear in it) and power only")
+                   help="log-power and power only, O(1) at any horizon below 2**53")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=_cmd_schur_test)
 

@@ -5,19 +5,20 @@ Every infinite series evaluated in this package is returned as an
 to contain the exact value.  Finite sums are returned as plain floats.
 
 Error model of ``kernels.hurwitz_zeta``, ``kernels.power_segment``,
-``sequences.ces_norm_stream`` (which ``ces_norm`` is, over the stored
-sequence's own blocks), ``dual.jagers_dual_norm``
-and the self-check bound of ``multipliers.multiplier_lower_estimate``
-on ``sequences.ar_norm``: a basic operation
-rounds to nearest (relative error <= ``U`` = 2**-53; power-of-two
-scaling and negation are exact); numpy's ``power``,
+``kernels.log_power_sum``, ``sequences.ces_norm_stream`` (which
+``ces_norm`` is, over the stored sequence's own blocks),
+``dual.jagers_dual_norm`` and the self-check bound of
+``multipliers.multiplier_lower_estimate`` on ``sequences.ar_norm``: a
+basic operation rounds to nearest (relative error <= ``U`` = 2**-53;
+power-of-two scaling and negation are exact); numpy's ``power``,
 ``log1p``, ``expm1`` and complex ``abs`` are within 4 ulps, a relative
 error <= ``LIB`` = 8 U (measured worst against mpmath on x86-64, numpy
-2.4: 0.70, 0.57, 0.50, 1.75 ulps); ``np.sum`` of a contiguous array is
-pairwise, at most ``pairwise_depth(n)`` additions per term;
-``math.fsum`` is correctly rounded; a result below the normal range is
-off by at most ``TINY``.  Relative errors are
-counted to first order, a step of condition number <= 1 passing its
+2.4: 0.70, 0.57, 0.50, 1.75 ulps), and so are ``log``, the scalar
+``**``, ``math.log1p`` and ``math.expm1`` (0.5, 0.5, 0.77, 0.73);
+``np.sum`` of a contiguous array is pairwise, at most
+``pairwise_depth(n)`` additions per term; ``math.fsum`` is correctly
+rounded; a result below the normal range is off by at most ``TINY``.
+Relative errors are counted to first order, a step of condition number <= 1 passing its
 argument's count on, and a count n becomes the bound ``gamma(n)`` =
 nU/(1 - nU) (Higham, "Accuracy and Stability of Numerical Algorithms",
 Lemma 3.1).  A power x^t whose exponent t was itself rounded is off by
@@ -47,8 +48,13 @@ n^(1-s) (-expm1(-s log1p(1/n))), carries 6 LIB + 7 roundings, its chunk
 of at most 2^20 terms adds ``pairwise_depth`` and the ``math.fsum`` of
 the chunks one more, so the explicit sum is widened by gamma of that
 count (about 100), and the tail sum_{n > terms} (n + 1)^(-2s) comes
-from ``hurwitz_zeta``.  All of this is engineering certification, not
-formally verified arithmetic.
+from ``hurwitz_zeta``.  ``kernels.log_power_sum`` (the Schur
+``log-power`` sums) widens by gamma of (c + 9) LIB + c (lam + 4) + 20
+roundings, five of them additions, times the terms' absolute sum, plus
+TINY per result that may underflow: c LIB comes from the log inside a
+power of condition c, and c lam, lam <= 3.61 (7.21 + 1/(c - 1) for a
+tail), from the rounded exponent c = q alpha.  All of this is
+engineering certification, not formally verified arithmetic.
 """
 
 from __future__ import annotations
@@ -152,11 +158,6 @@ class Enclosure:
     def root(self, p: float) -> "Enclosure":
         """p-th root of a nonnegative enclosure."""
         return self.power(1.0 / p)
-
-    def widen(self, slack: float) -> "Enclosure":
-        if slack < 0:
-            raise ValueError("slack must be nonnegative")
-        return Enclosure(self.lo - slack, self.hi + slack)
 
     def __repr__(self):
         return f"Enclosure({self.lo!r}, {self.hi!r})"

@@ -1,8 +1,8 @@
 """Number-theoretic and special-function kernels.
 
 Prime generation, membership in the p_1..p_r-smooth integers, certified
-Hurwitz zeta values and power-sum segments (and the real zeta values,
-tails and power sums taken from them), the principal
+Hurwitz zeta values, power-sum segments (and the real zeta values, tails
+and power sums taken from them) and sums of 1/(n (log n)^c), the principal
 Lambert W branch, and the derivative of (x log x)**alpha used by the
 prime-supported multiplier test functions.
 
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .enclosure import LIB, Enclosure, gamma, ulp_down, ulp_up
+from .enclosure import LIB, TINY, Enclosure, gamma, ulp_down, ulp_up
 from .errors import ConvergenceError, DomainError
 
 # Odd numbers per sieve segment: a 1 MB flag array.
@@ -317,6 +317,65 @@ def zeta_real(x: float) -> Enclosure:
     if x > _MAX_HURWITZ_EXPONENT:
         return Enclosure(1.0, ulp_up(1.0 + 2.0 ** -x * (1.0 + 2.0 / (x - 1.0))))
     return _single(*hurwitz_zeta(x, [1]))
+
+
+_LOG_HEAD = 2 ** 12
+
+
+def log_power_sum(c: float, a: int, b: int | None = None) -> Enclosure:
+    """Enclosure of sum_{a <= n < b} 1/(n (log n)^c) for integers
+    2 <= a < b <= 2**53 and real c > 0, or of the tail sum_{n >= a} when
+    ``b`` is None and c > 1; c may carry one rounding, as q alpha does.
+
+    An explicit head below N0 = 2**12, then Euler-Maclaurin with one
+    Bernoulli term: f(x) = 1/(x (log x)^c) is completely monotone, so the
+    remainder lies between 0 and the first omitted term, as in ``hurwitz_zeta``.
+    """
+    stop = _MAX_EXACT_INDEX if b is None else b
+    if not (0.0 < c < math.inf and 2 <= a < stop <= _MAX_EXACT_INDEX
+            and (b is not None or c > 1.0)
+            and abs(c * math.log(math.log(a)) + math.log(a)) < 690.0):
+        raise DomainError(f"log-power sums need 2 <= a < b <= 2**53, c > 0 (c > 1 for a tail) "
+                          f"and a first term in the float64 range, got c={c}, a={a}, b={b}")
+    # The first and largest term lies within e^+-690, so the sum stays
+    # finite and every factor applied to f(x) at x >= N0 below is < 1
+    # (c/L < 900 there): an underflow loses at most TINY.
+    ns = np.arange(a, min(stop, _LOG_HEAD), dtype=np.float64)
+    total = size = math.fsum((np.log(ns) ** -c / ns).tolist())
+    # From A = max(a, N0) to B (inf for a tail), with L = log x:
+    # S = I + (f(A) - f(B))/2 + (f'(B) - f'(A))/12 + R, and the integral
+    # I = L_A^(1-c) (1 - (L_A/L_B)^(c-1))/(c-1) (log(L_B/L_A) at c = 1)
+    # comes from log1p and expm1 as in ``power_segment``; at B = inf it is
+    # L_A^(1-c)/(c-1).  1 + y and log(1 + y) are Bernstein functions of
+    # y = x - 1, and t^-1 and t^-c completely monotone, so f is completely
+    # monotone (Schilling, Song and Vondracek, "Bernstein Functions", 2012,
+    # ch. 3) and R lies between 0 and -(f'''(B) - f'''(A))/720.  When
+    # b <= N0 the segment [b, b) is empty and its terms cancel exactly.
+    start, end = max(a, min(stop, _LOG_HEAD)), math.inf if b is None else b
+    # f, -f'/12 and -f'''/720 at A and B, all positive (0 at B = inf)
+    x = np.array([start, end], dtype=np.float64)
+    lx = np.log(x)
+    f, u = lx ** -c / x, 1.0 / lx
+    d1 = f * ((1.0 + c * u) / x) / 12.0
+    d3 = f * ((6.0 + c * u * (11.0 + (c + 1.0) * u * (6.0 + (c + 2.0) * u))) / (x * x * x)) / 720.0
+    ell = math.log1p(math.log1p((end - start) / start) / lx[0])
+    integral = ell if c == 1.0 else lx[0] ** (1.0 - c) * -math.expm1((1.0 - c) * ell) / (c - 1.0)
+    total += integral + 0.5 * (f[0] - f[1]) + (d1[0] - d1[1])
+    size += integral + 0.5 * (f[0] + f[1]) + d1[0] + d1[1] + d3[0] + d3[1]
+    # The head terms are within (c + 1) LIB + 2 U (log, power of
+    # condition c, quotient, fsum), f within (c + 1) LIB + 1, the f' and
+    # f''' terms within (c + 2) LIB + 7 and (c + 4) LIB + 19; log(L_B/L_A)
+    # within 3 LIB + 2, so the integral within 9 LIB + 15 for c < 1
+    # (expm1 of condition <= 2: L_B/L_A <= 4.5) and (c + 4) LIB + 4c + 7
+    # for c >= 1, counting |(1 - c) log L_A| U for the rounded exponent.
+    # Five additions join the six terms.  A c rounded by U moves the sum
+    # by at most c lam U of itself: lam bounds |log L| over a finite sum
+    # (log log 2**53 < 3.61) or, for a tail from A, 2 log L_A + 1/(c-1)
+    # (f is convex and f log L decreasing).  Each of about 2 N0 + 16
+    # results may underflow.
+    lam = 3.61 if b is not None else 7.21 + 1.0 / (c - 1.0)
+    margin = gamma((c + 9.0) * LIB + c * (lam + 4.0) + 20.0) * size + (2 * _LOG_HEAD + 32) * TINY
+    return Enclosure(ulp_down(total - (d3[0] - d3[1]) - margin, 2), ulp_up(total + margin))
 
 
 # ---------------------------------------------------------------------------

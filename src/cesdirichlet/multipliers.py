@@ -30,7 +30,7 @@ identity numerically from both sides:
   whether coefficientwise multiplication by a sequence family (finitely
   supported, (log n)^-alpha, n^-beta) maps the space into the
   multiplier algebra, via the summability of  sup_{k>=n} |b_k|^q / k;
-  only log-power and power take a horizon (``schur-test --horizon``).
+  only log-power and power take a horizon (``schur-test --horizon``), each in O(1).
 
 The quotient estimates converge to the multiplier norm only in a limit
 whose entry threshold (n_m of order p_{r_m}^{m r_m}) is far beyond any
@@ -40,21 +40,21 @@ rigorous limit and are flagged as such, never silently asserted.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import sequences
-from .enclosure import EPS, LIB, TINY, Enclosure, gamma, ulp_down, ulp_up
-from .errors import DomainError, ResourceLimitError, SelfCheckError, WindowNotFoundError
+from .enclosure import LIB, TINY, Enclosure, gamma, ulp_down, ulp_up
+from .errors import DomainError, SelfCheckError, WindowNotFoundError
 from .kernels import (
     PrimeTable,
     decrease_onset,
     phi_alpha_deriv_vec,
     phi_xlogx,
     lambert_w,
+    log_power_sum,
     power_sum_range,
     zeta_real,
 )
@@ -63,9 +63,6 @@ from .series import DirichletPoly, convolve, product_blocks, truncate
 
 HEURISTIC_WINDOW_FLAG = "heuristic-window"
 DESK_SCALE_FLAG = "desk-scale"
-
-# ``schur_log_power`` sums every term up to its horizon, about 70 ns each
-_LOG_POWER_HORIZON_GUARD = 10 ** 8
 
 
 @dataclass(frozen=True)
@@ -405,42 +402,23 @@ def schur_finite(b: CoeffSeq, e: Exponent) -> tuple[str, Enclosure]:
     return "schur", Enclosure(ulp_down(total, 4), ulp_up(total, 4))
 
 
-def _log_power_terms(c: float, horizon: int):
-    """t_n = (log n)^-c / n for n = 2..horizon, computed in blocks of BLOCK."""
-    step = sequences.BLOCK
-    for s in range(2, horizon + 1, step):
-        ns = np.arange(s, min(s + step, horizon + 1), dtype=np.float64)
-        yield from (np.log(ns) ** -c / ns).tolist()
-
-
 def schur_log_power(alpha: float, e: Exponent, horizon: int) -> tuple[str, Enclosure]:
     """Schur test of b_n = (log n)^-alpha, n >= 2: 'schur' iff q alpha > 1,
-    enclosing the terms to the horizon plus an integral tail bracket;
-    'not_schur' encloses only the partial sum to the horizon.  Every term
-    is summed, so horizons past ``_LOG_POWER_HORIZON_GUARD`` are refused."""
+    enclosing the whole sup-sum; 'not_schur' encloses only the partial sum
+    to the horizon.  Both are ``log_power_sum`` calls, O(1) at any horizon."""
     if not 0 < alpha < math.inf:
         raise DomainError(f"log_power needs a finite alpha > 0, got {alpha}")
     if not 2 <= horizon < 2 ** 53:
         raise DomainError(f"horizon must lie in [2, 2**53), got {horizon}")
-    if horizon > _LOG_POWER_HORIZON_GUARD:
-        raise ResourceLimitError(
-            f"log-power horizon {horizon} exceeds the {_LOG_POWER_HORIZON_GUARD} time guard")
     c = e.q * alpha
-    # t_n is decreasing from n = 2, so sup_{k>=n} t_k = t_n; the n = 1
-    # term equals t_2 (the sequence starts at 2).  fsum is exact, so the
-    # blocks do not change the sum.
-    terms = _log_power_terms(c, horizon)
-    t2 = next(terms)
-    partial = t2 + math.fsum(itertools.chain([t2], terms))
+    # t_n = (log n)^-c / n is decreasing from n = 2, so sup_{k>=n} t_k = t_n;
+    # the n = 1 term equals t_2 (the sequence starts at 2)
+    t2 = log_power_sum(c, 2, 3)
     if c > 1.0:
-        # integral brackets for the tail sum_{k>horizon} 1/(k log^c k)
-        lo = math.log(horizon + 1.0) ** (1.0 - c) / (c - 1.0)
-        hi = math.log(float(horizon)) ** (1.0 - c) / (c - 1.0)
-        tail = Enclosure(ulp_down(lo, 2), ulp_up(hi, 2))
-        return "schur", (tail + partial).widen(4.0 * EPS * partial)
+        return "schur", t2 + log_power_sum(c, 2)
     # c <= 1: termwise at least 1/(n log n) for n >= 3 up to a constant,
     # and sum 1/(n log n) diverges
-    return "not_schur", Enclosure(ulp_down(partial, 4), ulp_up(partial, 4))
+    return "not_schur", t2 + log_power_sum(c, 2, horizon + 1)
 
 
 def schur_power(beta: float, e: Exponent, horizon: int) -> tuple[str, Enclosure]:

@@ -1,4 +1,4 @@
-"""Containment of the certified Hurwitz and segment kernels, of
+"""Containment of the certified Hurwitz, segment and log-power kernels, of
 ``ces_norm`` (whole, cut into small blocks, and streamed products) and
 of ``jagers_dual_norm``.
 
@@ -21,7 +21,7 @@ from dense_reference import dense_zeta_tail
 from cesdirichlet.enclosure import EPS, LIB, U, Enclosure, ulp_down, ulp_up
 from cesdirichlet.errors import DomainError
 from cesdirichlet.dual import SENTINEL, jagers_dual_norm
-from cesdirichlet.kernels import hurwitz_zeta, power_segment
+from cesdirichlet.kernels import hurwitz_zeta, log_power_sum, power_segment
 from cesdirichlet import sequences
 from cesdirichlet.sequences import (CoeffSeq, Exponent, _prefix_sums, abs_sum_exponent, ces_norm,
                                     ces_norm_stream)
@@ -137,6 +137,66 @@ def test_segment_domain():
             power_segment(2.0, np.array(a), np.array(b))
     with pytest.raises(DomainError):
         power_segment(30.0, np.array([1]), np.array([10 ** 12]))
+
+
+def mp_log_power_sum(c, a, b):
+    """sum_{a <= n < b} 1/(n (log n)^c) at 25 digits: fsum below 64, mpmath.sumem
+    on the finite rest (sumem over [N, inf] is off by percents at c near 1).
+    For b None, the sum to H = 1e15 plus the tail L(H)^(1-c)/(c-1) - f(H)/2,
+    whose next term f'(H)/12 is below 1e-30 of it."""
+    with mpmath.workdps(25):
+        c = mpmath.mpf(c)
+
+        def f(n):
+            return 1 / (n * mpmath.log(n) ** c)
+
+        if b is None:
+            big = mpmath.mpf(10 ** 15)
+            tail = mpmath.log(big) ** (1 - c) / (c - 1) - f(big) / 2
+            return mp_log_power_sum(c, a, 10 ** 15 + 1) + tail
+        head = mpmath.fsum(f(mpmath.mpf(n)) for n in range(a, min(b, 64)))
+        return head + (mpmath.sumem(f, [max(a, 64), b - 1]) if b > 64 else 0)
+
+
+@pytest.mark.parametrize("p", (1.5, 2.0, 3.0, 7.0))
+def test_log_power_contains_mpmath(p):
+    # every horizon H of the schur-test grid (the kernel over [2, H + 1)),
+    # the N0 = 4096 edge, and the infinite sum
+    for alpha in (0.05, 0.3, 0.4, 1.0, 3.0):
+        c = Exponent.from_p(p).q * alpha
+        for b in (3, 4, 4096, 4097, 4098, 10 ** 5 + 1, 10 ** 15 + 1) + ((None,) if c > 1.0 else ()):
+            ref = mp_log_power_sum(c, 2, b)
+            enc = log_power_sum(c, 2, b)
+            assert enc.lo <= ref <= enc.hi, (p, alpha, b, enc, ref)
+            assert enc.width <= 1e-13 * enc.hi, (p, alpha, b, enc)
+
+
+@pytest.mark.parametrize("c, a, b", [
+    (0.3, 4096, 4097), (2.0, 4095, 4100), (1.0, 10 ** 12, 10 ** 12 + 5),
+    (3.0, 2 ** 53 - 3, 2 ** 53), (1.5, 5000, 10 ** 15), (0.7, 3, 10 ** 9),
+    (1.2, 10 ** 6, None), (9.0, 4096, None), (300.0, 3, 5000),
+])
+def test_log_power_segments_contain_mpmath(c, a, b):
+    # segments off the schur-test path: short ones at large a, where the
+    # Euler-Maclaurin differences cancel, and large c
+    if b is not None and b - a <= 40:
+        ref = mpmath.fsum(1 / (mpmath.mpf(n) * mpmath.log(n) ** c) for n in range(a, b))
+    else:
+        ref = mp_log_power_sum(c, a, b)
+    enc = log_power_sum(c, a, b)
+    assert enc.lo <= ref <= enc.hi, (c, a, b, enc, ref)
+    # the margin grows like c: each log sits inside a power of condition c
+    assert enc.width <= 5e-15 * (c + 10.0) * enc.hi
+
+
+@pytest.mark.parametrize("c, a, b", [
+    (1.0, 2, None), (0.5, 1, 10), (2.0, 5, 5), (2.0, 2, 2 ** 53 + 1), (0.0, 2, 10),
+    (math.inf, 3, 10), (math.nan, 2, 10), (1e300, 2, 3), (2000.0, 2, 10), (200.0, 2 ** 50, None),
+])
+def test_log_power_domain(c, a, b):
+    # bad ranges, a divergent tail, and first terms outside the float64 range
+    with pytest.raises(DomainError):
+        log_power_sum(c, a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +324,11 @@ def mp_dual_norm(b: CoeffSeq, p: float):
     sentinel last) and the dual norm at 40 digits, B_k = zeta(p, k)."""
     s = mpmath.mpf(p)
     q = s / (s - 1)
-    w = [mpmath.hypot(v.real, v.imag) for v in b.val.tolist()] + [mpmath.mpf(0)]
+    with mpmath.workprec(4400):
+        # moduli from exact squares: |1e-38 + 1j| must exceed |1| as it
+        # does in ``jagers_dual_norm``'s exact comparison, which 40 digits
+        # cannot tell
+        w = [mpmath.hypot(v.real, v.imag) for v in b.val.tolist()] + [mpmath.mpf(0)]
     big = [mpmath.zeta(s, n) for n in b.idx.tolist()] + [mpmath.mpf(0)]
     pos = max(k for k, v in enumerate(w) if v == max(w))
     chain, total = [pos], mpmath.mpf(0)

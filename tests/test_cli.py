@@ -175,6 +175,26 @@ def test_unread_options_are_usage_errors(tmp_path, capsys, argv):
     assert captured.out == "" and "unrecognized arguments" in captured.err
 
 
+@pytest.mark.parametrize("extra", [["--restarts", "4"], ["--seed", "3"], ["--seed", "42"],
+                                   ["--restarts", "6", "--seed", "42"]])
+def test_dual_norm_oracle_options_need_oracle(tmp_path, capsys, extra):
+    # dual-norm reads --restarts and --seed only under --oracle
+    path = write_coeffs(tmp_path, "f.json", UNIT)
+    assert parse_and_dispatch(["dual-norm", "--p", "2", "--input", path, *extra]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--oracle only" in captured.err
+
+
+def test_dual_norm_oracle_defaults(tmp_path, capsys):
+    path = write_coeffs(tmp_path, "f.json", [{"n": 1, "re": 1.0}, {"n": 3, "re": -0.5}])
+    base = ["dual-norm", "--p", "1.5", "--input", path, "--oracle"]
+    outs = []
+    for extra in ([], ["--restarts", "6", "--seed", "42"]):
+        assert parse_and_dispatch([*base, *extra]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+
+
 def test_unknown_verb_exit():
     assert parse_and_dispatch(["frobnicate"]) == 1
 
@@ -264,16 +284,16 @@ def test_schur_verb(capsys):
     assert rec["verdict"] == "schur"
 
 
-def test_schur_log_power_far_horizon_exits_2(capsys):
-    # log-power sums every term up to the horizon: past 10**8 it is
-    # refused at once rather than run for hours
+def test_schur_log_power_far_horizon_exits_0(capsys):
+    # log-power is O(1) in the horizon: 10**12 answers at once
     t0 = time.perf_counter()
-    code = parse_and_dispatch(["schur-test", "--kind", "log-power", "--alpha", "1",
+    code = parse_and_dispatch(["schur-test", "--kind", "log-power", "--alpha", "0.4",
                                "--horizon", "1000000000000"])
     assert time.perf_counter() - t0 < 1.0
-    assert code == 2
-    captured = capsys.readouterr()
-    assert captured.out == "" and "guard" in captured.err
+    assert code == 0
+    rec = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)["records"][0]
+    assert rec["verdict"] == "not_schur"
+    assert 0.0 < rec["value"]["lo"] <= rec["value"]["hi"] < math.inf
 
 
 @pytest.mark.parametrize("beta, verdict", [("0", "not_schur"), ("0.5", "schur")])
@@ -453,6 +473,8 @@ def test_norms_huge_coefficients_finite(tmp_path, capsys, argv):
     (["schur-test", "--kind", "power", "--beta", "inf"], UNIT),
     (["schur-test", "--kind", "log-power", "--alpha", "nan"], UNIT),
     (["schur-test", "--kind", "log-power", "--alpha", "inf"], UNIT),
+    (["schur-test", "--kind", "log-power", "--alpha", "1e300"], UNIT),
+    (["schur-test", "--kind", "log-power", "--alpha", "1", "--p", "1.0000000001"], UNIT),
     (["schur-test", "--kind", "power", "--beta=-1000"], UNIT),
     (["schur-test", "--kind", "power", "--beta=-300", "--horizon", "100000"], UNIT),
     (["schur-test", "--kind", "power", "--beta=-154.5", "--horizon", "10"], UNIT),

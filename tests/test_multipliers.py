@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from cesdirichlet import multipliers, sequences
-from cesdirichlet.enclosure import EPS, Enclosure, ulp_down, ulp_up
-from cesdirichlet.errors import DomainError, ResourceLimitError, SelfCheckError, WindowNotFoundError
-from cesdirichlet.kernels import (decrease_onset, lambert_w, phi_alpha_deriv_vec, phi_xlogx,
-                                  sieve_primes)
+from cesdirichlet.enclosure import ulp_down, ulp_up
+from cesdirichlet.errors import DomainError, SelfCheckError, WindowNotFoundError
+from cesdirichlet.kernels import (decrease_onset, lambert_w, log_power_sum, phi_alpha_deriv_vec,
+                                  phi_xlogx, sieve_primes)
 from cesdirichlet.multipliers import (
     HEURISTIC_WINDOW_FLAG,
     build_test_function,
@@ -467,61 +467,43 @@ def test_sequence_spec_validation():
         schur_power(-1.0, E2, 2 ** 53)
 
 
-def _dense_log_power_sum(c, horizon):
-    # the former dense form: every term of the horizon in one array
-    ns = np.arange(2, horizon + 1, dtype=np.float64)
-    terms = np.log(ns) ** -c / ns
-    return float(terms[0] + math.fsum(terms))
-
-
-@pytest.mark.parametrize("block", [1, 3, 16, 1 << 15])
-def test_schur_log_power_blocks_bitwise(monkeypatch, block):
-    # fsum is exact whatever the chunking: the blocked partial sum, hence
-    # the enclosure, equals the dense one bit for bit, across block edges
-    monkeypatch.setattr(sequences, "BLOCK", block)
-    horizons = [2, 3, 17, 18, 1000] if block < 1 << 15 else [2, 17, 40_000, 65_537, 100_001]
-    for p in (1.1, 1.5, 2.0, 3.0):
+def test_schur_log_power_is_kernel_calls():
+    # t_2 (the n = 1 term) plus the whole sum for q alpha > 1, plus the
+    # partial sum to the horizon otherwise
+    for p in (1.5, 2.0, 3.0):
         e = Exponent.from_p(p)
         for alpha in (0.3, 0.5, 1.0, 2.5):
-            for horizon in horizons:
-                partial = _dense_log_power_sum(e.q * alpha, horizon)
+            c = e.q * alpha
+            t2 = log_power_sum(c, 2, 3)
+            for horizon in (2, 17, 4096, 100_001):
                 verdict, enc = schur_log_power(alpha, e, horizon)
-                if verdict == "not_schur":
-                    assert (enc.lo, enc.hi) == (ulp_down(partial, 4), ulp_up(partial, 4))
-                else:
-                    c = e.q * alpha
-                    lo = math.log(horizon + 1.0) ** (1.0 - c) / (c - 1.0)
-                    hi = math.log(float(horizon)) ** (1.0 - c) / (c - 1.0)
-                    tail = Enclosure(ulp_down(lo, 2), ulp_up(hi, 2))
-                    want = (tail + partial).widen(4.0 * EPS * partial)
-                    assert (enc.lo, enc.hi) == (want.lo, want.hi)
+                rest = log_power_sum(c, 2) if c > 1.0 else log_power_sum(c, 2, horizon + 1)
+                assert verdict == ("schur" if c > 1.0 else "not_schur")
+                assert (enc.lo, enc.hi) == ((t2 + rest).lo, (t2 + rest).hi)
 
 
 def test_schur_log_power_memory():
-    # blocks of 2**15 terms (1.5 MiB traced): the dense arange and its
-    # temporaries at this horizon took 69 MiB
+    # an explicit head below 2**12 and one Euler-Maclaurin segment: the
+    # former per-term loop traced 1.5 MiB at horizon 3e6
     tracemalloc.start()
     try:
-        verdict, _ = schur_log_power(1.0, E2, 3 * 10 ** 6)
+        verdict, _ = schur_log_power(0.4, E2, 2 ** 53 - 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert verdict == "schur"
-    assert peak <= 8 * 2 ** 20
+    assert verdict == "not_schur"
+    assert peak <= 2 ** 20
 
 
-def test_schur_log_power_horizon_guard(monkeypatch):
-    # time is linear in the horizon, so past 10**8 the test is refused
-    # before a single term is computed
-    def no_terms(c, horizon):
-        raise AssertionError("a term was computed")
-
-    monkeypatch.setattr(multipliers, "_log_power_terms", no_terms)
-    for horizon in (10 ** 8 + 1, 10 ** 12, 2 ** 53 - 1):
-        with pytest.raises(ResourceLimitError, match="guard"):
-            schur_log_power(1.0, E2, horizon)
-    with pytest.raises(AssertionError, match="a term was computed"):
-        schur_log_power(1.0, E2, 10 ** 8)
+def test_schur_log_power_any_horizon():
+    # O(1) at every horizon below 2**53; the partial sums grow with it
+    # and the whole sum does not depend on it
+    last = 0.0
+    for horizon in (10 ** 8, 10 ** 8 + 1, 10 ** 12, 2 ** 53 - 1):
+        verdict, enc = schur_log_power(0.4, E2, horizon)
+        assert verdict == "not_schur" and math.isfinite(enc.hi) and enc.lo > last
+        last = enc.hi
+        assert schur_log_power(1.0, E2, horizon) == schur_log_power(1.0, E2, 2)
 
 
 def test_schur_power_negative_beta_witness():
