@@ -15,6 +15,7 @@ order-insensitive on input, canonical ascending on output.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -46,13 +47,22 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@contextlib.contextmanager
+def _opened(path: str, mode: str):
+    """``open(path, mode)`` for every file the CLI reads or writes: a failure
+    to open, read, decode or write it raises InputError (exit 2)."""
+    try:
+        with open(path, mode, encoding="utf-8") as fh:
+            yield fh
+    except (OSError, UnicodeDecodeError) as ex:
+        raise InputError(f"{path}: {ex}") from ex
+
+
 def load_coeffs(path: str) -> CoeffSeq:
     """Read and validate a sparse coefficient file."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with _opened(path, "r") as fh:
             payload = json.load(fh)
-    except OSError as ex:
-        raise InputError(f"{path}: {ex}") from ex
     except json.JSONDecodeError as ex:
         raise InputError(f"{path}: malformed JSON at line {ex.lineno}, column {ex.colno}") from ex
     if not isinstance(payload, dict) or "coeffs" not in payload:
@@ -95,6 +105,8 @@ def dump_coeffs(seq: CoeffSeq) -> dict:
 # ---------------------------------------------------------------------------
 
 def _cmd_norm(args, out):
+    if args.r is not None and args.space != "ar":
+        raise _UsageError("--r applies to --space ar only")
     seq = load_coeffs(args.input)
     rec = {"space": args.space, "input": args.input}
     if args.space == "ces":
@@ -164,13 +176,12 @@ def _cmd_convolve(args, out):
     f = DirichletPoly(load_coeffs(args.input))
     g = DirichletPoly(load_coeffs(args.with_input))
     h = convolve(f, g, args.limit)
-    payload = dump_coeffs(h.coeffs)
+    text = json.dumps(dump_coeffs(h.coeffs), indent=2, sort_keys=True) + "\n"
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        with _opened(args.output, "w") as fh:
+            fh.write(text)
     else:
-        out.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        out.write(text)
     return EXIT_OK
 
 
@@ -214,6 +225,9 @@ def _cmd_monomial_check(args, out):
 
 
 def _cmd_schur_test(args, out):
+    for flag, kind in (("input", "finite"), ("alpha", "log-power"), ("beta", "power")):
+        if getattr(args, flag) is not None and args.kind != kind:
+            raise _UsageError(f"--{flag} applies to --kind {kind} only")
     e = Exponent.from_p(args.p)
     if args.kind == "finite":
         if not args.input:
@@ -248,17 +262,18 @@ def _cmd_verify(args, out):
                 note += "  ** over budget **"
         sys.stderr.write(note + "\n")
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
+        with _opened(args.report, "w") as fh:
             fh.write(emit_report([r.as_record() for r in results], args.format, kind="verify"))
     return EXIT_OK if all(r.passed for r in results) else EXIT_VERIFY
 
 
 def _cmd_report(args, out):
-    with open(args.input, "r", encoding="utf-8") as fh:
-        try:
-            records = parse_json(fh.read())
-        except (json.JSONDecodeError, KeyError) as ex:
-            raise InputError(f"{args.input}: not a valid report file ({ex})") from ex
+    with _opened(args.input, "r") as fh:
+        text = fh.read()
+    try:
+        records = parse_json(text)
+    except ValueError as ex:  # malformed JSON, or not a list of records
+        raise InputError(f"{args.input}: not a valid report file ({ex})") from ex
     out.write(emit_report(records, args.format, kind=args.kind))
     return EXIT_OK
 

@@ -50,6 +50,10 @@ from .sequences import CoeffSeq, Exponent, _scale, _unscale
 SENTINEL = math.inf
 
 _ORACLE_SUPPORT_GUARD = 8
+# coordinate sweeps per ascent of the oracle
+_ORACLE_SWEEPS = 24
+# absolute slack of the Bennett equivalence window, scaled by max(1, dq)
+_BENNETT_SLACK = 1e-9
 
 # an orientation cross product (|b_i| - |b_j| +- err) S: the difference,
 # the error term, the product and the factor one rounding each
@@ -119,8 +123,8 @@ def _chain_norm(db_lo: np.ndarray, db_hi: np.ndarray, d_lo: np.ndarray, d_hi: np
     top (sum_k (v_k/top)^q)^(1/q) with top = max v_k so that nothing
     overflows.  A rounded exponent t moves x^t by |t log x| U besides
     the power's own LIB; a result below the normal range is off by TINY."""
-    # q and 1/q from p, one rounding each, whatever the rounding of e.q
-    t, q, r = -1.0 / e.p, e.p / (e.p - 1.0), (e.p - 1.0) / e.p
+    # q and 1/q from p, one rounding each
+    t, q, r = -1.0 / e.p, e.q, (e.p - 1.0) / e.p
     spread = max(float(np.max(np.abs(np.log(d_lo)))), float(np.max(np.abs(np.log(d_hi)))))
     # delta_b 2, exponent |t| spread, power LIB, product 1, factor 1
     g = gamma(4 + LIB + abs(t) * spread)
@@ -197,8 +201,7 @@ def jagers_dual_norm(b: CoeffSeq, e: Exponent) -> JagersTrace:
 # Independent optimization oracle
 # ---------------------------------------------------------------------------
 
-def dual_norm_oracle(b: CoeffSeq, e: Exponent, restarts: int,
-                     seed: int = 0, sweeps: int = 24) -> float:
+def dual_norm_oracle(b: CoeffSeq, e: Exponent, restarts: int, seed: int = 0) -> float:
     """Numerical sup of |<a, b>| over ces-unit-ball a supported in supp(b).
 
     Aligning phases reduces the problem to maximizing sum x_n |b_n| over
@@ -244,7 +247,7 @@ def dual_norm_oracle(b: CoeffSeq, e: Exponent, restarts: int,
 
     def ascend(x: list[float]) -> float:
         best = ratio(x)
-        for _ in range(sweeps):
+        for _ in range(_ORACLE_SWEEPS):
             improved = best
             for i in range(m):
                 def f(t):
@@ -294,15 +297,15 @@ def dual_norm_oracle(b: CoeffSeq, e: Exponent, restarts: int,
     return float(best)
 
 
-def bennett_equivalence_check(b: CoeffSeq, e: Exponent, slack: float = 1e-9) -> bool:
+def bennett_equivalence_check(b: CoeffSeq, e: Exponent) -> bool:
     """True iff the certified dual-norm enclosure sits inside the
     two-sided majorant-norm equivalence window
-    [(1/q) dq, (p-1)^(1/p) dq] widened by ``slack``."""
+    [(1/q) dq, (p-1)^(1/p) dq] widened by ``_BENNETT_SLACK``."""
     from .sequences import dq_norm
 
     trace = jagers_dual_norm(b, e)
     dq = dq_norm(b, e)
-    pad = slack * max(1.0, dq)
+    pad = _BENNETT_SLACK * max(1.0, dq)
     lo_bound = dq / e.q - pad
     hi_bound = (e.p - 1.0) ** (1.0 / e.p) * dq + pad
     return lo_bound <= trace.norm.lo and trace.norm.hi <= hi_bound

@@ -62,7 +62,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-EPS = 2.0 ** -52
 U = 2.0 ** -53
 LIB = 8.0
 TINY = 2.0 ** -1074
@@ -94,7 +93,8 @@ def ulp_down(x: float, steps: int = 1) -> float:
 
 @dataclass(frozen=True)
 class Enclosure:
-    """A closed interval [lo, hi] with finite endpoints, lo <= hi."""
+    """A closed interval [lo, hi] with finite endpoints, lo <= hi.  Sums
+    with an Enclosure or a float, ``power`` and ``root`` round outward."""
 
     lo: float
     hi: float
@@ -104,10 +104,6 @@ class Enclosure:
             raise ValueError(f"enclosure endpoints must be finite: [{self.lo}, {self.hi}]")
         if self.lo > self.hi:
             raise ValueError(f"inverted enclosure: [{self.lo}, {self.hi}]")
-
-    @staticmethod
-    def exact(x: float) -> "Enclosure":
-        return Enclosure(float(x), float(x))
 
     @property
     def width(self) -> float:
@@ -131,22 +127,6 @@ class Enclosure:
         o = float(other)
         return Enclosure(ulp_down(self.lo + o), ulp_up(self.hi + o))
 
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, Enclosure):
-            return Enclosure(ulp_down(self.lo - other.hi), ulp_up(self.hi - other.lo))
-        o = float(other)
-        return Enclosure(ulp_down(self.lo - o), ulp_up(self.hi - o))
-
-    def scale(self, c: float) -> "Enclosure":
-        """Multiply by a nonnegative scalar."""
-        if c < 0:
-            raise ValueError("scale factor must be nonnegative")
-        if c == 0:
-            return Enclosure(0.0, 0.0)
-        return Enclosure(ulp_down(self.lo * c), ulp_up(self.hi * c))
-
     def power(self, t: float) -> "Enclosure":
         """x -> x**t for t > 0, requires lo >= 0 (monotone on [0, inf))."""
         if t <= 0:
@@ -162,16 +142,3 @@ class Enclosure:
     def __repr__(self):
         return f"Enclosure({self.lo!r}, {self.hi!r})"
 
-
-def div_pos(num, den: Enclosure) -> Enclosure:
-    """(num / den) for a nonnegative numerator and a strictly positive
-    denominator enclosure.  ``num`` may be a float or an Enclosure."""
-    if den.lo <= 0:
-        raise ZeroDivisionError("denominator enclosure must be strictly positive")
-    if isinstance(num, Enclosure):
-        nlo, nhi = num.lo, num.hi
-    else:
-        nlo = nhi = float(num)
-    if nlo < 0:
-        raise ValueError("numerator must be nonnegative")
-    return Enclosure(ulp_down(nlo / den.hi), ulp_up(nhi / den.lo))

@@ -64,6 +64,11 @@ from .series import DirichletPoly, convolve, product_blocks, truncate
 HEURISTIC_WINDOW_FLAG = "heuristic-window"
 DESK_SCALE_FLAG = "desk-scale"
 
+# absolute slack of the two norm inequalities, the monomial law and the
+# non-compactness bound, and the relative slack of the Lemma J sandwich
+_SLACK = 1e-10
+_LEMMA_J_REL_SLACK = 1e-12
+
 
 @dataclass(frozen=True)
 class MultiplierEstimate:
@@ -95,11 +100,10 @@ def monomial_multiplier_check(
     samples: int,
     j_probe: int,
     seed: int = 42,
-    slack: float = 1e-10,
 ) -> tuple[bool, float]:
     """Probe the monomial multiplier norm m^{-1/q} from both sides.
 
-    upper_ok: no random g violated  ||m^-s g|| <= m^{-1/q} ||g|| + slack
+    upper_ok: no random g violated  ||m^-s g|| <= m^{-1/q} ||g|| + 1e-10
     (hi endpoint of the product against lo endpoint of the bound).
     lower_est: the certified quotient for the probe g = j^-s, which is
     at least ((j-1)/(j m))^{1/q} and approaches m^{-1/q} as j grows.
@@ -119,7 +123,7 @@ def monomial_multiplier_check(
         prod = convolve(mono, g, m * g.max_index)
         lhs = ces_norm(prod.coeffs, e)
         rhs = ces_norm(g.coeffs, e)
-        if lhs.hi > bound * rhs.lo + slack:
+        if lhs.hi > bound * rhs.lo + _SLACK:
             upper_ok = False
     # single-monomial probe: ||m^-s j^-s|| / ||j^-s|| with exact supports
     num = ces_norm(CoeffSeq.from_pairs([(m * j_probe, 1.0)]), e)
@@ -322,7 +326,6 @@ def lemma_j_check(
     alpha: float,
     beta: float,
     j_set: list[int],
-    rel_slack: float = 1e-12,
 ) -> bool:
     """Check  C2^alpha - phi(r0)^alpha <= sum_{r in J} (phi^alpha)'(r)
     <= C1^alpha - phi(r0-1)^alpha  for an index set J wedged between the
@@ -363,7 +366,7 @@ def lemma_j_check(
         total = 0.0
     lo = c2 ** alpha - phi_r0 ** alpha
     hi = c1 ** alpha - phi_xlogx(float(r0 - 1)) ** alpha if r0 > 1 else c1 ** alpha
-    pad = rel_slack * max(1.0, abs(total))
+    pad = _LEMMA_J_REL_SLACK * max(1.0, abs(total))
     return lo - pad <= total <= hi + pad
 
 
@@ -371,9 +374,8 @@ def lemma_j_check(
 # Non-compactness inequality
 # ---------------------------------------------------------------------------
 
-def noncompactness_bound(f: DirichletPoly, m: int, e: Exponent,
-                         slack: float = 1e-10) -> bool:
-    """True iff  ||m^-s f||.hi >= (m^{1/p} / (2m)) ||f||.lo - slack,
+def noncompactness_bound(f: DirichletPoly, m: int, e: Exponent) -> bool:
+    """True iff  ||m^-s f||.hi >= (m^{1/p} / (2m)) ||f||.lo - 1e-10,
     i.e. the normalized form  ||m^{1/q} m^-s f|| >= (1/2) ||f||."""
     if f.is_zero:
         raise DomainError("the bound is vacuous for f = 0")
@@ -383,7 +385,7 @@ def noncompactness_bound(f: DirichletPoly, m: int, e: Exponent,
     lhs = ces_norm(prod.coeffs, e)
     rhs = ces_norm(f.coeffs, e)
     factor = float(m) ** (1.0 / e.p) / (2.0 * m)
-    return lhs.hi >= factor * rhs.lo - slack
+    return lhs.hi >= factor * rhs.lo - _SLACK
 
 
 # ---------------------------------------------------------------------------
@@ -398,8 +400,11 @@ def schur_finite(b: CoeffSeq, e: Exponent) -> tuple[str, Enclosure]:
     w = b.abs_values() ** e.q / b.idx.astype(np.float64)
     suffix_max = np.maximum.accumulate(w[::-1])[::-1]
     gaps = np.diff(np.concatenate(([0], b.idx)))
-    total = float(math.fsum(suffix_max * gaps))
-    return "schur", Enclosure(ulp_down(total, 4), ulp_up(total, 4))
+    try:
+        total = float(math.fsum(suffix_max * gaps))
+        return "schur", Enclosure(ulp_down(total, 4), ulp_up(total, 4))
+    except (OverflowError, ValueError):  # the sum, or an endpoint, is not finite
+        raise DomainError("the finite sup-sum exceeds the float64 range") from None
 
 
 def schur_log_power(alpha: float, e: Exponent, horizon: int) -> tuple[str, Enclosure]:

@@ -98,8 +98,12 @@ def to_json(records: list[dict]) -> str:
 
 
 def parse_json(text: str) -> list[dict]:
+    """The records of a JSON report; ValueError unless they are objects."""
     payload = json.loads(text)
-    return payload["records"]
+    records = payload.get("records") if isinstance(payload, dict) else None
+    if not isinstance(records, list) or not all(isinstance(r, dict) for r in records):
+        raise ValueError("expected an object with a 'records' array of objects")
+    return records
 
 
 def to_csv(records: list[dict], kind: str | None = None) -> str:

@@ -31,7 +31,7 @@ range raises.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -48,23 +48,20 @@ BLOCK = 1 << 15
 
 @dataclass(frozen=True)
 class Exponent:
-    """A pair of conjugate exponents, 1/p + 1/q = 1 with 1 < p < inf."""
+    """An exponent 1 < p < inf and its conjugate q = p / (p - 1), so that
+    1/p + 1/q = 1; q is derived, not given."""
 
     p: float
-    q: float
+    q: float = field(init=False)
 
     def __post_init__(self):
         if not (1.0 < self.p < math.inf):
             raise DomainError(f"p must lie in (1, inf), got {self.p}")
-        if abs(1.0 / self.p + 1.0 / self.q - 1.0) > 1e-15:
-            raise DomainError(f"(p, q) = ({self.p}, {self.q}) are not conjugate")
+        object.__setattr__(self, "q", self.p / (self.p - 1.0))
 
     @classmethod
     def from_p(cls, p: float) -> "Exponent":
-        p = float(p)
-        if not (1.0 < p < math.inf):
-            raise DomainError(f"p must lie in (1, inf), got {p}")
-        return cls(p=p, q=p / (p - 1.0))
+        return cls(float(p))
 
 
 class CoeffSeq:
@@ -152,9 +149,6 @@ class CoeffSeq:
                 and bool(np.all(self.idx == other.idx))
                 and bool(np.all(self.val == other.val)))
 
-    def __hash__(self):
-        return hash((self.idx.tobytes(), self.val.tobytes()))
-
     def __repr__(self):
         if len(self) <= 6:
             body = ", ".join(f"{n}:{v:g}" if v.imag else f"{n}:{v.real:g}"
@@ -169,11 +163,10 @@ def random_seq(
     max_len: int = 24,
     max_index: int = 300,
     integer: bool = False,
-    min_len: int = 1,
 ) -> CoeffSeq:
-    """min_len..max_len random indices in 1..max_index with standard complex
+    """1..max_len random indices in 1..max_index with standard complex
     normal values, or with ``integer`` integers in [-3, 3] (zeros dropped)."""
-    size = int(rng.integers(min_len, max_len + 1))
+    size = int(rng.integers(1, max_len + 1))
     idx = np.sort(rng.choice(np.arange(1, max_index + 1), size=size, replace=False))
     if integer:
         val = rng.integers(-3, 4, size=size).astype(np.complex128)

@@ -198,8 +198,7 @@ def run_monomial(seed: int = DEFAULT_SEED) -> SuiteResult:
     for p in (1.5, 2.0):
         e = Exponent.from_p(p)
         for m in (2, 3, 4, 10):
-            ok, lower = monomial_multiplier_check(m, e, samples=100, j_probe=10 ** 6,
-                                                  seed=seed, slack=1e-10)
+            ok, lower = monomial_multiplier_check(m, e, samples=100, j_probe=10 ** 6, seed=seed)
             target = float(m) ** (-1.0 / e.q)
             worst = min(worst, lower / target)
             if not ok:
@@ -308,7 +307,7 @@ def run_noncompactness(seed: int = DEFAULT_SEED) -> SuiteResult:
         e = Exponent.from_p(p)
         for m in (2, 8, 64):
             for k, a in enumerate(seqs):
-                if not noncompactness_bound(DirichletPoly(a), m, e, slack=1e-10):
+                if not noncompactness_bound(DirichletPoly(a), m, e):
                     failures.append(f"bound failed at p={p}, m={m}, seq #{k}")
     return _finish("noncompactness", 30.0, t0, failures, {"checked": 300})
 

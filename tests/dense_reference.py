@@ -15,8 +15,9 @@ import math
 
 import numpy as np
 
-from cesdirichlet.enclosure import EPS, Enclosure, ulp_down, ulp_up
+from cesdirichlet.enclosure import Enclosure, ulp_down, ulp_up
 
+EPS = 2.0 ** -52
 _SUM_CHUNK = 1 << 20
 
 

@@ -17,8 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense_reference import dense_zeta_tail
-from cesdirichlet.enclosure import EPS, LIB, U, Enclosure, ulp_down, ulp_up
+from dense_reference import EPS, dense_zeta_tail
+from cesdirichlet.enclosure import LIB, U, Enclosure, ulp_down, ulp_up
 from cesdirichlet.errors import DomainError
 from cesdirichlet.dual import SENTINEL, jagers_dual_norm
 from cesdirichlet.kernels import hurwitz_zeta, log_power_sum, power_segment

@@ -185,6 +185,26 @@ def test_dual_norm_oracle_options_need_oracle(tmp_path, capsys, extra):
     assert captured.out == "" and "--oracle only" in captured.err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["schur-test", "--kind", "power", "--beta", "1", "--alpha", "1"], "--alpha applies"),
+    (["schur-test", "--kind", "finite", "--input", "F", "--alpha", "1"], "--alpha applies"),
+    (["schur-test", "--kind", "log-power", "--alpha", "1", "--beta", "1"], "--beta applies"),
+    (["schur-test", "--kind", "finite", "--input", "F", "--beta", "1"], "--beta applies"),
+    (["schur-test", "--kind", "power", "--beta", "1", "--input", "F"], "--input applies"),
+    (["schur-test", "--kind", "log-power", "--alpha", "1", "--input", "F"], "--input applies"),
+    (["norm", "--space", "ces", "--r", "0.5", "--input", "F"], "--r applies"),
+    (["norm", "--space", "lp", "--r", "0.5", "--input", "F"], "--r applies"),
+    (["norm", "--space", "dq", "--r", "0.5", "--input", "F"], "--r applies"),
+])
+def test_options_of_other_kinds_are_usage_errors(tmp_path, capsys, argv, message):
+    # schur-test reads --input, --alpha and --beta for one kind each, and
+    # norm reads --r for --space ar only
+    path = write_coeffs(tmp_path, "f.json", UNIT)
+    assert parse_and_dispatch([path if a == "F" else a for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
+
+
 def test_dual_norm_oracle_defaults(tmp_path, capsys):
     path = write_coeffs(tmp_path, "f.json", [{"n": 1, "re": 1.0}, {"n": 3, "re": -0.5}])
     base = ["dual-norm", "--p", "1.5", "--input", path, "--oracle"]
@@ -362,6 +382,40 @@ def test_report_verb(tmp_path, capsys):
     assert out.splitlines()[0] == "m,alpha,prime_limit,conv_limit,ratio,reference,flag"
 
 
+@pytest.mark.parametrize("content", [None, b"\xff\xfe", "[]", '{"records": [1]}',
+                                     '{"records": {}}'])
+def test_report_bad_file_exits_2(tmp_path, capsys, content):
+    # a missing file, a file that is not UTF-8, and JSON that is not an
+    # object with a 'records' array of objects
+    src = tmp_path / "r.json"
+    if isinstance(content, bytes):
+        src.write_bytes(content)
+    elif content is not None:
+        src.write_text(content)
+    assert parse_and_dispatch(["report", "--input", str(src)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"error: {src}: ")
+
+
+def test_coefficient_file_not_utf8_exits_2(tmp_path, capsys):
+    src = tmp_path / "f.json"
+    src.write_bytes(b'{"coeffs": [{"n": 1, "re": "\xff"}]}')
+    assert parse_and_dispatch(["norm", "--space", "ces", "--input", str(src)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {src}: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["convolve", "--input", "F", "--with", "F", "--limit", "4", "--output", "MISSING/x.json"],
+    ["verify", "--suite", "schur", "--report", "MISSING/r.json"],
+])
+def test_unwritable_output_file_exits_2(tmp_path, capsys, argv):
+    path = write_coeffs(tmp_path, "f.json", UNIT)
+    missing = str(tmp_path / "no-such-dir")
+    argv = [path if a == "F" else a.replace("MISSING", missing) for a in argv]
+    assert parse_and_dispatch(argv) == 2
+    assert f"error: {missing}/" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # the exit-code contract on adversarial input
 # ---------------------------------------------------------------------------
@@ -392,6 +446,8 @@ fuzz_argv = st.one_of(
     st.tuples(st.just("schur-test"), st.just("--kind"), st.just("power"),
               st.just("--beta"), st.sampled_from(["0.5", "0", "-1", "-300", "-1000", "nan"]),
               st.just("--horizon"), st.sampled_from(["1", "2", "100000", str(2 ** 53)])),
+    st.tuples(st.just("schur-test"), st.just("--kind"), st.just("finite"),
+              st.just("--p"), st.sampled_from(["1.01", "1.5", "2", "3"])),
 )
 # files small enough for an estimate to run at prime limits <= 1e4
 small_rows = st.lists(st.fixed_dictionaries({"n": st.integers(1, 30), "re": plain_value},
@@ -436,11 +492,16 @@ def check_exit_contract(rows, argv, tmp_path_factory):
     path.write_text(json.dumps({"coeffs": rows}))
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        code = parse_and_dispatch([*argv, "--input", str(path)])
+        code = parse_and_dispatch([*argv, *input_args(argv, path)])
     assert code in (0, 1, 2, 3)
     if code == 0:
         # strict JSON: NaN, Infinity and -Infinity are not JSON numbers
         json.loads(out.getvalue(), parse_constant=_reject_constant)
+
+
+def input_args(argv, path):
+    """``--input path`` for every verb but the schur-test kinds that read no file."""
+    return ["--input", str(path)] if argv[0] != "schur-test" or argv[2] == "finite" else []
 
 
 def _reject_constant(token):
@@ -479,10 +540,14 @@ def test_norms_huge_coefficients_finite(tmp_path, capsys, argv):
     (["schur-test", "--kind", "power", "--beta=-300", "--horizon", "100000"], UNIT),
     (["schur-test", "--kind", "power", "--beta=-154.5", "--horizon", "10"], UNIT),
     (["schur-test", "--kind", "power", "--beta=-1e308", "--horizon", "10"], UNIT),
+    # the finite sup-sum sum_n sup_{k>=n} |b_k|^q / k leaves float64
+    (["schur-test", "--kind", "finite", "--p", "2"], BIG),
+    (["schur-test", "--kind", "finite", "--p", "1.01"], [{"n": 1, "re": 1e4}]),
+    (["schur-test", "--kind", "finite", "--p", "2"], [{"n": 1, "re": 1.3407807929942596e154}]),
 ])
 def test_non_finite_values_exit_2(tmp_path, capsys, argv, rows):
     path = write_coeffs(tmp_path, "f.json", rows)
-    assert parse_and_dispatch([*argv, "--input", path]) == 2
+    assert parse_and_dispatch([*argv, *input_args(argv, path)]) == 2
     assert "error:" in capsys.readouterr().err
 
 

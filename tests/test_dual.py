@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense_reference import dense_power_sum, dense_zeta_real, dense_zeta_tail
+from dense_reference import EPS, dense_power_sum, dense_zeta_real, dense_zeta_tail
 from cesdirichlet.dual import (
     SENTINEL,
     JagersTrace,
@@ -17,7 +17,7 @@ from cesdirichlet.dual import (
     jagers_dual_norm,
     sigma_threshold,
 )
-from cesdirichlet.enclosure import EPS, Enclosure, div_pos, ulp_down, ulp_up
+from cesdirichlet.enclosure import Enclosure, ulp_down, ulp_up
 from cesdirichlet.errors import ArgminTieError, DomainError, ResourceLimitError
 from cesdirichlet.kernels import zeta_real
 from cesdirichlet.sequences import CoeffSeq, Exponent, dq_norm
@@ -51,6 +51,20 @@ small_seqs = st.dictionaries(
 # ---------------------------------------------------------------------------
 # the former O(support^2) greedy, kept as a reference for the hull
 # ---------------------------------------------------------------------------
+
+def div_pos(num, den: Enclosure) -> Enclosure:
+    """(num / den) for a nonnegative numerator and a strictly positive
+    denominator enclosure.  ``num`` may be a float or an Enclosure."""
+    if den.lo <= 0:
+        raise ZeroDivisionError("denominator enclosure must be strictly positive")
+    if isinstance(num, Enclosure):
+        nlo, nhi = num.lo, num.hi
+    else:
+        nlo = nhi = float(num)
+    if nlo < 0:
+        raise ValueError("numerator must be nonnegative")
+    return Enclosure(ulp_down(nlo / den.hi), ulp_up(nhi / den.lo))
+
 
 class _Ambiguous(Exception):
     def __init__(self, chain, candidates):

@@ -43,7 +43,11 @@ def test_exponent_conjugacy():
     assert e.q == pytest.approx(3.0)
     with pytest.raises(DomainError):
         Exponent.from_p(1.0)
-    with pytest.raises(DomainError):
+    # q is derived from p, never given
+    for p in (1.01, 1.5, 2.0, 3.0, 7.0):
+        assert Exponent(p).q == p / (p - 1.0)
+        assert Exponent(p) == Exponent.from_p(p)
+    with pytest.raises(TypeError):
         Exponent(2.0, 3.0)
 
 
