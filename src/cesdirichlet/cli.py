@@ -107,25 +107,25 @@ def dump_coeffs(seq: CoeffSeq) -> dict:
 def _cmd_norm(args, out):
     if args.r is not None and args.space != "ar":
         raise _UsageError("--r applies to --space ar only")
+    if args.p is not None and args.space == "ar":
+        raise _UsageError("--p does not apply to --space ar")
     seq = load_coeffs(args.input)
     rec = {"space": args.space, "input": args.input}
-    if args.space == "ces":
-        e = Exponent.from_p(args.p)
-        rec["p"] = args.p
-        rec["value"] = ces_norm(seq, e)
-    elif args.space == "lp":
-        rec["p"] = args.p
-        rec["value"] = lp_norm(seq, args.p)
-    elif args.space == "dq":
-        e = Exponent.from_p(args.p)
-        rec["p"] = args.p
-        rec["q"] = e.q
-        rec["value"] = dq_norm(seq, e)
-    else:  # ar
+    if args.space == "ar":
         if args.r is None:
             raise _UsageError("--space ar requires --r")
         rec["r"] = args.r
         rec["value"] = ar_norm(seq, args.r)
+    else:
+        p = rec["p"] = 2.0 if args.p is None else args.p
+        if args.space == "lp":
+            rec["value"] = lp_norm(seq, p)
+        elif args.space == "ces":
+            rec["value"] = ces_norm(seq, Exponent.from_p(p))
+        else:  # dq
+            e = Exponent.from_p(p)
+            rec["q"] = e.q
+            rec["value"] = dq_norm(seq, e)
     out.write(emit_report([rec], args.format, kind="norm"))
     return EXIT_OK
 
@@ -157,7 +157,7 @@ def _cmd_delta_norm(args, out):
     if args.exact:
         if args.p != 2.0:
             raise DomainError("--exact is available for p = 2 only")
-        rec["norm"] = delta_norm_exact_p2(args.sigma, terms=args.terms)
+        rec["norm"] = delta_norm_exact_p2(args.sigma)
     else:
         rec["norm"] = delta_norm_bounds(args.sigma, e)
     out.write(emit_report([rec], args.format))
@@ -287,7 +287,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("norm", help="sequence-space norm of a coefficient file")
     p.add_argument("--space", choices=("ces", "lp", "dq", "ar"), required=True)
-    p.add_argument("--p", type=float, default=2.0)
+    p.add_argument("--p", type=float, default=None, help="exponent for ces, lp and dq (default 2)")
     p.add_argument("--r", type=float, default=None, help="weight exponent for --space ar")
     p.add_argument("--input", required=True)
     p.add_argument("--format", choices=("json", "csv"), default="json")
@@ -305,8 +305,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("delta-norm", help="point-evaluation norm bounds")
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--sigma", type=float, required=True)
-    p.add_argument("--terms", type=int, default=10 ** 6,
-                   help="explicit terms of the --exact series (applies to --exact only)")
+    p.add_argument("--terms", type=int, default=None,
+                   help="ignored: accepted for old command lines; --exact sums in O(1)")
     p.add_argument("--exact", action="store_true", help="exact p=2 series enclosure")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=_cmd_delta_norm)

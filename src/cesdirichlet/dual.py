@@ -60,6 +60,11 @@ _BENNETT_SLACK = 1e-9
 _TURN_LO = ulp_down(1.0 - gamma(4))
 _TURN_HI = ulp_up(1.0 + gamma(4))
 
+# the p = 2 point-evaluation series: explicit terms below _DELTA_HEAD,
+# then _DELTA_ORDER terms of the expansion in 1/n
+_DELTA_HEAD = 1024
+_DELTA_ORDER = 6
+
 
 @dataclass(frozen=True)
 class JagersTrace:
@@ -328,46 +333,59 @@ def delta_norm_bounds(sigma: float, e: Exponent) -> Enclosure:
                      ulp_up(min(sigma, (e.p - 1.0) ** (1.0 / e.p)) * zq.hi, 2))
 
 
-def delta_norm_exact_p2(sigma: float, terms: int = 10 ** 6) -> Enclosure:
+def delta_norm_exact_p2(sigma: float) -> Enclosure:
     """Exact p = 2 point-evaluation norm as a certified enclosure:
 
         norm^2 = sum_n n^2 (n^-sigma - (n+1)^-sigma)^2,
 
-    valid on 1/2 < sigma <= 1.  The tail past the explicit terms is
-    bracketed termwise by
-    (2^sigma - 1)^2/(n+1)^(2 sigma) <= term_n <= sigma^2/(n+1)^(2 sigma).
-    For sigma > 1 the exact-series representation is not available and
-    the two-sided bounds are returned as the enclosure instead.
+    valid on 1/2 < sigma <= 1, in O(1): the terms below N = 1024
+    explicitly, then K = 6 terms of the expansion of the tail in 1/n,
+    sum_k c_k zeta(2 sigma + k, N), from ``kernels.hurwitz_zeta``.  For
+    sigma > 1 the exact-series representation is not available and the
+    two-sided bounds are returned as the enclosure instead.
     """
     if not 0.5 < sigma < math.inf:
         raise DomainError(f"exact p=2 series requires 1/2 < sigma < inf, got {sigma}")
-    if terms < 1:
-        raise DomainError("need at least one explicit term")
     if sigma > 1.0:
         return delta_norm_bounds(sigma, Exponent.from_p(2.0))
-    parts = []
-    chunk = 1 << 20
-    for lo_n in range(1, terms + 1, chunk):
-        hi_n = min(lo_n + chunk, terms + 1)
-        ns = np.arange(lo_n, hi_n, dtype=np.float64)
-        # n (n^-s - (n+1)^-s) = n^(1-s) * (-expm1(-s log1p(1/n))), cancellation-free
-        base = ns ** (1.0 - sigma) * (-np.expm1(-sigma * np.log1p(1.0 / ns)))
-        parts.append(float(np.sum(base * base)))
-    explicit = math.fsum(parts)
-    # relative error counts in units of U (model in ``enclosure``): 1/n 1,
-    # log1p (condition <= 1) LIB, times sigma 1, expm1 (condition <= 1)
-    # LIB, n^(1 - sigma) LIB (1 - sigma is exact), the product 1: 3 LIB + 3
-    # per base, 6 LIB + 7 per term; the chunk's pairwise sum and the fsum
-    count = 6 * LIB + 7 + pairwise_depth(min(chunk, terms)) + 1
-    slack = ulp_up(gamma(count) * explicit)
-    # sum_{n > terms} (n + 1)^(-2 sigma) = zeta(2 sigma, terms + 2)
-    z_lo, z_hi = hurwitz_zeta(2.0 * sigma, [terms + 2])
-    c_lo = (2.0 ** sigma - 1.0) ** 2
-    c_hi = sigma * sigma
-    sq = Enclosure(
-        ulp_down(ulp_down(explicit - slack) + ulp_down(c_lo * float(z_lo[0]))),
-        ulp_up(ulp_up(explicit + slack) + ulp_up(c_hi * float(z_hi[0]))),
-    )
+    ns = np.arange(1, _DELTA_HEAD, dtype=np.float64)
+    # n (n^-s - (n+1)^-s) = n^(1-s) * (-expm1(-s log1p(1/n))), cancellation-free
+    base = ns ** (1.0 - sigma) * (-np.expm1(-sigma * np.log1p(1.0 / ns)))
+    head = math.fsum((base * base).tolist())
+    # from N on, with u = 1/n, a term is n^-2sigma g(u)^2 for
+    # g(u) = (1 - (1+u)^-sigma)/u = sum_m g_m u^m, g_0 = sigma and
+    # g_m = -g_(m-1) (sigma + m)/(m + 1); so the tail is
+    # sum_k c_k zeta(2 sigma + k, N) for c = g * g.  For sigma <= 1,
+    # |g_m| <= 1 and |c_k| <= k + 1, so the terms from K on add at most
+    # zeta(2 sigma, N) sum_{k >= K} (k + 1) N^-k
+    g = [sigma]
+    for m in range(1, _DELTA_ORDER):
+        g.append(-g[-1] * (sigma + m) / (m + 1))
+    c = np.convolve(g, g)[:_DELTA_ORDER]
+    z_lo, z_hi = np.array([hurwitz_zeta(2.0 * sigma + k, [_DELTA_HEAD])
+                           for k in range(_DELTA_ORDER)])[:, :, 0].T
+    # g_m has the sign (-1)^m, so c_k has the sign (-1)^k
+    t_lo = c * np.where(c > 0.0, z_lo, z_hi)
+    t_hi = c * np.where(c > 0.0, z_hi, z_lo)
+    # relative error counts in units of U (model in ``enclosure``).  A head
+    # term: 1/n 1, log1p (condition <= 1) LIB, times sigma 1, expm1
+    # (condition <= 1) LIB, n^(1 - sigma) LIB (1 - sigma is exact), the
+    # product 1: 3 LIB + 3 per base, 6 LIB + 7 squared; the fsum and the
+    # join with the tail 1 each.  A tail term c_k zeta: g_m 3 m (a sum, a
+    # product and a quotient per step), c_k 4 k + 1 (k + 1 products of one
+    # sign, k additions), the product 1, so at most 4 K - 2.  The exponent
+    # x = 2 sigma + k <= K + 1 is rounded by at most x U, and over n >= N
+    # the mean of log n under the weights n^-x is below
+    # log N + 1/(x - 1) + (x - 1) log N / N < 8 for N = 1024, K = 6 (the
+    # integral test), so zeta(x, N) moves by less than 8 (K + 1) U of
+    # itself; with the join, 12 K + 7.  The cut-off rest is at most
+    # (K + 1) N^-K (1 - 1/N)^-2 zeta(2 sigma, N); a factor 2 in place of
+    # (1 - 1/N)^-2 also covers its rounding
+    size = float(np.sum(np.abs(t_hi)))
+    rest = 2.0 * (_DELTA_ORDER + 1) * _DELTA_HEAD ** -_DELTA_ORDER * float(z_hi[0])
+    pad = gamma(6 * LIB + 9) * head + gamma(12 * _DELTA_ORDER + 7) * size + rest
+    sq = Enclosure(ulp_down(math.fsum([head, *t_lo.tolist()]) - pad),
+                   ulp_up(math.fsum([head, *t_hi.tolist()]) + pad))
     return sq.root(2.0)
 
 

@@ -43,12 +43,12 @@ outward), ``kernels.zeta_tail(x, n)`` is ``hurwitz_zeta(x, n + 1)`` and
 for the harmonic sums.  So the point-evaluation bounds and the Schur
 ``power`` sums (zeta(q beta + 1) whole, or the harmonic witness) carry
 the kernels' margins.  In ``delta_norm_exact_p2`` each explicit term
-n^2 (n^-s - (n+1)^-s)^2, computed as the square of
-n^(1-s) (-expm1(-s log1p(1/n))), carries 6 LIB + 7 roundings, its chunk
-of at most 2^20 terms adds ``pairwise_depth`` and the ``math.fsum`` of
-the chunks one more, so the explicit sum is widened by gamma of that
-count (about 100), and the tail sum_{n > terms} (n + 1)^(-2s) comes
-from ``hurwitz_zeta``.  ``kernels.log_power_sum`` (the Schur
+n^2 (n^-s - (n+1)^-s)^2, n < 1024, computed as the square of
+n^(1-s) (-expm1(-s log1p(1/n))), carries 6 LIB + 7 roundings, and their
+``math.fsum`` and the join with the tail add one each; each of the K = 6
+tail terms c_k zeta(2s + k, 1024) carries at most 12 K + 7 = 79 (c_k, the
+product, the rounded exponent 2s + k, the join), and the terms past K add
+at most 14 * 1024^-6 zeta(2s, 1024).  ``kernels.log_power_sum`` (the Schur
 ``log-power`` sums) widens by gamma of (c + 9) LIB + c (lam + 4) + 20
 roundings, five of them additions, times the terms' absolute sum, plus
 TINY per result that may underflow: c LIB comes from the log inside a

@@ -417,16 +417,17 @@ def phi_xlogx(x: float) -> float:
     return x * math.log(x)
 
 
-def phi_alpha_deriv(x: float, alpha: float) -> float:
-    """Derivative of phi**alpha:  alpha * (x log x)**(alpha-1) * (log x + 1).
+def phi_alpha_deriv(x, alpha: float):
+    """Derivative of phi**alpha:  alpha * (x log x)**(alpha-1) * (log x + 1),
+    at a point x > 1 or elementwise over an array of them.
 
     Strictly positive for x > 1, 0 < alpha < 1.
     """
-    if x <= 1:
-        raise DomainError(f"phi_alpha_deriv needs x > 1, got {x}")
+    if not np.all(np.greater(x, 1.0)):
+        raise DomainError(f"phi_alpha_deriv needs x > 1, got {np.min(x)}")
     if not 0 < alpha < 1:
         raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
-    lx = math.log(x)
+    lx = np.log(x)
     return alpha * (x * lx) ** (alpha - 1.0) * (lx + 1.0)
 
 
@@ -434,11 +435,6 @@ def _deriv_sign_factor(x: float, alpha: float) -> float:
     # (phi**alpha)'' has the sign of  alpha - 1 + log x / (log x + 1)^2.
     lx = math.log(x)
     return alpha - 1.0 + lx / (lx + 1.0) ** 2
-
-def phi_alpha_deriv_vec(r: np.ndarray, alpha: float) -> np.ndarray:
-    """Vectorised phi_alpha_deriv over an array of points > 1."""
-    lr = np.log(r)
-    return alpha * (r * lr) ** (alpha - 1.0) * (lr + 1.0)
 
 
 def decrease_onset(beta: float) -> float:

@@ -102,19 +102,22 @@ def product_blocks(f: DirichletPoly, g: DirichletPoly, limit: int):
         idx = np.empty(int(sizes.sum()), dtype=np.int64)
         val = np.empty(idx.size, dtype=vtype)
         o = 0
-        for k, t, n in zip(live.tolist(), ends.tolist(), sizes.tolist()):
-            np.multiply(fi[k], gi[pos[k]:t], out=idx[o:o + n])
-            np.multiply(fv[k], gv[pos[k]:t], out=val[o:o + n])
-            o += n
-        pos[live] = ends
-        if np.count_nonzero(sizes) > 1:
-            order = np.argsort(idx, kind="stable")
-            idx, val = idx[order], val[order]
-            del order  # not held while the block is consumed
-            same = idx[1:] == idx[:-1]
-            if same.any():
-                starts = np.flatnonzero(np.concatenate(([True], ~same)))
-                idx, val = idx[starts], np.add.reduceat(val, starts)
+        # a product or sum that leaves the float64 range fails the finite
+        # check below; the state is not held across the yield
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k, t, n in zip(live.tolist(), ends.tolist(), sizes.tolist()):
+                np.multiply(fi[k], gi[pos[k]:t], out=idx[o:o + n])
+                np.multiply(fv[k], gv[pos[k]:t], out=val[o:o + n])
+                o += n
+            pos[live] = ends
+            if np.count_nonzero(sizes) > 1:
+                order = np.argsort(idx, kind="stable")
+                idx, val = idx[order], val[order]
+                del order  # not held while the block is consumed
+                same = idx[1:] == idx[:-1]
+                if same.any():
+                    starts = np.flatnonzero(np.concatenate(([True], ~same)))
+                    idx, val = idx[starts], np.add.reduceat(val, starts)
         if not np.isfinite(val).all():
             raise DomainError("coefficient values must be finite (no NaN or infinity)")
         keep = val != 0
@@ -141,11 +144,13 @@ def evaluate(f: DirichletPoly, s: EvalPoint) -> complex:
     if c.is_empty:
         return 0.0 + 0.0j
     base = c.idx.astype(np.float64)
-    radial = base ** -s.sigma
-    if s.t == 0.0:
-        value = complex(np.sum(c.val * radial))
-    else:
-        value = complex(np.sum(c.val * radial * np.exp(-1j * s.t * np.log(base))))
+    # a value that leaves the float64 range fails the finite check below
+    with np.errstate(over="ignore", invalid="ignore"):
+        radial = base ** -s.sigma
+        if s.t == 0.0:
+            value = complex(np.sum(c.val * radial))
+        else:
+            value = complex(np.sum(c.val * radial * np.exp(-1j * s.t * np.log(base))))
     if not cmath.isfinite(value):
         raise DomainError(f"f({s.sigma} + {s.t}i) leaves the float64 range")
     return value

@@ -6,6 +6,7 @@ import json
 import math
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -195,14 +196,26 @@ def test_dual_norm_oracle_options_need_oracle(tmp_path, capsys, extra):
     (["norm", "--space", "ces", "--r", "0.5", "--input", "F"], "--r applies"),
     (["norm", "--space", "lp", "--r", "0.5", "--input", "F"], "--r applies"),
     (["norm", "--space", "dq", "--r", "0.5", "--input", "F"], "--r applies"),
+    (["norm", "--space", "ar", "--r", "0.5", "--p", "7", "--input", "F"], "--p does not apply"),
+    (["norm", "--space", "ar", "--r", "0.5", "--p", "2", "--input", "F"], "--p does not apply"),
 ])
 def test_options_of_other_kinds_are_usage_errors(tmp_path, capsys, argv, message):
     # schur-test reads --input, --alpha and --beta for one kind each, and
-    # norm reads --r for --space ar only
+    # norm reads --r for --space ar only and --p for the other spaces only
     path = write_coeffs(tmp_path, "f.json", UNIT)
     assert parse_and_dispatch([path if a == "F" else a for a in argv]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and message in captured.err
+
+
+@pytest.mark.parametrize("space", ["ces", "lp", "dq"])
+def test_norm_p_defaults_to_2(tmp_path, capsys, space):
+    path = write_coeffs(tmp_path, "f.json", [{"n": 1, "re": 1.0}, {"n": 3, "re": -0.5}])
+    outs = []
+    for extra in ([], ["--p", "2"]):
+        assert parse_and_dispatch(["norm", "--space", space, "--input", path, *extra]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] and '"p": 2.0' in outs[0]
 
 
 def test_dual_norm_oracle_defaults(tmp_path, capsys):
@@ -549,6 +562,23 @@ def test_non_finite_values_exit_2(tmp_path, capsys, argv, rows):
     path = write_coeffs(tmp_path, "f.json", rows)
     assert parse_and_dispatch([*argv, *input_args(argv, path)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["schur-test", "--kind", "finite", "--p", "2", "--input", "F"],
+    ["eval", "--sigma=-2", "--input", "F"],
+    ["convolve", "--input", "F", "--with", "F", "--limit", "10"],
+])
+def test_overflow_exits_2_without_warnings(tmp_path, capsys, argv):
+    # an overflow inside numpy ends in one error line, with no RuntimeWarning
+    path = write_coeffs(tmp_path, "big.json", BIG)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert parse_and_dispatch([path if a == "F" else a for a in argv]) == 2
+    assert [str(w.message) for w in caught] == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
 
 def test_failed_self_check_exits_3(tmp_path, capsys, monkeypatch):

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense_reference import EPS, dense_power_sum, dense_zeta_real, dense_zeta_tail
+from dense_reference import (EPS, dense_delta_norm_p2, dense_power_sum, dense_zeta_real,
+                             dense_zeta_tail)
 from cesdirichlet.dual import (
     SENTINEL,
     JagersTrace,
@@ -373,22 +374,21 @@ def test_delta_bounds_contain_plateau():
 
 
 def test_delta_exact_sigma1():
-    enc = delta_norm_exact_p2(1.0, terms=10 ** 6)
+    enc = delta_norm_exact_p2(1.0)
     assert enc.contains(SQRT_ZETA2_MINUS_1)
     assert enc.width < 1e-6
 
 
 def test_delta_exact_sigma1_closed_form():
     # termwise the series telescopes to sum 1/(n+1)^2 = zeta(2) - 1
-    enc = delta_norm_exact_p2(1.0, terms=2000)
+    enc = delta_norm_exact_p2(1.0)
     assert enc.contains(math.sqrt(ZETA_2 - 1.0))
+    assert enc.width <= 2e-14 * enc.hi
 
 
 @pytest.mark.parametrize("sigma", [0.6, 0.75, 0.9])
 def test_delta_exact_against_highprecision(sigma):
-    # the width is dominated by the termwise tail-constant gap, which
-    # opens up as sigma decreases
-    enc = delta_norm_exact_p2(sigma, terms=10 ** 6)
+    enc = delta_norm_exact_p2(sigma)
     assert enc.contains(DELTA_EXACT[sigma])
     assert enc.width < DELTA_WIDTH_CAP[sigma]
     ref = float(mp_delta_norm_p2(sigma))
@@ -397,7 +397,7 @@ def test_delta_exact_against_highprecision(sigma):
 
 @pytest.mark.parametrize("sigma", [0.6, 0.75, 0.9, 1.0])
 def test_delta_exact_inside_both_brackets(sigma):
-    enc = delta_norm_exact_p2(sigma, terms=10 ** 5)
+    enc = delta_norm_exact_p2(sigma)
     z = zeta_real(2.0 * sigma)
     assert dense_zeta_real(2.0 * sigma, 10 ** 5).encloses(z)
     lo_b = (2.0 ** sigma - 1.0) * math.sqrt(z.hi - 1.0)
@@ -433,18 +433,27 @@ def test_delta_reference_self_consistent():
         assert abs(mp_delta_norm_p2(1.0) - mpmath.sqrt(mpmath.zeta(2) - 1)) <= 1e-30
 
 
-@pytest.mark.parametrize("terms", [1, 10 ** 4, 10 ** 5])
-@pytest.mark.parametrize("sigma", [0.51, 0.75, 1.0])
-def test_delta_exact_contains_mpmath(sigma, terms):
-    enc = delta_norm_exact_p2(sigma, terms=terms)
+DELTA_GRID = [0.5 + 1e-6, 0.501, 0.51, 0.6, 0.75, 0.9, 0.99, 1.0]
+
+
+@pytest.mark.parametrize("sigma", DELTA_GRID)
+def test_delta_exact_contains_mpmath_grid(sigma):
+    # head below 1024 and six Hurwitz zeta terms: relative width 7e-15 to
+    # 1.3e-14 on the grid
+    enc = delta_norm_exact_p2(sigma)
     assert enc.lo <= mp_delta_norm_p2(sigma) <= enc.hi
-    if sigma == 1.0:
-        # the termwise bracket is exact at sigma = 1: only rounding and
-        # the certified tail remain.  The explicit sum is widened by
-        # gamma(~100) of the error model, which the root passes on as a
-        # relative width of about 1.2e-14 (the zeta_tail bracket left 2e-9
-        # at 1e4 terms)
-        assert enc.width <= 2e-14 * enc.hi
+    assert enc.width <= 1e-13 * enc.hi
+
+
+@pytest.mark.parametrize("terms", [10 ** 4, 10 ** 5])
+@pytest.mark.parametrize("sigma", DELTA_GRID)
+def test_delta_exact_contains_mpmath(sigma, terms):
+    # inside the former dense enclosure with ``terms`` explicit terms,
+    # which brackets the rest termwise and contains the true value too
+    enc = delta_norm_exact_p2(sigma)
+    dense = dense_delta_norm_p2(sigma, terms)
+    assert dense.encloses(enc)
+    assert dense.lo <= mp_delta_norm_p2(sigma) <= dense.hi
 
 
 def test_delta_exact_domain_and_fallback():

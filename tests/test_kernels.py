@@ -253,6 +253,23 @@ def test_phi_deriv_domain():
         phi_alpha_deriv(1.0, 0.5)
     with pytest.raises(DomainError):
         phi_alpha_deriv(2.0, 1.0)
+    # an array is checked elementwise
+    with pytest.raises(DomainError):
+        phi_alpha_deriv(np.array([3.0, 1.0, 2.0]), 0.5)
+    with pytest.raises(DomainError):
+        phi_alpha_deriv(np.array([2.0, np.nan]), 0.5)
+
+
+def test_phi_deriv_array_matches_points():
+    # over an array the values are those of the former vectorised form,
+    # bit for bit, and agree with the pointwise calls to rounding (numpy's
+    # array and scalar log may differ in the last place)
+    xs = np.geomspace(1.5, 1e7, 257)
+    for alpha in (0.3, 0.45, 0.999):
+        h = phi_alpha_deriv(xs, alpha)
+        lx = np.log(xs)
+        assert np.array_equal(h, alpha * (xs * lx) ** (alpha - 1.0) * (lx + 1.0))
+        assert h.tolist() == pytest.approx([phi_alpha_deriv(float(x), alpha) for x in xs], rel=1e-14)
 
 
 def test_phi_deriv_monotone_decrease_grid():

@@ -8,7 +8,7 @@ import pytest
 from cesdirichlet import multipliers, sequences
 from cesdirichlet.enclosure import ulp_down, ulp_up
 from cesdirichlet.errors import DomainError, SelfCheckError, WindowNotFoundError
-from cesdirichlet.kernels import (decrease_onset, lambert_w, log_power_sum, phi_alpha_deriv_vec,
+from cesdirichlet.kernels import (decrease_onset, lambert_w, log_power_sum, phi_alpha_deriv,
                                   phi_xlogx, sieve_primes)
 from cesdirichlet.multipliers import (
     HEURISTIC_WINDOW_FLAG,
@@ -144,7 +144,7 @@ def dense_test_function(m, alpha, e, table, r_m):
     if r_m <= m or r_m < decrease_onset(1.0 / q) or r_m > len(table):
         raise DomainError(f"bad r_m={r_m}")
     rs = np.arange(r_m, len(table) + 1, dtype=np.float64)
-    values = phi_alpha_deriv_vec(rs, alpha).astype(np.complex128)
+    values = phi_alpha_deriv(rs, alpha).astype(np.complex128)
     support = table.primes[r_m - 1:].copy()
     return DirichletPoly(CoeffSeq(support, values, _validated=True))
 
