@@ -81,14 +81,20 @@ class JagersTrace:
     norm: Enclosure
 
 
-def _upper_hull(w: list, err: list, seg_lo: list, seg_hi: list, tail_lo: list, tail_hi: list):
+# |v|^2 exactly
+def _exact_sq(v: complex) -> Fraction:
+    return Fraction(v.real) ** 2 + Fraction(v.imag) ** 2
+
+
+def _upper_hull(w: list, err: list, vals: np.ndarray, seg_lo: list, seg_hi: list,
+                tail_lo: list, tail_hi: list):
     """The upper-left hull of (B_k, w_k), k = 0..n-1, with w_0 the maximum
-    and position n the sentinel (w[n] = err[n] = 0), as a list of
+    and position n the sentinel (w[n] = err[n] = vals[n] = 0), as a list of
     (position, lo, hi, undecided): [lo, hi] encloses the B-difference to
     the hull point beneath, and ``undecided`` marks a point kept by a test
     that could not decide whether the point beneath lies on the hull.
-    ``err`` bounds the error of w, ``seg`` encloses B_k - B_(k+1) and
-    ``tail`` B_k."""
+    ``err`` bounds the error of w = |vals|, ``seg`` encloses B_k - B_(k+1)
+    and ``tail`` B_k."""
     n = len(w) - 1
     hull = [(0, 0.0, 0.0, False)]
     for k in range(1, n + 1):
@@ -101,7 +107,10 @@ def _upper_hull(w: list, err: list, seg_lo: list, seg_hi: list, tail_lo: list, t
             i = hull[-2][0]
             j, lo1, hi1, _ = hull[-1]
             n2, e2 = w[j] - w[k], err[j] + err[k]
-            if n2 + e2 > 0.0:
+            # |b_j| <= |b_k| pops j, as |b_i| > |b_j| down the hull (equal |b|
+            # keep the larger index); a sign the floats cannot fix is taken
+            # from exact squared moduli
+            if n2 + e2 > 0.0 and (n2 - e2 > 0.0 or _exact_sq(vals[j]) > _exact_sq(vals[k])):
                 # pop j iff (|b_i| - |b_j|)(B_j - B_k) >= (|b_j| - |b_k|)(B_i - B_j)
                 n1, e1 = w[i] - w[j], err[i] + err[j]
                 if (n1 + e1) * hi2 * _TURN_HI + TINY < (n2 - e2) * lo1 * _TURN_LO - TINY:
@@ -180,16 +189,14 @@ def jagers_dual_norm(b: CoeffSeq, e: Exponent) -> JagersTrace:
     if err[near].any():
         # the largest maximizer among the moduli the floats cannot order,
         # from exact squared moduli
-        sq = [Fraction(v.real) ** 2 + Fraction(v.imag) ** 2 for v in b.val[near].tolist()]
-        top = max(sq)
-        first = int(near[max(k for k, v in enumerate(sq) if v == top)])
+        first = int(max(near[::-1], key=lambda k: _exact_sq(b.val[k])))
     idx = b.idx[first:]
     w = np.append(w[first:], 0.0)
     err = np.append(err[first:], 0.0)
     seg_lo, seg_hi = power_segment(p, idx[:-1], idx[1:])
     tail_lo, tail_hi = hurwitz_zeta(p, idx)
-    hull = _upper_hull(w.tolist(), err.tolist(), seg_lo.tolist(), seg_hi.tolist(),
-                       tail_lo.tolist(), tail_hi.tolist())
+    hull = _upper_hull(w.tolist(), err.tolist(), np.append(b.val[first:], 0.0),
+                       seg_lo.tolist(), seg_hi.tolist(), tail_lo.tolist(), tail_hi.tolist())
     pos, d_lo, d_hi, tied = (np.array(col) for col in zip(*hull))
     chain = [int(idx[k]) for k in pos[:-1]] + [SENTINEL]
     if tied.any():

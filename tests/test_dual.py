@@ -212,6 +212,23 @@ def test_jagers_tie_error_carries_candidates():
     assert exc.value.prefix_chain == (1,)
 
 
+@pytest.mark.parametrize("b3", [4.822548874288783 + 1.3202357195198104j,
+                                2.229978631622077e-293 + 4.999999999999999j])
+def test_jagers_equal_float_moduli_are_no_tie(b3):
+    # |b_1|, |b_2|, |b_3| agree to the last float place, and |b_2| - |b_3|
+    # is within the rounding of the complex moduli; exact squared moduli
+    # give |b_2| <= |b_3|, so 2 pops
+    b2 = b3 if b3.real > 1.0 else 4.999999999999999
+    b = seq((1, 5.0), (2, b2), (3, b3))
+    for p in (1.5, 2.0, 3.0):
+        e = Exponent.from_p(p)
+        trace = jagers_dual_norm(b, e)
+        assert trace.m_chain == (1, 3, SENTINEL)
+        oracle = dual_norm_oracle(b, e, restarts=4)
+        assert trace.norm.lo - 1e-4 <= oracle <= trace.norm.hi + 1e-4
+        assert bennett_equivalence_check(b, e)
+
+
 @settings(derandomize=True, deadline=None, max_examples=150)
 @given(p=st.sampled_from((1.5, 2.0, 3.0)),
        idx=st.sets(st.integers(1, 60), min_size=1, max_size=12),
