@@ -18,6 +18,7 @@ import argparse
 import contextlib
 import json
 import math
+import os
 import sys
 
 
@@ -187,8 +188,12 @@ def _cmd_convolve(args, out):
 
 def _cmd_project(args, out):
     f = DirichletPoly(load_coeffs(args.input))
-    limit = max(2, f.max_index)
-    table = sieve_primes(limit)
+    # no prime past min(max index, p_r) decides r-smoothness:
+    # p_r < r (ln r + ln ln r) for r >= 6 (Rosser and Schoenfeld, Illinois
+    # J. Math. 1962), and p_r <= 11 below
+    r = args.r
+    bound = 11 if r < 6 else math.ceil(r * (math.log(r) + math.log(math.log(r))))
+    table = sieve_primes(max(2, min(f.max_index, bound)))
     h = qr_project(f, args.r, table)
     out.write(json.dumps(dump_coeffs(h.coeffs), indent=2, sort_keys=True) + "\n")
     return EXIT_OK
@@ -251,6 +256,12 @@ def _cmd_verify(args, out):
     # stdout stays byte-deterministic for fixed argv + seed: timings and
     # budget warnings go to stderr, pass/fail reflects the math only
     names = list(ALL_SUITES) if args.suite == "all" else [args.suite]
+    if args.report:
+        # fail before the suites run, without creating or truncating the file
+        folder = os.path.dirname(os.path.abspath(args.report))
+        if os.path.isdir(args.report) or not (os.path.isdir(folder)
+                                              and os.access(folder, os.W_OK | os.X_OK)):
+            raise InputError(f"{args.report}: not a writable file path")
     results = run_suites(names, seed=args.seed)
     for res in results:
         status = "PASS" if res.passed else "FAIL"

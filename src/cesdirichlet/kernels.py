@@ -1,10 +1,11 @@
 """Number-theoretic and special-function kernels.
 
-Prime generation, membership in the p_1..p_r-smooth integers, certified
-Hurwitz zeta values, power-sum segments (and the real zeta values, tails
-and power sums taken from them) and sums of 1/(n (log n)^c), the principal
-Lambert W branch, and the derivative of (x log x)**alpha used by the
-prime-supported multiplier test functions.
+Prime tables in one byte per prime, read in blocks; membership in the
+p_1..p_r-smooth integers; certified Hurwitz zeta values, power-sum
+segments (and the real zeta values, tails and power sums taken from
+them) and sums of 1/(n (log n)^c); the principal Lambert W branch; and
+the derivative of (x log x)**alpha used by the prime-supported
+multiplier test functions.
 
 All functions here are pure; returned tables are immutable and safe to
 share across threads.
@@ -25,6 +26,11 @@ _SEGMENT_SIZE = 1 << 20
 
 _MAX_SIEVE_LIMIT = 10 ** 9
 
+# Ranks between the checkpoints of a ``PrimeTable``, and support entries
+# per block of the Cesaro sum (``sequences.BLOCK``) and of
+# ``series.product_blocks``.
+BLOCK = 1 << 15
+
 
 # ---------------------------------------------------------------------------
 # Primes
@@ -32,63 +38,128 @@ _MAX_SIEVE_LIMIT = 10 ** 9
 
 @dataclass(frozen=True)
 class PrimeTable:
-    """All primes <= limit, ascending.  ``primes`` is a read-only int64 array."""
+    """All primes <= limit, ascending, in one byte per prime.
+
+    With ranks counted from 0 and p_0 = 2 read as 1, every gap
+    p_j - p_{j-1} is even; ``halves[j]`` is half of it (``halves[0]`` = 0),
+    a uint8.  The largest prime gap below 1e9 is 282, and maximal gaps
+    stay below 510 up to about 3e11 (Oliveira e Silva, Herzog and Pardi,
+    Math. Comp. 83, 2014).  ``marks[c]`` is the prime before rank
+    c ``step`` (1 for c = 0), so a read sums fewer than ``step`` half-gaps
+    before its first rank.  No int64 copy is held: ``read`` decodes a run
+    of ranks, ``primes`` all of them (for tests and small callers).
+    """
 
     limit: int
-    primes: np.ndarray
+    halves: np.ndarray
+    marks: np.ndarray
+    step: int
 
     def __post_init__(self):
-        self.primes.setflags(write=False)
+        self.halves.setflags(write=False)
+        self.marks.setflags(write=False)
 
     def __len__(self) -> int:
-        return int(self.primes.size)
+        return int(self.halves.size)
+
+    @property
+    def primes(self) -> np.ndarray:
+        return self.read(0, len(self))
+
+    def read(self, start: int, stop: int, prev: int | None = None,
+             out: np.ndarray | None = None) -> np.ndarray:
+        """The primes of ranks start..stop-1 (from 0, clipped to the
+        table) as int64, in ``out`` when given, else a fresh array.
+        ``prev``, the prime of rank start - 1 when start >= 2, spares the
+        walk from the checkpoint."""
+        if prev is None or start < 2:
+            c = min(start // self.step, self.marks.size - 1)
+            prev = int(self.marks[c]) + 2 * int(self.halves[c * self.step:start].sum(dtype=np.int64))
+        out = np.cumsum(self.halves[start:stop], dtype=np.int64, out=out)
+        out *= 2
+        out += prev
+        if start == 0 and out.size:
+            out[0] = 2
+        return out
+
+    def rank(self, value: int) -> int:
+        """The number of primes <= value: one block decoded."""
+        if value < 2:
+            return 0
+        c = int(np.searchsorted(self.marks, value, side="right")) - 1
+        start = c * self.step
+        block = self.read(start, start + self.step, int(self.marks[c]))
+        return start + int(np.searchsorted(block, value, side="right"))
 
     def nth(self, r: int) -> int:
         """The r-th prime, 1-indexed (nth(1) == 2)."""
-        if not 1 <= r <= self.primes.size:
-            raise DomainError(f"prime index {r} outside table of {self.primes.size} primes")
-        return int(self.primes[r - 1])
+        if not 1 <= r <= len(self):
+            raise DomainError(f"prime index {r} outside table of {len(self)} primes")
+        return int(self.read(r - 1, r)[0])
 
 
-def _sieve(limit: int) -> np.ndarray:
-    """Primes <= limit (>= 2), segmented and odd-only: flag k of a
-    segment stands for 2k + 1, and the odd primes up to sqrt(limit)
-    strike their odd multiples from p^2 on, stepping p in k.  The primes
-    fill one array sized by pi(x) < 1.25506 x / log x (x > 1; Rosser and
-    Schoenfeld, Illinois J. Math. 1962, (3.6)), shrunk in place at the end."""
+def _half_gaps(k: np.ndarray, last: int) -> np.ndarray:
+    """The gaps of the increasing, nonempty k after ``last``: for the odd
+    primes 2k + 1 the half-gaps of ``PrimeTable``, each at most 255."""
+    gaps = np.empty_like(k)
+    gaps[0] = k[0] - last
+    np.subtract(k[1:], k[:-1], out=gaps[1:])
+    if int(gaps.max()) > 255:
+        raise DomainError(f"a prime gap of {2 * int(gaps.max())} does not fit the one-byte table")
+    return gaps
+
+
+def _sieve(limit: int) -> tuple[np.ndarray, np.ndarray]:
+    """``PrimeTable.halves`` and ``marks`` of the primes <= limit (>= 2),
+    segmented and odd-only: flag k of a segment stands for 2k + 1, and the
+    odd primes up to sqrt(limit) strike their odd multiples from p^2 on,
+    stepping p in k.  Half-gaps are gaps in k, 2 taking k = 0, and a mark
+    is 2k + 1 of the rank before each block of ``BLOCK``.  The half-gaps
+    fill one uint8 array sized by pi(x) < 1.25506 x / log x (x > 1; Rosser
+    and Schoenfeld, Illinois J. Math. 1962, (3.6)), shrunk in place at the
+    end."""
     root = math.isqrt(limit)
-    base = _sieve(root)[1:].tolist() if root >= 3 else []
-    primes = np.empty(int(1.25506 * limit / math.log(limit)) + 2, dtype=np.int64)
-    primes[0] = 2
-    count = 1
+    base = (2 * np.cumsum(_sieve(root)[0], dtype=np.int64) + 1)[1:].tolist() if root >= 3 else []
     stop = (limit - 1) // 2 + 1  # k = 1 .. (limit - 1) // 2 stand for 3 .. limit
-    for lo in range(1, stop, _SEGMENT_SIZE):
-        hi = min(lo + _SEGMENT_SIZE, stop)
-        flags = np.ones(hi - lo, dtype=bool)
-        for p in base:
-            first = (p * p) // 2
-            if first >= hi:
-                break
-            # 2k + 1 = 0 mod p  <=>  k = (p - 1)/2 mod p
-            first = max(first, lo + (p // 2 - lo) % p)
-            flags[first - lo:: p] = False
-        found = np.flatnonzero(flags)
-        found += lo
-        found *= 2
-        found += 1
-        primes[count:count + found.size] = found
-        count += found.size
-    primes.resize(count, refcheck=False)
-    return primes
+
+    def ks():
+        yield np.zeros(1, dtype=np.int64)  # 2, read as 1
+        for lo in range(1, stop, _SEGMENT_SIZE):
+            hi = min(lo + _SEGMENT_SIZE, stop)
+            flags = np.ones(hi - lo, dtype=bool)
+            for p in base:
+                first = (p * p) // 2
+                if first >= hi:
+                    break
+                # 2k + 1 = 0 mod p  <=>  k = (p - 1)/2 mod p
+                first = max(first, lo + (p // 2 - lo) % p)
+                flags[first - lo:: p] = False
+            found = np.flatnonzero(flags)
+            found += lo
+            yield found
+
+    halves = np.empty(int(1.25506 * limit / math.log(limit)) + 2, dtype=np.uint8)
+    marks = [np.zeros(1, dtype=np.int64)]  # k before rank 0
+    count = last = 0  # ranks so far, k of the last prime
+    for found in ks():
+        if found.size:
+            halves[count:count + found.size] = _half_gaps(found, last)
+            marks.append(found[(BLOCK - 1 - count) % BLOCK::BLOCK].copy())
+            count += found.size
+            last = int(found[-1])
+    halves.resize(count, refcheck=False)
+    return halves, 1 + 2 * np.concatenate(marks)[:-(-count // BLOCK)]
 
 
 def sieve_primes(limit: int) -> PrimeTable:
-    """Complete table of primes <= limit (2 <= limit <= 1e9)."""
+    """Complete table of primes <= limit (2 <= limit <= 1e9), with a mark
+    before every ``BLOCK``-th rank."""
     if not isinstance(limit, (int, np.integer)) or limit < 2:
         raise DomainError(f"sieve limit must be an integer >= 2, got {limit!r}")
     if limit > _MAX_SIEVE_LIMIT:
         raise DomainError(f"sieve limit {limit} exceeds the {_MAX_SIEVE_LIMIT} memory guard")
-    return PrimeTable(limit=int(limit), primes=_sieve(int(limit)))
+    halves, marks = _sieve(int(limit))
+    return PrimeTable(limit=int(limit), halves=halves, marks=marks, step=BLOCK)
 
 
 def smooth_membership(n: int, r: int, table: PrimeTable) -> bool:
@@ -98,30 +169,40 @@ def smooth_membership(n: int, r: int, table: PrimeTable) -> bool:
     when the table holds fewer than r primes and they do not already
     exhaust n, since membership is then undecidable from the table.
     """
-    if n < 1:
-        raise DomainError(f"smoothness is defined for positive integers, got {n}")
+    return bool(smooth_mask([n], r, table)[0])
+
+
+def smooth_mask(ns, r: int, table: PrimeTable) -> np.ndarray:
+    """``smooth_membership`` of every n in ``ns``, as a bool array: the
+    table's first r primes up to max(ns) are decoded once."""
+    ns = [int(n) for n in ns]
+    if min(ns, default=1) < 1:
+        raise DomainError(f"smoothness is defined for positive integers, got {min(ns)}")
     if r < 1:
         raise DomainError(f"prime count r must be >= 1, got {r}")
-    n = int(n)
+    top = max(ns, default=1)
     avail = min(r, len(table))
-    for k in range(avail):
-        p = int(table.primes[k])
-        if p * p > n:
-            break
-        while n % p == 0:
-            n //= p
-    if n == 1:
-        return True
-    # n > 1: a single prime factor remains (loop broke at p*p > n) or we
-    # ran out of table primes.
-    if avail < r and n > int(table.primes[avail - 1] if avail else 1):
-        # The remaining factor might be one of p_{avail+1}..p_r, which the
-        # table does not cover.
-        raise DomainError(
-            f"prime table with {len(table)} primes cannot decide {r}-smoothness of remainder {n}"
-        )
-    pos = int(np.searchsorted(table.primes[:avail], n))
-    return pos < avail and int(table.primes[pos]) == n
+    # no prime past n divides n or equals it
+    primes = table.read(0, min(avail, table.rank(top)))
+    roots = primes[:np.searchsorted(primes, math.isqrt(top), side="right")].tolist()
+    out = np.empty(len(ns), dtype=bool)
+    for k, n in enumerate(ns):
+        for p in roots:
+            if p * p > n:
+                break
+            while n % p == 0:
+                n //= p
+        # n > 1: a single prime factor remains (loop broke at p*p > n) or we
+        # ran out of table primes.
+        if n > 1 and avail < r and primes.size == avail and n > int(primes[-1]):
+            # The remaining factor might be one of p_{avail+1}..p_r, which the
+            # table does not cover.
+            raise DomainError(
+                f"prime table with {len(table)} primes cannot decide {r}-smoothness of remainder {n}"
+            )
+        pos = int(np.searchsorted(primes, n))
+        out[k] = n == 1 or (pos < primes.size and int(primes[pos]) == n)
+    return out
 
 
 # ---------------------------------------------------------------------------

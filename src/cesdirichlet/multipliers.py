@@ -58,7 +58,8 @@ from .kernels import (
     power_sum_range,
     zeta_real,
 )
-from .sequences import CoeffSeq, Exponent, abs_sum_exponent, ar_norm, ces_norm, ces_norm_stream
+from .sequences import (CoeffSeq, Exponent, PrimeCoeffs, abs_sum_exponent, ar_norm, blocks_of,
+                        ces_norm, ces_norm_stream)
 from .series import DirichletPoly, convolve, product_blocks, truncate
 
 HEURISTIC_WINDOW_FLAG = "heuristic-window"
@@ -144,7 +145,8 @@ def find_rm(m: int, table: PrimeTable) -> int:
     index fails (the case for m >= 9 with tables up to 10^7).
 
     The table is scanned from its end in chunks of ``sequences.BLOCK``
-    ranks, stopping at the first chunk with a failing rank."""
+    ranks, each decoded from its checkpoint, stopping at the first chunk
+    with a failing rank."""
     if m < 2:
         raise DomainError(f"window parameter m must be >= 2, got {m}")
     count = len(table)
@@ -156,7 +158,7 @@ def find_rm(m: int, table: PrimeTable) -> int:
     for s in range((count - 1) // step * step, -1, -step):
         r = np.arange(s + 1, min(s + step, count) + 1, dtype=np.float64)
         v = r * np.log(r)  # r log r; r=1 gives 0 and fails the lower side
-        pr = table.primes[s:s + step].astype(np.float64)
+        pr = table.read(s, s + step).astype(np.float64)
         if deviation is None:
             deviation = pr[-1] / v[-1] - 1.0
         bad = np.flatnonzero(~((m * pr / (m + 1.0) <= v) & (v <= m * pr / (m - 1.0))))
@@ -186,10 +188,10 @@ def build_test_function(
     certified onset of monotone decrease of (phi^alpha)'.  When r_m is
     not given the strict window scan is attempted first.
 
-    The support is the read-only view ``table.primes[r_m - 1:]``, not a
-    copy, and the values are real float64 (``CoeffSeq`` accepts both),
-    filled in blocks of ``sequences.BLOCK``: g adds one float64 array of
-    length pi(L) - r_m + 1 to the table.
+    g is a ``PrimeCoeffs``: its support is the table's ranks from r_m on,
+    read from the table's one-byte gaps whenever it is needed, and its
+    values are real float64, filled in blocks of ``sequences.BLOCK``: g
+    adds one float64 array of length pi(L) - r_m + 1 to the table.
     """
     q = e.q
     if not (1.0 / (2.0 * q) < alpha < 1.0 / q):
@@ -206,13 +208,12 @@ def build_test_function(
     count = len(table)
     if r_m > count:
         raise DomainError(f"r_m={r_m} exceeds the table ({count} primes)")
-    support = table.primes[r_m - 1:]
-    values = np.empty(support.size)
+    values = np.empty(count - r_m + 1)
     step = sequences.BLOCK
     for s in range(0, values.size, step):
         rs = np.arange(r_m + s, r_m + min(s + step, values.size), dtype=np.float64)
         values[s:s + step] = phi_alpha_deriv(rs, alpha)
-    return DirichletPoly(CoeffSeq(support, values, _validated=True))
+    return DirichletPoly(PrimeCoeffs(table, r_m - 1, values))
 
 
 def multiplier_lower_estimate(
@@ -260,10 +261,16 @@ def multiplier_lower_estimate(
         raise DomainError(
             f"conv_limit {conv_limit} below p_rm * max support = {p_rm * f.max_index}"
         )
-    # sum |c_n| <= sum |a_k| sum |b_m| scales the streamed product f*g
-    scale = abs_sum_exponent(f.coeffs) + abs_sum_exponent(g.coeffs)
-    num = ces_norm_stream(product_blocks(f, g, conv_limit), scale, e)
-    den = ces_norm(truncate(g, conv_limit).coeffs, e)
+    # sum |c_n| <= sum |a_k| sum |b_m| scales the streamed product f*g;
+    # when truncation keeps all of g its exponent serves the denominator
+    g_scale = abs_sum_exponent(g.coeffs)
+    num = ces_norm_stream(product_blocks(f, g, conv_limit),
+                          abs_sum_exponent(f.coeffs) + g_scale, e)
+    kept = truncate(g, conv_limit)
+    if kept is g:
+        den = ces_norm_stream(blocks_of(g.coeffs), g_scale, e)
+    else:
+        den = ces_norm(kept.coeffs, e)
     ratio = num.lo / den.hi
     reference = ar_norm(f.coeffs, 1.0 / e.q)
     if ratio > _reference_hi(f.coeffs, 1.0 / e.q, reference):

@@ -1,6 +1,8 @@
 """Finitely supported coefficient sequences and their sequence-space norms.
 
-A ``CoeffSeq`` stores sparse complex coefficients (a_n) indexed from 1.
+A ``CoeffSeq`` stores sparse complex coefficients (a_n) indexed from 1;
+a ``PrimeCoeffs`` stores real ones on consecutive primes, its support
+read from a ``kernels.PrimeTable`` rather than stored.
 The norms implemented here:
 
 * ``ces_norm``   -- (sum_n ((1/n) sum_{k<=n} |a_k|)^p)^(1/p), returned as a
@@ -37,13 +39,9 @@ import numpy as np
 
 from .enclosure import LIB, TINY, U, Enclosure, gamma, pairwise_depth, ulp_down, ulp_up
 from .errors import DomainError, ResourceLimitError
-from .kernels import hurwitz_zeta
+from .kernels import BLOCK, PrimeTable, hurwitz_zeta
 
 _MN_SUPPORT_GUARD = 10_000
-
-# Support entries per block of the Cesaro sum; ``series.product_blocks``
-# cuts products to the same size.
-BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -69,10 +67,11 @@ class CoeffSeq:
     nonzero values.
 
     Values are complex128, except where a trusted builder passes
-    ``_validated=True`` with real float64 values (the prime-supported
-    test functions of ``multipliers.build_test_function``); every
-    consumer reads them through abs, products or ``real``/``imag``, so
-    both kinds behave the same.  Either array may be a read-only view.
+    ``_validated=True`` with real float64 values (a product of
+    ``PrimeCoeffs``); every consumer reads them through abs, products or
+    ``real``/``imag``, so both kinds behave the same.  Either array may be
+    a read-only view.  ``read``, ``rank`` and ``head`` are the support
+    reads that ``PrimeCoeffs`` offers too.
     """
 
     __slots__ = ("idx", "val")
@@ -139,6 +138,23 @@ class CoeffSeq:
     def abs_values(self) -> np.ndarray:
         return np.abs(self.val)
 
+    def read(self, start: int, stop: int, prev: int | None = None,
+             out: np.ndarray | None = None) -> np.ndarray:
+        """Support entries start..stop-1: a view, or copied into ``out``
+        (``prev`` is not needed)."""
+        if out is None:
+            return self.idx[start:stop]
+        out[:] = self.idx[start:stop]
+        return out
+
+    def rank(self, values) -> np.ndarray:
+        """The number of support entries <= each of ``values``."""
+        return np.searchsorted(self.idx, values, side="right")
+
+    def head(self, count: int) -> "CoeffSeq":
+        """The first ``count`` entries, sharing the read-only arrays."""
+        return CoeffSeq(self.idx[:count], self.val[:count], _validated=True)
+
     def scaled(self, c: complex) -> "CoeffSeq":
         return CoeffSeq(self.idx.copy(), self.val * c)
 
@@ -156,6 +172,53 @@ class CoeffSeq:
         else:
             body = f"{len(self)} entries, max index {self.max_index}"
         return f"CoeffSeq({body})"
+
+
+@dataclass(frozen=True, eq=False)
+class PrimeCoeffs:
+    """Real float64 coefficients on consecutive primes: ``val[j]`` at the
+    prime of rank ``start`` + j (from 0) of ``table``.  The support is read
+    from the table's one-byte gaps, never stored: ``read`` decodes a run
+    of entries and ``rank`` counts them up to a value, as on ``CoeffSeq``;
+    ``idx`` decodes all of them (for tests and small callers)."""
+
+    table: PrimeTable
+    start: int
+    val: np.ndarray
+
+    def __post_init__(self):
+        self.val.setflags(write=False)
+
+    def __len__(self) -> int:
+        return int(self.val.size)
+
+    @property
+    def is_empty(self) -> bool:
+        return self.val.size == 0
+
+    @property
+    def max_index(self) -> int:
+        return self.table.nth(self.start + len(self)) if len(self) else 0
+
+    @property
+    def idx(self) -> np.ndarray:
+        return self.read(0, len(self))
+
+    def abs_values(self) -> np.ndarray:
+        return np.abs(self.val)
+
+    def read(self, start: int, stop: int, prev: int | None = None,
+             out: np.ndarray | None = None) -> np.ndarray:
+        """Support entries start..stop-1, decoded (into ``out`` when given);
+        ``prev`` is entry start - 1."""
+        return self.table.read(self.start + start, self.start + min(stop, len(self)), prev, out)
+
+    def rank(self, values) -> np.ndarray:
+        ranks = {v: self.table.rank(v) for v in set(values)}  # one block decoded each
+        return np.clip([ranks[v] - self.start for v in values], 0, len(self))
+
+    def head(self, count: int) -> "PrimeCoeffs":
+        return PrimeCoeffs(self.table, self.start, self.val[:count])
 
 
 def random_seq(
@@ -220,10 +283,14 @@ def _unscale(x: float, shift: int, name: str) -> float:
         raise DomainError(f"the {name} exceeds the float64 range") from None
 
 
-def _blocks(a: CoeffSeq):
-    """Views (idx, val) of ``a`` in blocks of ``BLOCK`` support entries."""
-    step = BLOCK
-    return ((a.idx[s:s + step], a.val[s:s + step]) for s in range(0, len(a), step))
+def blocks_of(a: CoeffSeq | PrimeCoeffs):
+    """(idx, val) of ``a`` in blocks of ``BLOCK`` support entries, each
+    block's support read after the last entry of the one before."""
+    prev = None
+    for s in range(0, len(a), BLOCK):
+        idx = a.read(s, s + BLOCK, prev)
+        prev = int(idx[-1])
+        yield idx, a.val[s:s + BLOCK]
 
 
 def _abs_blocks(blocks, shift: int):
@@ -235,23 +302,25 @@ def _abs_blocks(blocks, shift: int):
         yield idx, w
 
 
-def abs_sum_exponent(a: CoeffSeq) -> int:
+def abs_sum_exponent(a: CoeffSeq | PrimeCoeffs) -> int:
     """An exponent e with sum |a_n| <= 2**e up to rounding (0 for a = 0):
     ``_scale``'s shift of |a|, read block by block, plus the exponent of
     the scaled sum (block sums joined by ``math.fsum``).  The sum of two
-    such exponents scales the Cesaro sum of a product."""
+    such exponents scales the Cesaro sum of a product.  Only the values
+    are read."""
     if a.is_empty:
         return 0
-    shift = math.frexp(max(float(np.max(np.abs(val))) for _, val in _blocks(a)))[1]
-    total = math.fsum(float(np.sum(w)) for _, w in _abs_blocks(_blocks(a), shift))
+    vals = [a.val[s:s + BLOCK] for s in range(0, len(a), BLOCK)]
+    shift = math.frexp(max(float(np.max(np.abs(v))) for v in vals))[1]
+    total = math.fsum(float(np.sum(np.ldexp(np.abs(v), -shift))) for v in vals)
     return shift + math.frexp(total)[1]
 
 
-def ces_norm(a: CoeffSeq, e: Exponent) -> Enclosure:
+def ces_norm(a: CoeffSeq | PrimeCoeffs, e: Exponent) -> Enclosure:
     """Certified enclosure of the Cesaro-mean norm of ``a``, in O(support):
-    ``ces_norm_stream`` of its own blocks at ``abs_sum_exponent``, so |a|
-    is read one block at a time and only ``a`` itself is held whole."""
-    return ces_norm_stream(_blocks(a), abs_sum_exponent(a), e)
+    ``ces_norm_stream`` of its own ``blocks_of`` at ``abs_sum_exponent``, so
+    |a| is read one block at a time and only ``a`` itself is held whole."""
+    return ces_norm_stream(blocks_of(a), abs_sum_exponent(a), e)
 
 
 def ces_norm_stream(blocks, scale: int, e: Exponent) -> Enclosure:

@@ -23,8 +23,8 @@ import numpy as np
 
 from . import sequences
 from .errors import DomainError
-from .kernels import PrimeTable, smooth_membership
-from .sequences import CoeffSeq
+from .kernels import PrimeTable, smooth_mask
+from .sequences import CoeffSeq, PrimeCoeffs
 
 
 @dataclass(frozen=True)
@@ -41,7 +41,7 @@ class EvalPoint:
 
 @dataclass(frozen=True)
 class DirichletPoly:
-    coeffs: CoeffSeq
+    coeffs: CoeffSeq | PrimeCoeffs
 
     @classmethod
     def from_pairs(cls, pairs) -> "DirichletPoly":
@@ -80,24 +80,35 @@ def product_blocks(f: DirichletPoly, g: DirichletPoly, limit: int):
     all (or one per index of f), written into one fresh idx/val pair.
     A single slice is already sorted and distinct; several are merged by
     a stable argsort, equal indices summed in the order of f's indices.
+    Each index of f reads g's support (``read``, so a ``PrimeCoeffs``
+    decodes it) once, up to one entry past its share of the window, and
+    keeps what the window left for the next block.
     """
     if limit < 1:
         raise DomainError(f"convolution limit must be >= 1, got {limit}")
     fa, ga = f.coeffs, g.coeffs
     if fa.is_empty or ga.is_empty:
         return
-    fi, fv, gi, gv = fa.idx, fa.val, ga.idx, ga.val
+    fi, fv, gv = fa.idx, fa.val, ga.val
     vtype = np.result_type(fv, gv)
-    cap = np.searchsorted(gi, [min(limit // int(i), int(gi[-1])) for i in fi], side="right")
+    top = ga.max_index
+    cap = ga.rank([min(limit // int(i), top) for i in fi])
     pos = np.zeros_like(cap)
+    none = np.empty(0, dtype=np.int64)
+    ahead = [none] * len(fi)  # g's support from pos on, already read
     while (live := np.flatnonzero(pos < cap)).size:
         # the window ends at the first product past some index's share
         stop = pos[live] + max(1, sequences.BLOCK // live.size)
         ends = cap[live]
+        for k, p, t in zip(live.tolist(), pos[live].tolist(), np.minimum(stop + 1, ends).tolist()):
+            if ahead[k].size < t - p:
+                ahead[k] = _read_on(ga, ahead[k], p, t)
         inside = stop < ends
         if inside.any():
-            hi = int((fi[live[inside]] * gi[stop[inside]]).min())
-            ends = np.minimum(np.searchsorted(gi, -(-hi // fi[live])), ends)
+            hi = min(int(fi[k]) * int(ahead[k][s - pos[k]])
+                     for k, s in zip(live[inside].tolist(), stop[inside].tolist()))
+            ends = np.minimum([pos[k] + np.searchsorted(ahead[k], -(-hi // int(fi[k])))
+                               for k in live.tolist()], ends)
         sizes = ends - pos[live]
         idx = np.empty(int(sizes.sum()), dtype=np.int64)
         val = np.empty(idx.size, dtype=vtype)
@@ -105,9 +116,10 @@ def product_blocks(f: DirichletPoly, g: DirichletPoly, limit: int):
         # a product or sum that leaves the float64 range fails the finite
         # check below; the state is not held across the yield
         with np.errstate(over="ignore", invalid="ignore"):
-            for k, t, n in zip(live.tolist(), ends.tolist(), sizes.tolist()):
-                np.multiply(fi[k], gi[pos[k]:t], out=idx[o:o + n])
-                np.multiply(fv[k], gv[pos[k]:t], out=val[o:o + n])
+            for k, n in zip(live.tolist(), sizes.tolist()):
+                np.multiply(fi[k], ahead[k][:n], out=idx[o:o + n])
+                np.multiply(fv[k], gv[pos[k]:pos[k] + n], out=val[o:o + n])
+                ahead[k] = ahead[k][n:] if n < ahead[k].size else none
                 o += n
             pos[live] = ends
             if np.count_nonzero(sizes) > 1:
@@ -125,6 +137,17 @@ def product_blocks(f: DirichletPoly, g: DirichletPoly, limit: int):
             idx, val = idx[keep], val[keep]
         if idx.size:
             yield idx, val
+
+
+def _read_on(c, have: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """The support entries start..stop-1 of ``c``, given ``have``, those
+    from start on that were read before."""
+    if not have.size:
+        return c.read(start, stop)
+    out = np.empty(stop - start, dtype=np.int64)
+    out[:have.size] = have
+    c.read(start + have.size, stop, int(have[-1]), out[have.size:])
+    return out
 
 
 def convolve(f: DirichletPoly, g: DirichletPoly, limit: int) -> DirichletPoly:
@@ -173,8 +196,7 @@ def truncate(f: DirichletPoly, n: int) -> DirichletPoly:
     c = f.coeffs
     if n >= c.max_index:
         return f
-    take = np.searchsorted(c.idx, n, side="right")
-    return DirichletPoly(CoeffSeq(c.idx[:take], c.val[:take], _validated=True))
+    return DirichletPoly(c.head(int(c.rank([n])[0])))
 
 
 def qr_project(f: DirichletPoly, r: int, table: PrimeTable) -> DirichletPoly:
@@ -186,9 +208,6 @@ def qr_project(f: DirichletPoly, r: int, table: PrimeTable) -> DirichletPoly:
     c = f.coeffs
     if c.is_empty:
         return f
-    keep = np.fromiter(
-        (smooth_membership(int(n), r, table) for n in c.idx),
-        dtype=bool, count=len(c),
-    )
+    keep = smooth_mask(c.idx.tolist(), r, table)
     return DirichletPoly(CoeffSeq(c.idx[keep].copy(), c.val[keep].copy(),
                                   _validated=True))

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dense_reference import EPS, dense_zeta_tail
-from cesdirichlet.enclosure import LIB, U, Enclosure, ulp_down, ulp_up
+from cesdirichlet.enclosure import LIB, U, Enclosure, gamma, ulp_down, ulp_up
 from cesdirichlet.errors import DomainError
 from cesdirichlet.dual import SENTINEL, jagers_dual_norm
 from cesdirichlet.kernels import hurwitz_zeta, log_power_sum, power_segment
@@ -187,6 +187,20 @@ def test_log_power_segments_contain_mpmath(c, a, b):
     assert enc.lo <= ref <= enc.hi, (c, a, b, enc, ref)
     # the margin grows like c: each log sits inside a power of condition c
     assert enc.width <= 5e-15 * (c + 10.0) * enc.hi
+
+
+@pytest.mark.parametrize("c, a, b", [
+    (0.3, 2, 10 ** 5), (1.0, 2, 4097), (2.0, 4095, 4100), (1.5, 2, None), (9.0, 4096, None),
+    (0.7, 3, 10 ** 9), (1.0, 10 ** 12, 10 ** 12 + 5), (300.0, 3, 5000),
+])
+def test_log_power_at_least_its_margin_wide(c, a, b):
+    # each side carries the modelled margin, gamma((c + 9) LIB + c (lam + 4)
+    # + 20) times the terms' absolute sum, which is at least lo.  float64
+    # rounding stays far inside it, so containment alone would not show a
+    # deleted or miscounted margin
+    enc = log_power_sum(c, a, b)
+    lam = 3.61 if b is not None else 7.21 + 1.0 / (c - 1.0)
+    assert enc.width >= 2.0 * gamma((c + 9.0) * LIB + c * (lam + 4.0) + 20.0) * enc.lo
 
 
 @pytest.mark.parametrize("c, a, b", [

@@ -13,8 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cesdirichlet import cli
 from cesdirichlet.cli import dump_coeffs, load_coeffs, parse_and_dispatch
 from cesdirichlet.errors import InputError
+from cesdirichlet.kernels import sieve_primes
 from cesdirichlet.reports import emit_report, parse_json, round_sig, to_csv, to_json
 from cesdirichlet.sequences import CoeffSeq
 
@@ -296,6 +298,27 @@ def test_project_verb(tmp_path, capsys):
     assert [row["n"] for row in payload["coeffs"]] == [1, 2, 4]
 
 
+def test_project_sieves_only_to_p_r(tmp_path, capsys, monkeypatch):
+    # 2 * 10**9 = 2**10 5**9 is 3-smooth, though the sieve's memory guard
+    # stops at 10**9: primes past p_r never decide r-smoothness
+    path = write_coeffs(tmp_path, "f.json", [{"n": 12, "re": 1.0}, {"n": 2 * 10 ** 9, "re": 2.0},
+                                             {"n": 7, "re": 1.0}, {"n": 10 ** 8, "re": 3.0}])
+    limits = []
+    monkeypatch.setattr(cli, "sieve_primes", lambda limit: limits.append(limit) or sieve_primes(limit))
+    for r, kept in ((1, []), (3, [12, 10 ** 8, 2 * 10 ** 9]), (4, [7, 12, 10 ** 8, 2 * 10 ** 9]),
+                    (10 ** 5, [7, 12, 10 ** 8, 2 * 10 ** 9])):
+        assert parse_and_dispatch(["project", "--input", path, "--r", str(r)]) == 0
+        assert [row["n"] for row in json.loads(capsys.readouterr().out)["coeffs"]] == kept
+    # p_r <= 11 below r = 6; p_100000 = 1299709 < 1395640
+    assert limits == [11, 11, 11, 1395640]
+    # the sieve never passes the largest index
+    small = write_coeffs(tmp_path, "g.json", [{"n": 5, "re": 1.0}])
+    assert parse_and_dispatch(["project", "--input", small, "--r", "10000"]) == 0
+    assert limits[-1] == 5
+    assert parse_and_dispatch(["project", "--input", path, "--r", "0"]) == 2
+    assert "prime count r must be >= 1" in capsys.readouterr().err
+
+
 def test_dual_norm_verb_with_oracle(tmp_path, capsys):
     path = write_coeffs(tmp_path, "f.json", UNIT)
     code = parse_and_dispatch(
@@ -427,6 +450,24 @@ def test_unwritable_output_file_exits_2(tmp_path, capsys, argv):
     argv = [path if a == "F" else a.replace("MISSING", missing) for a in argv]
     assert parse_and_dispatch(argv) == 2
     assert f"error: {missing}/" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("where", ["missing", "file", "dir"])
+def test_verify_report_path_checked_before_suites(tmp_path, capsys, monkeypatch, where):
+    # a report that cannot be written fails before any suite runs, and
+    # nothing is created on the way
+    def no_suites(*args, **kwargs):
+        raise AssertionError("a suite ran before the report path was checked")
+
+    monkeypatch.setattr(cli, "run_suites", no_suites)
+    (tmp_path / "plain").write_text("x")
+    path = {"missing": tmp_path / "no-such-dir" / "r.json",
+            "file": tmp_path / "plain" / "r.json", "dir": tmp_path}[where]
+    before = sorted(tmp_path.rglob("*"))
+    assert parse_and_dispatch(["verify", "--suite", "all", "--report", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"error: {path}: ")
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from dense_reference import (EPS, dense_delta_norm_p2, dense_power_sum, dense_zeta_real,
                              dense_zeta_tail)
 from cesdirichlet.dual import (
+    _DELTA_HEAD,
+    _DELTA_ORDER,
     SENTINEL,
     JagersTrace,
     bennett_equivalence_check,
@@ -18,7 +20,7 @@ from cesdirichlet.dual import (
     jagers_dual_norm,
     sigma_threshold,
 )
-from cesdirichlet.enclosure import Enclosure, ulp_down, ulp_up
+from cesdirichlet.enclosure import LIB, Enclosure, gamma, ulp_down, ulp_up
 from cesdirichlet.errors import ArgminTieError, DomainError, ResourceLimitError
 from cesdirichlet.kernels import zeta_real
 from cesdirichlet.sequences import CoeffSeq, Exponent, dq_norm
@@ -410,6 +412,21 @@ def test_delta_exact_against_highprecision(sigma):
     assert enc.width < DELTA_WIDTH_CAP[sigma]
     ref = float(mp_delta_norm_p2(sigma))
     assert abs(DELTA_EXACT[sigma] - ref) <= 2 * math.ulp(ref)
+
+
+@pytest.mark.parametrize("sigma", [0.500001, 0.51, 0.6, 0.75, 0.9, 1.0])
+def test_delta_exact_at_least_its_pad_wide(sigma):
+    # the squared enclosure carries the modelled pad on each side:
+    # gamma(6 LIB + 9) of the explicit head and gamma(12 K + 7) of the tail
+    # terms' absolute sum, which is at least the tail.  float64 rounding
+    # stays far inside it, so containment alone would not show a deleted
+    # or miscounted pad
+    enc = delta_norm_exact_p2(sigma)
+    ns = np.arange(1, _DELTA_HEAD, dtype=np.float64)
+    head = math.fsum((ns * (ns ** -sigma - (ns + 1.0) ** -sigma)) ** 2)
+    tail = enc.mid ** 2 - head
+    pad = gamma(6 * LIB + 9) * head + gamma(12 * _DELTA_ORDER + 7) * tail
+    assert enc.hi ** 2 - enc.lo ** 2 >= 2.0 * pad * (1.0 - 1e-3)
 
 
 @pytest.mark.parametrize("sigma", [0.6, 0.75, 0.9, 1.0])

@@ -70,17 +70,71 @@ def plain_sieve_reference(limit: int) -> np.ndarray:
 def test_segmented_sieve_agrees(monkeypatch):
     for limit in [*range(2, 130), 10 ** 6 - 1, 10 ** 6]:
         assert np.array_equal(sieve_primes(limit).primes, plain_sieve_reference(limit))
-    # segments of 64 odd numbers: many boundaries, primes up to 1e4 crossing them
+    # segments of 64 odd numbers and checkpoints every 5 ranks: many
+    # boundaries of both, primes up to 1e4 crossing them
     monkeypatch.setattr(kernels, "_SEGMENT_SIZE", 64)
+    monkeypatch.setattr(kernels, "BLOCK", 5)
     for limit in (127, 128, 129, 10 ** 4 + 7):
-        assert np.array_equal(sieve_primes(limit).primes, plain_sieve_reference(limit))
+        table = sieve_primes(limit)
+        assert table.step == 5
+        assert np.array_equal(table.primes, plain_sieve_reference(limit))
+
+
+@pytest.mark.parametrize("step", [1, 2, 5, 1 << 15])
+def test_table_reads_match_decoded(step, monkeypatch):
+    monkeypatch.setattr(kernels, "BLOCK", step)
+    table = sieve_primes(600)
+    ref = plain_sieve_reference(600)
+    assert len(table) == ref.size == 109
+    for start in range(ref.size + 1):
+        for stop in (start, start + 1, start + 2, start + 7, ref.size, ref.size + 3):
+            assert np.array_equal(table.read(start, stop), ref[start:stop])
+            if start >= 2:
+                assert np.array_equal(table.read(start, stop, int(ref[start - 1])), ref[start:stop])
+    for r in range(1, ref.size + 1):
+        assert table.nth(r) == ref[r - 1]
+    for value in range(-1, 605):
+        assert table.rank(value) == np.searchsorted(ref, value, side="right")
+
+
+def test_table_odd_first_gap():
+    # 2 -> 3 is the one odd gap: 2 is read as 1, so half-gaps start 0, 1, 1
+    table = sieve_primes(7)
+    assert table.halves.tolist() == [0, 1, 1, 1]
+    assert table.marks.tolist() == [1]
+    assert table.read(0, 4).tolist() == [2, 3, 5, 7]
+    assert table.read(1, 3).tolist() == [3, 5]
+    # a given prev of rank 0 (start < 2) is not used: the read walks from 1
+    assert table.read(1, 2, 2).tolist() == [3]
+    assert [table.rank(v) for v in range(1, 8)] == [0, 1, 2, 2, 3, 3, 4]
+    assert (table.nth(1), table.nth(2)) == (2, 3)
+
+
+def test_table_half_gap_past_one_byte_raises():
+    ks = np.array([3, 258], dtype=np.int64)
+    assert kernels._half_gaps(ks, 0).tolist() == [3, 255]
+    with pytest.raises(DomainError, match="does not fit"):
+        kernels._half_gaps(np.array([3, 259], dtype=np.int64), 0)
+    with pytest.raises(DomainError, match="does not fit"):
+        kernels._half_gaps(np.array([256], dtype=np.int64), 0)
+
+
+def test_table_bytes():
+    for limit in (2, 100, 10 ** 5, 10 ** 6):
+        table = sieve_primes(limit)
+        assert table.halves.dtype == np.uint8 and table.marks.dtype == np.int64
+        marks = -(-len(table) // table.step)
+        assert table.marks.size == marks
+        assert table.halves.nbytes + table.marks.nbytes <= len(table) + 8 * marks
+        assert not table.halves.flags.writeable and not table.marks.flags.writeable
 
 
 @pytest.mark.parametrize("limit, count", [(10 ** 7, 664579), (10 ** 8, 5761455)])
 def test_sieve_prime_counts(limit, count):
     table = sieve_primes(limit)
-    assert len(table) == count
-    assert table.primes.dtype == np.int64
+    assert len(table) == count == table.rank(limit)
+    assert table.halves.dtype == np.uint8
+    assert table.nth(count) == {10 ** 7: 9999991, 10 ** 8: 99999989}[limit]
 
 
 # ---------------------------------------------------------------------------
@@ -315,6 +369,28 @@ def test_smooth_undecidable():
     small = sieve_primes(10)  # primes 2, 3, 5, 7
     with pytest.raises(DomainError):
         smooth_membership(11 * 13, 20, small)
+
+
+def test_smooth_mask_matches_single_calls():
+    # one decode for many n: the same answers, and the same refusal when
+    # one n is undecidable from the table
+    for table in (sieve_primes(10), sieve_primes(100)):
+        for r in (1, 2, 4, 5, 25, 26, 40):
+            ns = list(range(1, 400))
+            singles = []
+            for n in ns:
+                try:
+                    singles.append(smooth_membership(n, r, table))
+                except DomainError:
+                    singles.append(None)
+            if None in singles:
+                with pytest.raises(DomainError, match="cannot decide"):
+                    kernels.smooth_mask(ns, r, table)
+                ns = [n for n, ok in zip(ns, singles) if ok is not None]
+                singles = [ok for ok in singles if ok is not None]
+            assert kernels.smooth_mask(ns, r, table).tolist() == singles
+    with pytest.raises(DomainError, match="positive"):
+        kernels.smooth_mask([3, 0], 2, sieve_primes(10))
 
 
 @settings(max_examples=60, deadline=None)

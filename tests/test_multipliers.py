@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -5,7 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from cesdirichlet import multipliers, sequences
+from cesdirichlet import kernels, multipliers, sequences
 from cesdirichlet.enclosure import ulp_down, ulp_up
 from cesdirichlet.errors import DomainError, SelfCheckError, WindowNotFoundError
 from cesdirichlet.kernels import (decrease_onset, lambert_w, log_power_sum, phi_alpha_deriv,
@@ -22,9 +23,9 @@ from cesdirichlet.multipliers import (
     schur_log_power,
     schur_power,
 )
-from cesdirichlet.sequences import (CoeffSeq, Exponent, abs_sum_exponent, ar_norm, ces_norm,
-                                    ces_norm_stream)
-from cesdirichlet.series import DirichletPoly, product_blocks, translate
+from cesdirichlet.sequences import (CoeffSeq, Exponent, PrimeCoeffs, abs_sum_exponent, ar_norm,
+                                    ces_norm, ces_norm_stream)
+from cesdirichlet.series import DirichletPoly, product_blocks, translate, truncate
 
 E2 = Exponent.from_p(2.0)
 
@@ -174,11 +175,60 @@ def test_blocked_test_function_matches_dense(block, table_1e4, monkeypatch):
         ref = dense_test_function(m, 0.45, E2, table_1e4, r_m).coeffs
         assert g.idx.tobytes() == ref.idx.tobytes()
         assert g.abs_values().tobytes() == ref.abs_values().tobytes()
-        # g holds its values as real float64 and its support as a view of the table
+        # g holds its values as real float64 and no 8-byte-per-entry support
         assert g.val.dtype == np.float64
-        assert np.shares_memory(g.idx, table_1e4.primes)
-        assert not g.idx.flags.writeable and not g.val.flags.writeable
+        assert_no_wide_support(g, table_1e4)
+        assert not g.val.flags.writeable
         assert ces_norm(g, E2) == ces_norm(ref, E2)
+
+
+def assert_no_wide_support(g, table):
+    """g is the table's ranks from ``start`` on and its float64 values: the
+    only arrays behind it are the values, the one-byte half-gaps and one
+    int64 mark per table block, none of them an int64 support."""
+    assert isinstance(g, PrimeCoeffs) and g.table is table
+    assert [type(getattr(g, f.name)) for f in dataclasses.fields(g)] == [
+        type(table), int, np.ndarray]
+    assert table.halves.itemsize == 1
+    assert table.marks.size == -(-len(table) // table.step)
+
+
+def array_twin(g):
+    """g with its support decoded into an int64 array."""
+    return DirichletPoly(CoeffSeq(g.coeffs.idx, g.coeffs.val, _validated=True))
+
+
+@pytest.mark.parametrize("block, step", [(2, 1), (3, 7), (64, 5), (1 << 15, 1 << 15)])
+def test_table_test_function_matches_array_twin(block, step, monkeypatch):
+    # the same product blocks, denominator blocks and estimates, bit for
+    # bit, whether g's support is read from the table or from an array
+    monkeypatch.setattr(kernels, "BLOCK", step)
+    table = sieve_primes(1500)
+    monkeypatch.setattr(sequences, "BLOCK", block)
+    fs = [DirichletPoly.from_pairs([(1, 1.0), (2, 1.0), (3, 1.0)]),
+          DirichletPoly.from_pairs([(2, 0.5j), (3, -1.0), (7, 2.0), (10, 1.0 + 1.0j)])]
+    for r_m in (11, 52, len(table) - 3):
+        g = build_test_function(10, 0.45, E2, table, r_m=r_m)
+        twin = array_twin(g)
+        assert g.coeffs.max_index == twin.max_index == table.nth(len(table))
+        for f in fs:
+            for limit in (table.nth(r_m), 1000, 2500, 10 ** 4):
+                got = list(product_blocks(f, g, limit))
+                want = list(product_blocks(f, twin, limit))
+                assert len(got) == len(want)
+                for (gi, gv), (wi, wv) in zip(got, want):
+                    assert gi.tobytes() == wi.tobytes() and gv.tobytes() == wv.tobytes()
+                assert truncate(g, limit).coeffs.idx.tobytes() == truncate(twin, limit).coeffs.idx.tobytes()
+                assert ces_norm(truncate(g, limit).coeffs, E2) == ces_norm(truncate(twin, limit).coeffs, E2)
+            est = multiplier_lower_estimate(f, 10, 0.45, E2, table, r_m=r_m)
+            cut = multiplier_lower_estimate(f, 10, 0.45, E2, table, r_m=r_m,
+                                            conv_limit=table.nth(r_m) * f.max_index)
+            monkeypatch.setattr(multipliers, "build_test_function",
+                                lambda *a, **k: array_twin(build_test_function(*a, **k)))
+            assert multiplier_lower_estimate(f, 10, 0.45, E2, table, r_m=r_m) == est
+            assert multiplier_lower_estimate(f, 10, 0.45, E2, table, r_m=r_m,
+                                             conv_limit=table.nth(r_m) * f.max_index) == cut
+            monkeypatch.setattr(multipliers, "build_test_function", build_test_function)
 
 
 # ---------------------------------------------------------------------------
@@ -292,15 +342,30 @@ def test_streamed_numerator_memory(table_1e7):
     assert 0 < num.width <= 1e-13 * num.hi
     # the whole estimate holds g's real values (5.1 MB) beside the table
     # and moves everything else in blocks; the dense window scan, complex
-    # g and full |g| copies peaked at 23.8 MB (7.9 MB now)
+    # g and full |g| copies peaked at 23.8 MB (7.8 MiB now)
     tracemalloc.start()
     try:
         est = multiplier_lower_estimate(f, 10, 0.45, E2, table)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 20 * 2 ** 20
+    assert peak < 10 * 2 ** 20
     assert 0 < est.ratio <= est.reference
+
+
+def test_estimate_memory_with_sieve():
+    # a whole 1e7 estimate with its own sieve: the one-byte table
+    # (0.63 MiB) beside g's values (5.07 MiB) and one block of the stream,
+    # 8.4 MiB traced; with the int64 table (5.07 MiB) it peaked at 12.7 MiB
+    f = DirichletPoly.from_pairs([(1, 1.0), (2, 1.0), (3, 1.0)])
+    tracemalloc.start()
+    try:
+        est = multiplier_lower_estimate(f, 10, 0.45, E2, sieve_primes(10 ** 7))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2 ** 20
+    assert est.r_m == 11 and 0 < est.ratio <= est.reference
 
 
 def test_streamed_numerator_block_budget(table_1e7):
