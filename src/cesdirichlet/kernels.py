@@ -98,6 +98,12 @@ class PrimeTable:
         return int(self.read(r - 1, r)[0])
 
 
+def _pi_upper(x: int) -> int:
+    """A bound on the number of primes <= x (>= 2): pi(x) < 1.25506 x / log x
+    for x > 1 (Rosser and Schoenfeld, Illinois J. Math. 1962, (3.6))."""
+    return int(1.25506 * x / math.log(x)) + 2
+
+
 def _half_gaps(k: np.ndarray, last: int) -> np.ndarray:
     """The gaps of the increasing, nonempty k after ``last``: for the odd
     primes 2k + 1 the half-gaps of ``PrimeTable``, each at most 255."""
@@ -115,8 +121,7 @@ def _sieve(limit: int) -> tuple[np.ndarray, np.ndarray]:
     odd primes up to sqrt(limit) strike their odd multiples from p^2 on,
     stepping p in k.  Half-gaps are gaps in k, 2 taking k = 0, and a mark
     is 2k + 1 of the rank before each block of ``BLOCK``.  The half-gaps
-    fill one uint8 array sized by pi(x) < 1.25506 x / log x (x > 1; Rosser
-    and Schoenfeld, Illinois J. Math. 1962, (3.6)), shrunk in place at the
+    fill one uint8 array sized by ``_pi_upper``, shrunk in place at the
     end."""
     root = math.isqrt(limit)
     base = (2 * np.cumsum(_sieve(root)[0], dtype=np.int64) + 1)[1:].tolist() if root >= 3 else []
@@ -138,7 +143,7 @@ def _sieve(limit: int) -> tuple[np.ndarray, np.ndarray]:
             found += lo
             yield found
 
-    halves = np.empty(int(1.25506 * limit / math.log(limit)) + 2, dtype=np.uint8)
+    halves = np.empty(_pi_upper(limit), dtype=np.uint8)
     marks = [np.zeros(1, dtype=np.int64)]  # k before rank 0
     count = last = 0  # ranks so far, k of the last prime
     for found in ks():
@@ -173,35 +178,40 @@ def smooth_membership(n: int, r: int, table: PrimeTable) -> bool:
 
 
 def smooth_mask(ns, r: int, table: PrimeTable) -> np.ndarray:
-    """``smooth_membership`` of every n in ``ns``, as a bool array: the
-    table's first r primes up to max(ns) are decoded once."""
+    """``smooth_membership`` of every n in ``ns``, as a bool array.  Only
+    the first r primes up to sqrt(max(ns)) are decoded, once; what trial
+    division by them leaves of n is 1, a prime (compared with p_r) or a
+    product of primes past them."""
     ns = [int(n) for n in ns]
     if min(ns, default=1) < 1:
         raise DomainError(f"smoothness is defined for positive integers, got {min(ns)}")
     if r < 1:
         raise DomainError(f"prime count r must be >= 1, got {r}")
-    top = max(ns, default=1)
-    avail = min(r, len(table))
-    # no prime past n divides n or equals it
-    primes = table.read(0, min(avail, table.rank(top)))
-    roots = primes[:np.searchsorted(primes, math.isqrt(top), side="right")].tolist()
+    root = math.isqrt(max(ns, default=1))
+    count = min(r, len(table), _pi_upper(root)) if root >= 2 else 0
+    decoded = table.read(0, count)
+    roots = decoded[:np.searchsorted(decoded, root, side="right")].tolist()
+    p_r = None if r > len(table) else int(decoded[r - 1]) if r <= count else table.nth(r)
     out = np.empty(len(ns), dtype=bool)
     for k, n in enumerate(ns):
+        whole = True  # n not cut short by p * p > n
         for p in roots:
             if p * p > n:
+                whole = False
                 break
             while n % p == 0:
                 n //= p
-        # n > 1: a single prime factor remains (loop broke at p*p > n) or we
-        # ran out of table primes.
-        if n > 1 and avail < r and primes.size == avail and n > int(primes[-1]):
-            # The remaining factor might be one of p_{avail+1}..p_r, which the
-            # table does not cover.
+        if n == 1 or (whole and len(roots) == r):
+            out[k] = n == 1  # else every factor of n lies past p_r
+        elif (not whole or root <= table.limit) and (p_r is not None or n <= table.limit):
+            # every prime <= sqrt(n) was tried, so n is a prime; with r past
+            # the table, a prime <= the limit is in it
+            out[k] = p_r is None or n <= p_r
+        else:
+            # n's factors lie past the table, maybe among p_{len+1}..p_r
             raise DomainError(
                 f"prime table with {len(table)} primes cannot decide {r}-smoothness of remainder {n}"
             )
-        pos = int(np.searchsorted(primes, n))
-        out[k] = n == 1 or (pos < primes.size and int(primes[pos]) == n)
     return out
 
 

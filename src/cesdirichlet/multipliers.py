@@ -58,8 +58,8 @@ from .kernels import (
     power_sum_range,
     zeta_real,
 )
-from .sequences import (CoeffSeq, Exponent, PrimeCoeffs, abs_sum_exponent, ar_norm, blocks_of,
-                        ces_norm, ces_norm_stream)
+from .sequences import (CoeffSeq, Exponent, PrimeCoeffs, abs_sum_exponent, ar_norm, ces_norm,
+                        ces_norm_stream)
 from .series import DirichletPoly, convolve, product_blocks, truncate
 
 HEURISTIC_WINDOW_FLAG = "heuristic-window"
@@ -261,16 +261,10 @@ def multiplier_lower_estimate(
         raise DomainError(
             f"conv_limit {conv_limit} below p_rm * max support = {p_rm * f.max_index}"
         )
-    # sum |c_n| <= sum |a_k| sum |b_m| scales the streamed product f*g;
-    # when truncation keeps all of g its exponent serves the denominator
-    g_scale = abs_sum_exponent(g.coeffs)
-    num = ces_norm_stream(product_blocks(f, g, conv_limit),
-                          abs_sum_exponent(f.coeffs) + g_scale, e)
-    kept = truncate(g, conv_limit)
-    if kept is g:
-        den = ces_norm_stream(blocks_of(g.coeffs), g_scale, e)
-    else:
-        den = ces_norm(kept.coeffs, e)
+    # sum |c_n| <= sum |a_k| sum |b_m| scales the streamed product f*g
+    scale = abs_sum_exponent(f.coeffs) + abs_sum_exponent(g.coeffs)
+    num = ces_norm_stream(product_blocks(f, g, conv_limit), scale, e)
+    den = ces_norm(truncate(g, conv_limit).coeffs, e)
     ratio = num.lo / den.hi
     reference = ar_norm(f.coeffs, 1.0 / e.q)
     if ratio > _reference_hi(f.coeffs, 1.0 / e.q, reference):

@@ -159,11 +159,12 @@ class CoeffSeq:
         return CoeffSeq(self.idx.copy(), self.val * c)
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, CoeffSeq):
+        """Equal entries; a ``PrimeCoeffs`` with the same entries is equal."""
+        if not isinstance(other, (CoeffSeq, PrimeCoeffs)):
             return NotImplemented
-        return (self.idx.shape == other.idx.shape
-                and bool(np.all(self.idx == other.idx))
-                and bool(np.all(self.val == other.val)))
+        return (len(self) == len(other)
+                and bool(np.array_equal(self.idx, other.idx))
+                and bool(np.array_equal(self.val, other.val)))
 
     def __repr__(self):
         if len(self) <= 6:
@@ -171,16 +172,17 @@ class CoeffSeq:
                              for n, v in self.entries())
         else:
             body = f"{len(self)} entries, max index {self.max_index}"
-        return f"CoeffSeq({body})"
+        return f"{type(self).__name__}({body})"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class PrimeCoeffs:
     """Real float64 coefficients on consecutive primes: ``val[j]`` at the
     prime of rank ``start`` + j (from 0) of ``table``.  The support is read
     from the table's one-byte gaps, never stored: ``read`` decodes a run
     of entries and ``rank`` counts them up to a value, as on ``CoeffSeq``;
-    ``idx`` decodes all of them (for tests and small callers)."""
+    ``idx``, ``entries``, ``scaled``, equality and repr decode all of them
+    and behave as on a ``CoeffSeq`` with the same entries."""
 
     table: PrimeTable
     start: int
@@ -204,9 +206,6 @@ class PrimeCoeffs:
     def idx(self) -> np.ndarray:
         return self.read(0, len(self))
 
-    def abs_values(self) -> np.ndarray:
-        return np.abs(self.val)
-
     def read(self, start: int, stop: int, prev: int | None = None,
              out: np.ndarray | None = None) -> np.ndarray:
         """Support entries start..stop-1, decoded (into ``out`` when given);
@@ -219,6 +218,12 @@ class PrimeCoeffs:
 
     def head(self, count: int) -> "PrimeCoeffs":
         return PrimeCoeffs(self.table, self.start, self.val[:count])
+
+    entries = CoeffSeq.entries
+    abs_values = CoeffSeq.abs_values
+    scaled = CoeffSeq.scaled
+    __eq__ = CoeffSeq.__eq__
+    __repr__ = CoeffSeq.__repr__
 
 
 def random_seq(
@@ -283,7 +288,7 @@ def _unscale(x: float, shift: int, name: str) -> float:
         raise DomainError(f"the {name} exceeds the float64 range") from None
 
 
-def blocks_of(a: CoeffSeq | PrimeCoeffs):
+def _blocks(a: CoeffSeq | PrimeCoeffs):
     """(idx, val) of ``a`` in blocks of ``BLOCK`` support entries, each
     block's support read after the last entry of the one before."""
     prev = None
@@ -318,9 +323,9 @@ def abs_sum_exponent(a: CoeffSeq | PrimeCoeffs) -> int:
 
 def ces_norm(a: CoeffSeq | PrimeCoeffs, e: Exponent) -> Enclosure:
     """Certified enclosure of the Cesaro-mean norm of ``a``, in O(support):
-    ``ces_norm_stream`` of its own ``blocks_of`` at ``abs_sum_exponent``, so
+    ``ces_norm_stream`` of its own blocks at ``abs_sum_exponent``, so
     |a| is read one block at a time and only ``a`` itself is held whole."""
-    return ces_norm_stream(blocks_of(a), abs_sum_exponent(a), e)
+    return ces_norm_stream(_blocks(a), abs_sum_exponent(a), e)
 
 
 def ces_norm_stream(blocks, scale: int, e: Exponent) -> Enclosure:

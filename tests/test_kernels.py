@@ -393,6 +393,41 @@ def test_smooth_mask_matches_single_calls():
         kernels.smooth_mask([3, 0], 2, sieve_primes(10))
 
 
+def test_smooth_mask_matches_factorization():
+    # a batch tries each n only up to its own square root
+    table = sieve_primes(100)
+    ns = list(range(1, 3000))
+    for r in range(1, len(table) + 1):
+        want = []
+        for n in ns:
+            for p in table.primes[:r].tolist():
+                while n % p == 0:
+                    n //= p
+            want.append(n == 1)
+        assert kernels.smooth_mask(ns, r, table).tolist() == want
+
+
+def test_smooth_reads_only_primes_to_the_root(monkeypatch):
+    # a large n and r decode the primes up to sqrt(n), not up to n or p_r
+    table = sieve_primes(10 ** 6)
+    decoded = []
+    read = kernels.PrimeTable.read
+
+    def counted(self, start, stop, *a, **k):
+        out = read(self, start, stop, *a, **k)
+        decoded.append(out.size)
+        return out
+
+    monkeypatch.setattr(kernels.PrimeTable, "read", counted)
+    r = 70_000
+    p_r, p_next = table.nth(r), table.nth(r + 1)
+    for n, smooth in ((p_r, True), (2 * p_r, True), (p_next, False), (3 * p_next, False),
+                      (10 ** 6, True), (997 * 1009, True), (p_r * p_next, False)):
+        decoded.clear()
+        assert smooth_membership(n, r, table) == smooth
+        assert sum(decoded) <= kernels._pi_upper(math.isqrt(n)) + 1
+
+
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(min_value=1, max_value=5000), r=st.integers(min_value=1, max_value=15))
 def test_smooth_matches_factorization(n, r):

@@ -235,6 +235,21 @@ def test_table_test_function_matches_array_twin(block, step, monkeypatch):
 # test functions and the quotient ladder
 # ---------------------------------------------------------------------------
 
+def test_test_function_compares_by_value(table_1e4):
+    # equal test functions are equal, from two tables of the same limit
+    # and against their int64 twin, and read as a CoeffSeq would
+    g = build_test_function(5, 0.45, E2, table_1e4)
+    twin = array_twin(g)
+    assert g == build_test_function(5, 0.45, E2, sieve_primes(10 ** 4))
+    assert g == twin and twin == g
+    assert g != build_test_function(5, 0.44, E2, table_1e4)
+    assert g != build_test_function(10, 0.45, E2, table_1e4, r_m=find_rm(5, table_1e4) + 1)
+    assert g.coeffs.entries() == twin.coeffs.entries()
+    assert g.coeffs.scaled(2.0) == twin.coeffs.scaled(2.0)
+    assert repr(g.coeffs) == repr(twin.coeffs).replace("CoeffSeq", "PrimeCoeffs")
+    assert repr(g.coeffs.head(2)) == repr(twin.coeffs.head(2)).replace("CoeffSeq", "PrimeCoeffs")
+
+
 def test_build_test_function_support(table_1e4):
     g = build_test_function(5, 0.45, E2, table_1e4)
     rm = find_rm(5, table_1e4)
