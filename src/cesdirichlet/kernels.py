@@ -47,7 +47,7 @@ class PrimeTable:
     Math. Comp. 83, 2014).  ``marks[c]`` is the prime before rank
     c ``step`` (1 for c = 0), so a read sums fewer than ``step`` half-gaps
     before its first rank.  No int64 copy is held: ``read`` decodes a run
-    of ranks, ``primes`` all of them (for tests and small callers).
+    of ranks into a fresh array.
     """
 
     limit: int
@@ -62,20 +62,16 @@ class PrimeTable:
     def __len__(self) -> int:
         return int(self.halves.size)
 
-    @property
-    def primes(self) -> np.ndarray:
-        return self.read(0, len(self))
-
-    def read(self, start: int, stop: int, prev: int | None = None,
-             out: np.ndarray | None = None) -> np.ndarray:
+    def read(self, start: int, stop: int, prev: int | None = None) -> np.ndarray:
         """The primes of ranks start..stop-1 (from 0, clipped to the
-        table) as int64, in ``out`` when given, else a fresh array.
-        ``prev``, the prime of rank start - 1 when start >= 2, spares the
-        walk from the checkpoint."""
+        table) as a fresh int64 array.  ``prev``, the prime of rank
+        start - 1 when start >= 2, spares the walk from the checkpoint:
+        a reader that goes on from where it stopped sums each half-gap
+        once."""
         if prev is None or start < 2:
             c = min(start // self.step, self.marks.size - 1)
             prev = int(self.marks[c]) + 2 * int(self.halves[c * self.step:start].sum(dtype=np.int64))
-        out = np.cumsum(self.halves[start:stop], dtype=np.int64, out=out)
+        out = np.cumsum(self.halves[start:stop], dtype=np.int64)
         out *= 2
         out += prev
         if start == 0 and out.size:

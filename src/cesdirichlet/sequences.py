@@ -1,8 +1,10 @@
 """Finitely supported coefficient sequences and their sequence-space norms.
 
 A ``CoeffSeq`` stores sparse complex coefficients (a_n) indexed from 1;
-a ``PrimeCoeffs`` stores real ones on consecutive primes, its support
-read from a ``kernels.PrimeTable`` rather than stored.
+its subclass ``PrimeCoeffs`` stores real ones on consecutive primes,
+its support decoded from a ``kernels.PrimeTable`` rather than stored.
+``Reader`` reads either kind in order, each support entry once, for the
+Cesaro sum's blocks and for each index of ``series.product_blocks``.
 The norms implemented here:
 
 * ``ces_norm``   -- (sum_n ((1/n) sum_{k<=n} |a_k|)^p)^(1/p), returned as a
@@ -70,8 +72,9 @@ class CoeffSeq:
     ``_validated=True`` with real float64 values (a product of
     ``PrimeCoeffs``); every consumer reads them through abs, products or
     ``real``/``imag``, so both kinds behave the same.  Either array may be
-    a read-only view.  ``read``, ``rank`` and ``head`` are the support
-    reads that ``PrimeCoeffs`` offers too.
+    a read-only view.  ``idx``, ``read``, ``rank``, ``head`` and
+    ``max_index`` are how the support is reached, the rest is written on
+    top of them and ``val``; ``Reader`` reads both kinds in order.
     """
 
     __slots__ = ("idx", "val")
@@ -103,7 +106,7 @@ class CoeffSeq:
         object.__setattr__(self, "val", val)
 
     def __setattr__(self, *a):
-        raise AttributeError("CoeffSeq is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     # -- constructors -------------------------------------------------
     @classmethod
@@ -122,11 +125,11 @@ class CoeffSeq:
 
     # -- views ---------------------------------------------------------
     def __len__(self) -> int:
-        return int(self.idx.size)
+        return int(self.val.size)
 
     @property
     def is_empty(self) -> bool:
-        return self.idx.size == 0
+        return self.val.size == 0
 
     @property
     def max_index(self) -> int:
@@ -138,14 +141,9 @@ class CoeffSeq:
     def abs_values(self) -> np.ndarray:
         return np.abs(self.val)
 
-    def read(self, start: int, stop: int, prev: int | None = None,
-             out: np.ndarray | None = None) -> np.ndarray:
-        """Support entries start..stop-1: a view, or copied into ``out``
-        (``prev`` is not needed)."""
-        if out is None:
-            return self.idx[start:stop]
-        out[:] = self.idx[start:stop]
-        return out
+    def read(self, start: int, stop: int, prev: int | None = None) -> np.ndarray:
+        """Support entries start..stop-1, a view (``prev`` is unused)."""
+        return self.idx[start:stop]
 
     def rank(self, values) -> np.ndarray:
         """The number of support entries <= each of ``values``."""
@@ -159,8 +157,8 @@ class CoeffSeq:
         return CoeffSeq(self.idx.copy(), self.val * c)
 
     def __eq__(self, other) -> bool:
-        """Equal entries; a ``PrimeCoeffs`` with the same entries is equal."""
-        if not isinstance(other, (CoeffSeq, PrimeCoeffs)):
+        """Equal entries, whatever holds the support."""
+        if not isinstance(other, CoeffSeq):
             return NotImplemented
         return (len(self) == len(other)
                 and bool(np.array_equal(self.idx, other.idx))
@@ -175,42 +173,34 @@ class CoeffSeq:
         return f"{type(self).__name__}({body})"
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class PrimeCoeffs:
+class PrimeCoeffs(CoeffSeq):
     """Real float64 coefficients on consecutive primes: ``val[j]`` at the
-    prime of rank ``start`` + j (from 0) of ``table``.  The support is read
-    from the table's one-byte gaps, never stored: ``read`` decodes a run
-    of entries and ``rank`` counts them up to a value, as on ``CoeffSeq``;
-    ``idx``, ``entries``, ``scaled``, equality and repr decode all of them
-    and behave as on a ``CoeffSeq`` with the same entries."""
+    prime of rank ``start`` + j (from 0) of ``table``.  The support is
+    never stored: ``read`` decodes a run of it from the table's one-byte
+    gaps, ``rank`` decodes one table block per distinct value and ``idx``
+    all of it, for the few callers that want the whole array.  Everything
+    else is inherited, so it behaves as the ``CoeffSeq`` with the same
+    entries."""
 
-    table: PrimeTable
-    start: int
-    val: np.ndarray
+    __slots__ = ("table", "start")
 
-    def __post_init__(self):
-        self.val.setflags(write=False)
-
-    def __len__(self) -> int:
-        return int(self.val.size)
-
-    @property
-    def is_empty(self) -> bool:
-        return self.val.size == 0
-
-    @property
-    def max_index(self) -> int:
-        return self.table.nth(self.start + len(self)) if len(self) else 0
+    def __init__(self, table: PrimeTable, start: int, val: np.ndarray):
+        val.setflags(write=False)
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "val", val)
 
     @property
     def idx(self) -> np.ndarray:
         return self.read(0, len(self))
 
-    def read(self, start: int, stop: int, prev: int | None = None,
-             out: np.ndarray | None = None) -> np.ndarray:
-        """Support entries start..stop-1, decoded (into ``out`` when given);
-        ``prev`` is entry start - 1."""
-        return self.table.read(self.start + start, self.start + min(stop, len(self)), prev, out)
+    @property
+    def max_index(self) -> int:
+        return self.table.nth(self.start + len(self)) if len(self) else 0
+
+    def read(self, start: int, stop: int, prev: int | None = None) -> np.ndarray:
+        """Support entries start..stop-1, decoded into a fresh array."""
+        return self.table.read(self.start + start, self.start + min(stop, len(self)), prev)
 
     def rank(self, values) -> np.ndarray:
         ranks = {v: self.table.rank(v) for v in set(values)}  # one block decoded each
@@ -219,11 +209,37 @@ class PrimeCoeffs:
     def head(self, count: int) -> "PrimeCoeffs":
         return PrimeCoeffs(self.table, self.start, self.val[:count])
 
-    entries = CoeffSeq.entries
-    abs_values = CoeffSeq.abs_values
-    scaled = CoeffSeq.scaled
-    __eq__ = CoeffSeq.__eq__
-    __repr__ = CoeffSeq.__repr__
+
+_NONE = np.empty(0, dtype=np.int64)
+
+
+class Reader:
+    """Reads a ``CoeffSeq`` in order, from entry ``pos`` (0 at first).
+    ``peek(n)`` is the next n support entries (fewer at the end), each
+    decoded once and kept until taken; ``take(n)`` returns them with
+    their values and moves past them.  Each read goes on from the entry
+    before it, so a ``PrimeCoeffs`` sums each half-gap once."""
+
+    __slots__ = ("seq", "pos", "ahead", "last")
+
+    def __init__(self, seq: CoeffSeq):
+        self.seq, self.pos, self.ahead, self.last = seq, 0, _NONE, None
+
+    def peek(self, n: int) -> np.ndarray:
+        n = min(n, len(self.seq) - self.pos)
+        have = self.ahead.size
+        if have < n:
+            more = self.seq.read(self.pos + have, self.pos + n, self.last)
+            self.last = int(more[-1])  # the entry before the next read
+            self.ahead = np.concatenate((self.ahead, more)) if have else more
+        return self.ahead[:n]
+
+    def take(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        idx = self.peek(n)
+        val = self.seq.val[self.pos:self.pos + idx.size]
+        self.ahead = self.ahead[idx.size:] if idx.size < self.ahead.size else _NONE
+        self.pos += idx.size
+        return idx, val
 
 
 def random_seq(
@@ -288,14 +304,12 @@ def _unscale(x: float, shift: int, name: str) -> float:
         raise DomainError(f"the {name} exceeds the float64 range") from None
 
 
-def _blocks(a: CoeffSeq | PrimeCoeffs):
-    """(idx, val) of ``a`` in blocks of ``BLOCK`` support entries, each
-    block's support read after the last entry of the one before."""
-    prev = None
-    for s in range(0, len(a), BLOCK):
-        idx = a.read(s, s + BLOCK, prev)
-        prev = int(idx[-1])
-        yield idx, a.val[s:s + BLOCK]
+def _blocks(a: CoeffSeq):
+    """(idx, val) of ``a`` in blocks of ``BLOCK`` support entries, read
+    in order."""
+    rd = Reader(a)
+    while rd.pos < len(a):
+        yield rd.take(BLOCK)
 
 
 def _abs_blocks(blocks, shift: int):
@@ -307,7 +321,7 @@ def _abs_blocks(blocks, shift: int):
         yield idx, w
 
 
-def abs_sum_exponent(a: CoeffSeq | PrimeCoeffs) -> int:
+def abs_sum_exponent(a: CoeffSeq) -> int:
     """An exponent e with sum |a_n| <= 2**e up to rounding (0 for a = 0):
     ``_scale``'s shift of |a|, read block by block, plus the exponent of
     the scaled sum (block sums joined by ``math.fsum``).  The sum of two
@@ -321,7 +335,7 @@ def abs_sum_exponent(a: CoeffSeq | PrimeCoeffs) -> int:
     return shift + math.frexp(total)[1]
 
 
-def ces_norm(a: CoeffSeq | PrimeCoeffs, e: Exponent) -> Enclosure:
+def ces_norm(a: CoeffSeq, e: Exponent) -> Enclosure:
     """Certified enclosure of the Cesaro-mean norm of ``a``, in O(support):
     ``ces_norm_stream`` of its own blocks at ``abs_sum_exponent``, so
     |a| is read one block at a time and only ``a`` itself is held whole."""

@@ -24,7 +24,7 @@ import numpy as np
 from . import sequences
 from .errors import DomainError
 from .kernels import PrimeTable, smooth_mask
-from .sequences import CoeffSeq, PrimeCoeffs
+from .sequences import CoeffSeq, Reader
 
 
 @dataclass(frozen=True)
@@ -41,15 +41,11 @@ class EvalPoint:
 
 @dataclass(frozen=True)
 class DirichletPoly:
-    coeffs: CoeffSeq | PrimeCoeffs
+    coeffs: CoeffSeq
 
     @classmethod
     def from_pairs(cls, pairs) -> "DirichletPoly":
         return cls(CoeffSeq.from_pairs(pairs))
-
-    @classmethod
-    def one(cls) -> "DirichletPoly":
-        return cls.from_pairs([(1, 1.0)])
 
     @classmethod
     def monomial(cls, m: int, c: complex = 1.0) -> "DirichletPoly":
@@ -70,45 +66,51 @@ class DirichletPoly:
         return self.coeffs == other.coeffs
 
 
+_INT64_MAX = 2 ** 63 - 1
+
+
 def product_blocks(f: DirichletPoly, g: DirichletPoly, limit: int):
     """Coefficients c_n = sum_{k | n} a_k b_{n/k} for n <= limit, exact,
     as blocks (idx, val): sorted, equal indices merged, zeros dropped,
     each block above the one before; only one block is held at a time.
+    A product index <= limit past int64 raises DomainError.
 
     A block takes, for each index i of f, the contiguous slice of g with
     i g_j in the block's window, at most ``sequences.BLOCK`` entries in
     all (or one per index of f), written into one fresh idx/val pair.
     A single slice is already sorted and distinct; several are merged by
     a stable argsort, equal indices summed in the order of f's indices.
-    Each index of f reads g's support (``read``, so a ``PrimeCoeffs``
-    decodes it) once, up to one entry past its share of the window, and
-    keeps what the window left for the next block.
+    Each index of f has a ``sequences.Reader`` of g, which peeks up to
+    one entry past its share of the window and keeps what the window
+    left for the next block, so it reads each entry of g once.
     """
     if limit < 1:
         raise DomainError(f"convolution limit must be >= 1, got {limit}")
     fa, ga = f.coeffs, g.coeffs
     if fa.is_empty or ga.is_empty:
         return
-    fi, fv, gv = fa.idx, fa.val, ga.val
-    vtype = np.result_type(fv, gv)
+    fi, fv = fa.idx, fa.val
+    vtype = np.result_type(fv, ga.val)
     top = ga.max_index
-    cap = ga.rank([min(limit // int(i), top) for i in fi])
+    tops = [min(limit // i, top) for i in fi.tolist()]
+    cap = ga.rank(tops)
+    if limit > _INT64_MAX and (ga.rank([min(_INT64_MAX // i, t) for i, t in
+                                        zip(fi.tolist(), tops)]) < cap).any():
+        raise DomainError("a product index up to the convolution limit exceeds int64")
     pos = np.zeros_like(cap)
-    none = np.empty(0, dtype=np.int64)
-    ahead = [none] * len(fi)  # g's support from pos on, already read
+    readers = [Reader(ga) for _ in range(len(fi))]
     while (live := np.flatnonzero(pos < cap)).size:
         # the window ends at the first product past some index's share
         stop = pos[live] + max(1, sequences.BLOCK // live.size)
         ends = cap[live]
-        for k, p, t in zip(live.tolist(), pos[live].tolist(), np.minimum(stop + 1, ends).tolist()):
-            if ahead[k].size < t - p:
-                ahead[k] = _read_on(ga, ahead[k], p, t)
+        heads = [readers[k].peek(t - p) for k, p, t in
+                 zip(live.tolist(), pos[live].tolist(), np.minimum(stop + 1, ends).tolist())]
         inside = stop < ends
         if inside.any():
-            hi = min(int(fi[k]) * int(ahead[k][s - pos[k]])
-                     for k, s in zip(live[inside].tolist(), stop[inside].tolist()))
-            ends = np.minimum([pos[k] + np.searchsorted(ahead[k], -(-hi // int(fi[k])))
-                               for k in live.tolist()], ends)
+            hi = min(int(fi[live[j]]) * int(heads[j][-1]) for j in np.flatnonzero(inside).tolist())
+            ends = np.minimum([pos[k] + np.searchsorted(h, -(-hi // int(fi[k])))
+                               for k, h in zip(live.tolist(), heads)], ends)
+        del heads  # views of the readers' buffers, not held while the block is built
         sizes = ends - pos[live]
         idx = np.empty(int(sizes.sum()), dtype=np.int64)
         val = np.empty(idx.size, dtype=vtype)
@@ -117,9 +119,9 @@ def product_blocks(f: DirichletPoly, g: DirichletPoly, limit: int):
         # check below; the state is not held across the yield
         with np.errstate(over="ignore", invalid="ignore"):
             for k, n in zip(live.tolist(), sizes.tolist()):
-                np.multiply(fi[k], ahead[k][:n], out=idx[o:o + n])
-                np.multiply(fv[k], gv[pos[k]:pos[k] + n], out=val[o:o + n])
-                ahead[k] = ahead[k][n:] if n < ahead[k].size else none
+                gi, gv = readers[k].take(n)
+                np.multiply(fi[k], gi, out=idx[o:o + n])
+                np.multiply(fv[k], gv, out=val[o:o + n])
                 o += n
             pos[live] = ends
             if np.count_nonzero(sizes) > 1:
@@ -137,17 +139,6 @@ def product_blocks(f: DirichletPoly, g: DirichletPoly, limit: int):
             idx, val = idx[keep], val[keep]
         if idx.size:
             yield idx, val
-
-
-def _read_on(c, have: np.ndarray, start: int, stop: int) -> np.ndarray:
-    """The support entries start..stop-1 of ``c``, given ``have``, those
-    from start on that were read before."""
-    if not have.size:
-        return c.read(start, stop)
-    out = np.empty(stop - start, dtype=np.int64)
-    out[:have.size] = have
-    c.read(start + have.size, stop, int(have[-1]), out[have.size:])
-    return out
 
 
 def convolve(f: DirichletPoly, g: DirichletPoly, limit: int) -> DirichletPoly:

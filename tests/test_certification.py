@@ -18,13 +18,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dense_reference import EPS, dense_zeta_tail
-from cesdirichlet.enclosure import LIB, U, Enclosure, gamma, ulp_down, ulp_up
+from cesdirichlet.enclosure import LIB, TINY, U, Enclosure, gamma, pairwise_depth, ulp_down, ulp_up
 from cesdirichlet.errors import DomainError
 from cesdirichlet.dual import SENTINEL, jagers_dual_norm
-from cesdirichlet.kernels import hurwitz_zeta, log_power_sum, power_segment
+from cesdirichlet.kernels import hurwitz_zeta, log_power_sum, power_segment, sieve_primes
 from cesdirichlet import sequences
-from cesdirichlet.sequences import (CoeffSeq, Exponent, _prefix_sums, abs_sum_exponent, ces_norm,
-                                    ces_norm_stream)
+from cesdirichlet.sequences import (CoeffSeq, Exponent, PrimeCoeffs, _prefix_sums, abs_sum_exponent,
+                                    ces_norm, ces_norm_stream)
 from cesdirichlet.series import DirichletPoly, convolve, product_blocks
 
 mpmath.mp.dps = 40
@@ -291,6 +291,52 @@ def test_ces_norm_huge_coefficients():
     assert math.isfinite(huge.hi)
     assert huge.lo == pytest.approx(1e308 * unit.lo, rel=1e-13)
     assert huge.hi == pytest.approx(1e308 * unit.hi, rel=1e-13)
+
+
+def _margin_input(kind, size):
+    """``size`` entries with values 1..size (reversed), stored or on the
+    primes of a table from rank 5 on: ``ces_norm`` reads both through
+    ``sequences.Reader``."""
+    val = np.arange(size, 0, -1, dtype=np.float64)
+    if kind == "stored":
+        return CoeffSeq(np.arange(1, 3 * size + 1, 3), val)
+    return PrimeCoeffs(sieve_primes(2000), 5, val)
+
+
+@pytest.mark.parametrize("kind", ["stored", "table"])
+@pytest.mark.parametrize("p, size, block", [(1.5, 1, 1 << 15), (2.0, 40, 1 << 15), (3.0, 40, 7),
+                                            (2.0, 200, 1)])
+def test_ces_norm_at_least_its_margin_wide(kind, p, size, block, monkeypatch):
+    # each side of the p-th power carries gamma(count) of the modelled
+    # count (``ces_norm_stream``): hi/lo of the power is at least
+    # 1/(1 - gamma)**2, on top of the zeta values' own width, while
+    # float64 rounding stays far inside it
+    monkeypatch.setattr(sequences, "BLOCK", block)
+    enc = ces_norm(_margin_input(kind, size), Exponent(p))
+    blocks, widest = -(-size // block), min(size, block)
+    rel_a = LIB + 1.0 + blocks * (widest + 1) ** 2 * U
+    count = ((p * rel_a + LIB) + (LIB + rel_a + 1) + 2 * (LIB + 1) + 2
+             + pairwise_depth(widest) + (blocks > 1))
+    ratio = (mpmath.mpf(enc.hi) / mpmath.mpf(enc.lo)) ** p
+    assert ratio >= 1 / (1 - mpmath.mpf(gamma(count))) ** 2
+
+
+@pytest.mark.parametrize("kind", ["stored", "table"])
+def test_ces_norm_carries_underflow_and_ulp_steps(kind, monkeypatch):
+    # exact zeta values z (patched) and one term 2**-64 z = 64 TINY, deep
+    # in the subnormal range, where gamma(count) rounds away: what is left
+    # of each side's margin is the underflow term (2 TINY here) and the
+    # outward steps, one ulp down and two up
+    z = 2.0 ** -1004
+    monkeypatch.setattr(sequences, "hurwitz_zeta",
+                        lambda x, n: (np.full(len(n), z), np.full(len(n), z)))
+    p = 64.0
+    enc = ces_norm(_margin_input(kind, 1), Exponent(p))
+    under = TINY * ((p + 2.0) * z + 2.0)
+    # the single value 1 is scaled by 2**-1 before the sum
+    lo, hi = (mpmath.mpf(x) / 2 for x in (enc.lo, enc.hi))
+    assert lo ** 64 <= 64 * TINY - under - TINY
+    assert hi ** 64 >= 64 * TINY + under + 2 * TINY
 
 
 def _bits_or_error(norm):

@@ -622,6 +622,29 @@ def test_overflow_exits_2_without_warnings(tmp_path, capsys, argv):
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv, rows, out", [
+    # 3689348814741910324 * 5 = 2**64 + 4 lies below the limit 2**70
+    (["convolve", "--with", "G", "--limit", str(2 ** 70)],
+     [{"n": 3689348814741910324, "re": 1.0}], ""),
+    # the same product past --limit 100 is dropped, not refused
+    (["convolve", "--with", "G", "--limit", "100"],
+     [{"n": 3689348814741910324, "re": 1.0}], '{\n  "coeffs": []\n}\n'),
+    # 184484044301083 * 99991 passes 2**63 - 1 below the default limit
+    (["multiplier-estimate", "--m", "3", "--alpha", "0.45", "--prime-limit", "100000",
+      "--r-m", "9592"], [{"n": 1, "re": 1.0}, {"n": 184484044301083, "re": 1.0}], ""),
+])
+def test_product_index_past_int64_exits_2(tmp_path, capsys, argv, rows, out):
+    # a product index at or below the limit that int64 cannot hold is an
+    # input error, where it used to wrap silently
+    f = write_coeffs(tmp_path, "f.json", rows)
+    g = write_coeffs(tmp_path, "g.json", [{"n": 5, "re": 1.0}])
+    code = parse_and_dispatch([argv[0], "--input", f, *(g if a == "G" else a for a in argv[1:])])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (0 if out else 2, out)
+    if not out:
+        assert captured.err == "error: a product index up to the convolution limit exceeds int64\n"
+
+
 def test_failed_self_check_exits_3(tmp_path, capsys, monkeypatch):
     # a reference of 0 makes every certified quotient exceed it
     from cesdirichlet import multipliers

@@ -31,18 +31,20 @@ ZETA_15 = 2.6123753486854883  # high-precision series value, frozen
 # ---------------------------------------------------------------------------
 
 def test_sieve_smallest():
-    assert list(sieve_primes(2).primes) == [2]
+    t = sieve_primes(2)
+    assert list(t.read(0, len(t))) == [2]
 
 
 def test_sieve_100():
     t = sieve_primes(100)
     assert len(t) == 25
-    assert t.primes[-1] == 97
+    assert t.read(0, len(t))[-1] == 97
     assert t.nth(1) == 2
 
 
 def test_sieve_10():
-    assert list(sieve_primes(10).primes) == [2, 3, 5, 7]
+    t = sieve_primes(10)
+    assert list(t.read(0, len(t))) == [2, 3, 5, 7]
 
 
 @pytest.mark.parametrize("bad", [1, 0, -5, 10 ** 9 + 1])
@@ -54,7 +56,7 @@ def test_sieve_domain(bad):
 def test_sieve_prefix_property():
     small = sieve_primes(1_000)
     large = sieve_primes(10_000)
-    assert np.array_equal(large.primes[: len(small)], small.primes)
+    assert np.array_equal(large.read(0, len(small)), small.read(0, len(small)))
 
 
 def plain_sieve_reference(limit: int) -> np.ndarray:
@@ -69,7 +71,8 @@ def plain_sieve_reference(limit: int) -> np.ndarray:
 
 def test_segmented_sieve_agrees(monkeypatch):
     for limit in [*range(2, 130), 10 ** 6 - 1, 10 ** 6]:
-        assert np.array_equal(sieve_primes(limit).primes, plain_sieve_reference(limit))
+        table = sieve_primes(limit)
+        assert np.array_equal(table.read(0, len(table)), plain_sieve_reference(limit))
     # segments of 64 odd numbers and checkpoints every 5 ranks: many
     # boundaries of both, primes up to 1e4 crossing them
     monkeypatch.setattr(kernels, "_SEGMENT_SIZE", 64)
@@ -77,7 +80,7 @@ def test_segmented_sieve_agrees(monkeypatch):
     for limit in (127, 128, 129, 10 ** 4 + 7):
         table = sieve_primes(limit)
         assert table.step == 5
-        assert np.array_equal(table.primes, plain_sieve_reference(limit))
+        assert np.array_equal(table.read(0, len(table)), plain_sieve_reference(limit))
 
 
 @pytest.mark.parametrize("step", [1, 2, 5, 1 << 15])
@@ -400,7 +403,7 @@ def test_smooth_mask_matches_factorization():
     for r in range(1, len(table) + 1):
         want = []
         for n in ns:
-            for p in table.primes[:r].tolist():
+            for p in table.read(0, r).tolist():
                 while n % p == 0:
                     n //= p
             want.append(n == 1)
@@ -434,7 +437,7 @@ def test_smooth_matches_factorization(n, r):
     table = sieve_primes(100)
     limit = table.nth(r)
     m = n
-    for p in table.primes:
+    for p in table.read(0, len(table)):
         p = int(p)
         if p > limit:
             break

@@ -1,4 +1,4 @@
-import dataclasses
+import gc
 import math
 import tracemalloc
 
@@ -28,6 +28,7 @@ from cesdirichlet.sequences import (CoeffSeq, Exponent, PrimeCoeffs, abs_sum_exp
 from cesdirichlet.series import DirichletPoly, product_blocks, translate, truncate
 
 E2 = Exponent.from_p(2.0)
+ONE = DirichletPoly.from_pairs([(1, 1.0)])
 
 
 @pytest.fixture(scope="module")
@@ -84,7 +85,7 @@ def test_find_rm_small_m(table_1e5):
     r5 = find_rm(5, table_1e5)
     assert 2 < r2 <= r3 <= r5
     # verify the window across the whole table past each onset
-    primes = table_1e5.primes.astype(float)
+    primes = table_1e5.read(0, len(table_1e5)).astype(float)
     for m, rm in ((2, r2), (3, r3), (5, r5)):
         rs = np.arange(rm, len(table_1e5) + 1, dtype=float)
         v = rs * np.log(rs)
@@ -97,7 +98,7 @@ def test_find_rm_small_m(table_1e5):
 def test_find_rm_window_one_sided_always(table_1e5):
     # the upper half r log r <= m p_r/(m-1) holds for every r >= 2
     # (r log r < p_r), so only the lower half can fail
-    primes = table_1e5.primes.astype(float)
+    primes = table_1e5.read(0, len(table_1e5)).astype(float)
     rs = np.arange(2, len(table_1e5) + 1, dtype=float)
     assert np.all(rs * np.log(rs) < primes[1:])
 
@@ -124,7 +125,7 @@ def dense_find_rm(m, table):
         raise WindowNotFoundError(f"table with {count} primes is too short for m={m}")
     r = np.arange(1, count + 1, dtype=np.float64)
     v = r * np.log(r)
-    pr = table.primes.astype(np.float64)
+    pr = table.read(0, count).astype(np.float64)
     ok = (m * pr / (m + 1.0) <= v) & (v <= m * pr / (m - 1.0))
     bad = np.nonzero(~ok)[0]
     r_m = m + 1 if bad.size == 0 else max(m + 1, int(bad[-1]) + 2)
@@ -146,7 +147,7 @@ def dense_test_function(m, alpha, e, table, r_m):
         raise DomainError(f"bad r_m={r_m}")
     rs = np.arange(r_m, len(table) + 1, dtype=np.float64)
     values = phi_alpha_deriv(rs, alpha).astype(np.complex128)
-    support = table.primes[r_m - 1:].copy()
+    support = table.read(r_m - 1, len(table))
     return DirichletPoly(CoeffSeq(support, values, _validated=True))
 
 
@@ -187,8 +188,12 @@ def assert_no_wide_support(g, table):
     only arrays behind it are the values, the one-byte half-gaps and one
     int64 mark per table block, none of them an int64 support."""
     assert isinstance(g, PrimeCoeffs) and g.table is table
-    assert [type(getattr(g, f.name)) for f in dataclasses.fields(g)] == [
-        type(table), int, np.ndarray]
+    # g has no __dict__, and its slots hold only the table, an int and
+    # the float64 values (the inherited int64 slot stays empty)
+    assert not hasattr(g, "__dict__")
+    held = [o for o in gc.get_referents(g) if o is not type(g)]
+    assert sorted(type(o).__name__ for o in held) == ["PrimeTable", "int", "ndarray"]
+    assert g.val.dtype == np.float64 and any(o is g.val for o in held)
     assert table.halves.itemsize == 1
     assert table.marks.size == -(-len(table) // table.step)
 
@@ -231,6 +236,42 @@ def test_table_test_function_matches_array_twin(block, step, monkeypatch):
             monkeypatch.setattr(multipliers, "build_test_function", build_test_function)
 
 
+def test_estimate_reads_each_entry_of_g_once_per_reader(monkeypatch):
+    # one product_blocks pass and its denominator, with windows of 100
+    # products and table checkpoints every 64 ranks: each reader of g (one
+    # per index of f, and the denominator's) decodes each entry it reaches
+    # once, plus one look-ahead entry per cursor, and each rank or nth
+    # call one table block; only a reader's first read and nth walk from
+    # a checkpoint
+    monkeypatch.setattr(kernels, "BLOCK", 64)
+    table = sieve_primes(10 ** 5)
+    monkeypatch.setattr(sequences, "BLOCK", 100)
+    f = DirichletPoly.from_pairs([(1, 1.0), (2, 1.0), (3, 1.0)])
+    g = build_test_function(10, 0.45, E2, table, r_m=11)
+    support = g.coeffs.idx
+    decoded, walks, calls = [], [], []
+    read, rank, nth = kernels.PrimeTable.read, kernels.PrimeTable.rank, kernels.PrimeTable.nth
+
+    def counted_read(self, start, stop, prev=None):
+        out = read(self, start, stop, prev)
+        decoded.append(out.size)
+        walks.append(prev is None and start >= 2)
+        return out
+
+    monkeypatch.setattr(kernels.PrimeTable, "read", counted_read)
+    monkeypatch.setattr(kernels.PrimeTable, "rank", lambda t, v: calls.append(v) or rank(t, v))
+    monkeypatch.setattr(kernels.PrimeTable, "nth", lambda t, r: calls.append(r) or nth(t, r))
+    scale = abs_sum_exponent(f.coeffs) + abs_sum_exponent(g.coeffs)
+    for limit in (3 * table.limit, 2 * table.limit, 123_457):
+        decoded.clear(), walks.clear(), calls.clear()
+        ces_norm_stream(product_blocks(f, g, limit), scale, E2)
+        ces_norm(truncate(g, limit).coeffs, E2)
+        reached = sum(int(np.searchsorted(support, limit // i, side="right")) for i in (1, 2, 3))
+        kept = int(np.searchsorted(support, limit, side="right"))
+        assert sum(decoded) <= reached + kept + 3 + len(calls) * table.step
+        assert sum(walks) <= 4 + len(calls)
+
+
 # ---------------------------------------------------------------------------
 # test functions and the quotient ladder
 # ---------------------------------------------------------------------------
@@ -254,7 +295,7 @@ def test_build_test_function_support(table_1e4):
     g = build_test_function(5, 0.45, E2, table_1e4)
     rm = find_rm(5, table_1e4)
     assert g.coeffs.idx[0] == table_1e4.nth(rm)
-    prime_set = set(table_1e4.primes.tolist())
+    prime_set = set(table_1e4.read(0, len(table_1e4)).tolist())
     assert all(int(n) in prime_set for n in g.coeffs.idx)
     vals = g.coeffs.val.real
     assert np.all(vals > 0)
@@ -287,7 +328,7 @@ def test_norm_bound_closed_form(table_1e4):
 
 
 def test_estimate_identity_multiplier(table_1e4):
-    est = multiplier_lower_estimate(DirichletPoly.one(), 5, 0.45, E2, table_1e4)
+    est = multiplier_lower_estimate(ONE, 5, 0.45, E2, table_1e4)
     assert est.reference == 1.0
     assert est.ratio == pytest.approx(1.0, abs=1e-4)
     assert est.ratio <= 1.0
@@ -403,7 +444,7 @@ def test_self_check_certified(table_1e4, monkeypatch):
     # for f = 1 the quotient is ||g||.lo / ||g||.hi, within 1e-13 of the
     # reference 1; a weighted sum short by 1e-10 (well inside the old
     # absolute slack of 1e-9) must fail the self-check
-    f = DirichletPoly.one()
+    f = ONE
     est = multiplier_lower_estimate(f, 5, 0.45, E2, table_1e4)
     assert 1.0 - 1e-13 < est.ratio <= est.reference == 1.0
     monkeypatch.setattr(multipliers, "ar_norm", lambda a, r: ar_norm(a, r) - 1e-10)
@@ -469,7 +510,7 @@ def test_lemma_rejects_bad_constants():
 
 def test_noncompact_explicit_m4():
     # f = 1, m = 4, p = 2: 2 sqrt(zeta(2) - 49/36) vs 0.5 sqrt(zeta(2))
-    assert noncompactness_bound(DirichletPoly.one(), 4, E2)
+    assert noncompactness_bound(ONE, 4, E2)
     lhs = 2.0 * math.sqrt(math.pi ** 2 / 6 - 1.0 - 0.25 - 1.0 / 9.0)
     rhs = 0.5 * math.sqrt(math.pi ** 2 / 6)
     assert lhs >= rhs

@@ -5,10 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cesdirichlet import kernels, sequences
 from cesdirichlet.errors import DomainError, ResourceLimitError
+from cesdirichlet.kernels import sieve_primes
 from cesdirichlet.sequences import (
     CoeffSeq,
     Exponent,
+    PrimeCoeffs,
+    Reader,
     ar_norm,
     ces_norm,
     dq_norm,
@@ -65,6 +69,63 @@ def test_coeffseq_equality_and_empty():
     assert seq((1, 1.0)) == seq((1, 1.0))
     assert seq((1, 1.0)) != seq((2, 1.0))
     assert CoeffSeq.empty().is_empty
+
+
+@pytest.mark.parametrize("kind", ["stored", "table"])
+def test_reader_returns_slices_of_the_support(kind, monkeypatch):
+    # random peeks and takes, on a table with a checkpoint every 3 ranks,
+    # return exactly the slices of the decoded support and values from
+    # the reader's position, whatever was peeked before
+    monkeypatch.setattr(kernels, "BLOCK", 3)
+    table = sieve_primes(3000)
+    assert table.step == 3
+    primes = table.read(0, len(table))
+    rng = np.random.default_rng(7)
+    for start in (0, 1, 2, 5, 200):
+        val = rng.standard_normal(len(table) - start)
+        a = PrimeCoeffs(table, start, val)
+        if kind == "stored":
+            a = CoeffSeq(primes[start:], val, _validated=True)
+        idx = primes[start:]
+        rd = Reader(a)
+        while rd.pos < len(a):
+            pos, n = rd.pos, int(rng.integers(0, 13))
+            if rng.random() < 0.5:
+                assert rd.peek(n).tobytes() == idx[pos:pos + n].tobytes()
+                assert rd.pos == pos
+            else:
+                got, vals = rd.take(n)
+                assert got.tobytes() == idx[pos:pos + n].tobytes()
+                assert vals.tobytes() == val[pos:pos + n].tobytes()
+                assert rd.pos == pos + got.size
+        assert rd.peek(4).size == 0 and rd.take(4)[0].size == 0
+        # ces_norm's blocks are the same reads in steps of BLOCK
+        monkeypatch.setattr(sequences, "BLOCK", 4)
+        blocks = list(sequences._blocks(a))
+        monkeypatch.setattr(sequences, "BLOCK", 1 << 15)
+        assert [b[0].size for b in blocks[:-1]] == [4] * (len(blocks) - 1)
+        assert np.concatenate([b[0] for b in blocks]).tobytes() == idx.tobytes()
+        assert np.concatenate([b[1] for b in blocks]).tobytes() == val.tobytes()
+
+
+def test_prime_coeffs_is_a_coeffseq(monkeypatch):
+    # every method but the support reads is inherited, and reads as on the
+    # stored sequence with the same entries
+    monkeypatch.setattr(kernels, "BLOCK", 5)
+    table = sieve_primes(500)
+    val = np.linspace(2.0, 0.5, len(table) - 4)
+    g = PrimeCoeffs(table, 4, val)
+    twin = CoeffSeq(table.read(4, len(table)), val, _validated=True)
+    assert isinstance(g, CoeffSeq) and g == twin and twin == g
+    for name in ("__len__", "is_empty", "entries", "abs_values", "scaled", "__eq__", "__repr__"):
+        assert name not in vars(PrimeCoeffs)
+    assert (len(g), g.is_empty, g.max_index) == (len(twin), False, twin.max_index)
+    assert g.read(3, 9, int(twin.idx[2])).tobytes() == twin.read(3, 9).tobytes()
+    assert g.rank([1, 11, 12, 499, 10 ** 6]).tolist() == twin.rank([1, 11, 12, 499, 10 ** 6]).tolist()
+    assert g.head(3) == twin.head(3) and type(g.head(3)) is PrimeCoeffs
+    assert repr(g.head(2)) == "PrimeCoeffs(11:2, 13:1.98333)"
+    with pytest.raises(AttributeError):
+        g.val = val
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from cesdirichlet.series import (
 )
 
 E2 = Exponent.from_p(2.0)
+ONE = DirichletPoly.from_pairs([(1, 1.0)])
 
 
 def poly(*pairs):
@@ -67,7 +68,7 @@ def test_convolve_monomials():
 @settings(max_examples=30, deadline=None)
 @given(f=small_polys)
 def test_convolve_identity(f):
-    assert convolve(f, DirichletPoly.one(), f.max_index) == f
+    assert convolve(f, ONE, f.max_index) == f
 
 
 def exact_convolution(*polys):
@@ -158,7 +159,7 @@ def test_convolve_truncation_coherence(f, g, n):
 
 def test_convolve_domain():
     with pytest.raises(DomainError):
-        convolve(DirichletPoly.one(), DirichletPoly.one(), 0)
+        convolve(ONE, ONE, 0)
 
 
 def convolve_reference(f: DirichletPoly, g: DirichletPoly, limit: int) -> DirichletPoly:
@@ -239,12 +240,25 @@ def test_product_blocks_reject_overflow():
         list(product_blocks(big, big, 4))
 
 
+def test_product_blocks_refuse_indices_past_int64():
+    # 7 * (2**63 - 1)/7 is the largest int64 and passes; 2 * 2**62 is one
+    # past it and raises below the limit, but is dropped past it
+    top = 2 ** 63 - 1
+    fit = list(product_blocks(poly((7, 1.0)), poly((top // 7, 1.0)), 2 ** 64))
+    assert fit[0][0].tolist() == [top]
+    with pytest.raises(DomainError, match="exceeds int64"):
+        list(product_blocks(poly((1, 1.0), (2, 1.0)), poly((3, 1.0), (2 ** 62, 1.0)), 2 ** 63))
+    assert [b[0].tolist() for b in product_blocks(poly((1, 1.0), (2, 1.0)),
+                                                  poly((3, 1.0), (2 ** 62, 1.0)), top)] == [
+        [3, 6, 2 ** 62]]
+
+
 # ---------------------------------------------------------------------------
 # evaluation
 # ---------------------------------------------------------------------------
 
 def test_evaluate_constant():
-    assert evaluate(DirichletPoly.one(), EvalPoint(2.0, 5.0)) == 1.0
+    assert evaluate(ONE, EvalPoint(2.0, 5.0)) == 1.0
 
 
 def test_evaluate_two_terms():
@@ -301,7 +315,7 @@ def test_point_eval_bound_random_campaign():
 # ---------------------------------------------------------------------------
 
 def test_translate_basics():
-    assert translate(DirichletPoly.one(), 3.3) == DirichletPoly.one()
+    assert translate(ONE, 3.3) == ONE
     assert translate(DirichletPoly.monomial(2), 1.0).coeffs.entries() == [(2, 0.5)]
 
 
@@ -346,7 +360,7 @@ def test_qr_powers_of_two(table):
 
 
 def test_qr_keeps_one(table):
-    assert qr_project(DirichletPoly.one(), 3, table) == DirichletPoly.one()
+    assert qr_project(ONE, 3, table) == ONE
 
 
 def test_qr_insufficient_table():
