@@ -203,10 +203,7 @@ def _cmd_multiplier_estimate(args, out):
     f = DirichletPoly(load_coeffs(args.input))
     e = Exponent.from_p(args.p)
     table = sieve_primes(args.prime_limit)
-    est = multiplier_lower_estimate(
-        f, args.m, args.alpha, e, table,
-        conv_limit=args.conv_limit, r_m=args.r_m,
-    )
+    est = multiplier_lower_estimate(f, args.m, args.alpha, e, table, r_m=args.r_m)
     out.write(emit_report([est.as_record()], args.format, kind="multiplier-estimate"))
     return EXIT_OK
 
@@ -266,11 +263,9 @@ def _cmd_verify(args, out):
     for res in results:
         status = "PASS" if res.passed else "FAIL"
         out.write(f"{status}  {res.name}  {res.as_record()['detail']}\n")
-        note = f"# {res.name}: {res.duration:.2f}s"
-        if res.budget is not None:
-            note += f" (budget {res.budget:.0f}s)"
-            if res.duration > res.budget:
-                note += "  ** over budget **"
+        note = f"# {res.name}: {res.duration:.2f}s (budget {res.budget:.0f}s)"
+        if res.duration > res.budget:
+            note += "  ** over budget **"
         sys.stderr.write(note + "\n")
     if args.report:
         with _opened(args.report, "w") as fh:
@@ -347,7 +342,6 @@ def build_parser() -> _Parser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--prime-limit", type=int, default=10 ** 7)
-    p.add_argument("--conv-limit", type=int, default=None)
     p.add_argument("--r-m", type=int, default=None,
                    help="window anchor override (flagged heuristic when unverified)")
     p.add_argument("--format", choices=("json", "csv"), default="json")

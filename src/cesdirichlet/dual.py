@@ -71,14 +71,17 @@ class JagersTrace:
     """Result of one greedy dual-norm run.
 
     ``m_chain`` lists the chosen indices; the final entry is the
-    infinity sentinel unless the input was empty.  ``d_set`` holds the
-    positions n for which m(n) is finite.  ``norm`` encloses the dual
-    norm.
+    infinity sentinel unless the input was empty.  ``norm`` encloses the
+    dual norm.  ``d_set``, derived from the chain, holds the positions n
+    for which m(n) is finite.
     """
 
     m_chain: tuple
-    d_set: tuple
     norm: Enclosure
+
+    @property
+    def d_set(self) -> tuple:
+        return tuple(range(1, len(self.m_chain)))
 
 
 # |v|^2 exactly
@@ -174,7 +177,7 @@ def jagers_dual_norm(b: CoeffSeq, e: Exponent) -> JagersTrace:
     greedy trace, in O(support).  Raises ArgminTieError when two points
     that the enclosures cannot tell apart remain adjacent on the chain."""
     if b.is_empty:
-        return JagersTrace(m_chain=(SENTINEL,), d_set=(), norm=Enclosure(0.0, 0.0))
+        return JagersTrace(m_chain=(SENTINEL,), norm=Enclosure(0.0, 0.0))
     p = e.p
     w = b.abs_values()
     # the dual norm is homogeneous: |b| is scaled by a power of two into [1/2, 1)
@@ -206,7 +209,7 @@ def jagers_dual_norm(b: CoeffSeq, e: Exponent) -> JagersTrace:
     delta_err = err[pos[:-1]] + err[pos[1:]]
     norm = _chain_norm(delta_b - delta_err, delta_b + delta_err, d_lo[1:], d_hi[1:], e)
     norm = Enclosure(_unscale(norm.lo, shift, "dual norm"), _unscale(norm.hi, shift, "dual norm"))
-    return JagersTrace(m_chain=tuple(chain), d_set=tuple(range(1, len(chain))), norm=norm)
+    return JagersTrace(m_chain=tuple(chain), norm=norm)
 
 
 # ---------------------------------------------------------------------------

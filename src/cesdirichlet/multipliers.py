@@ -19,8 +19,8 @@ identity numerically from both sides:
   only reachable for small m: the ratio still sits at ~1.122 at the
   664579-th prime (the last below 10^7), so no verified window exists
   for m >= 9 within a 10^7 table.  Estimates built without a verified
-  window carry ``window_verified=False`` and a ``heuristic-window``
-  flag, with r_m anchored at the minimal admissible value m + 1,
+  window carry ``window_verified=False``, a ``heuristic-window`` flag in
+  their records, with r_m anchored at the minimal admissible value m + 1,
 * ``lemma_j_check`` verifies the phi^alpha summation sandwich used to
   control the prime sums,
 * ``noncompactness_bound`` checks the quantitative lower bound
@@ -41,7 +41,7 @@ rigorous limit and are flagged as such, never silently asserted.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -60,7 +60,7 @@ from .kernels import (
 )
 from .sequences import (CoeffSeq, Exponent, PrimeCoeffs, abs_sum_exponent, ar_norm, ces_norm,
                         ces_norm_stream)
-from .series import DirichletPoly, convolve, product_blocks, truncate
+from .series import DirichletPoly, convolve, product_blocks
 
 HEURISTIC_WINDOW_FLAG = "heuristic-window"
 DESK_SCALE_FLAG = "desk-scale"
@@ -73,7 +73,9 @@ _LEMMA_J_REL_SLACK = 1e-12
 
 @dataclass(frozen=True)
 class MultiplierEstimate:
-    """One certified lower-estimate run for the multiplier norm of f."""
+    """One certified lower-estimate run for the multiplier norm of f.  ``conv_limit``
+    is the prime limit times f's largest index; the record's ``flag`` adds
+    ``heuristic-window`` to ``desk-scale`` when ``window_verified`` is false."""
 
     m: int
     alpha: float
@@ -83,12 +85,10 @@ class MultiplierEstimate:
     ratio: float
     reference: float
     window_verified: bool
-    flags: tuple = field(default_factory=tuple)
 
     def as_record(self) -> dict:
-        rec = asdict(self)
-        rec["flag"] = ",".join(rec.pop("flags"))
-        return rec
+        unverified = "" if self.window_verified else "," + HEURISTIC_WINDOW_FLAG
+        return asdict(self) | {"flag": DESK_SCALE_FLAG + unverified}
 
 
 # ---------------------------------------------------------------------------
@@ -179,14 +179,14 @@ def build_test_function(
     alpha: float,
     e: Exponent,
     table: PrimeTable,
-    r_m: int | None = None,
+    r_m: int,
 ) -> DirichletPoly:
     """The prime-supported test function: coefficient (phi^alpha)'(r) at
     index p_r for r_m <= r <= pi(table.limit), zero elsewhere.
 
-    alpha must lie in (1/(2q), 1/q) and r_m at or past the numerically
-    certified onset of monotone decrease of (phi^alpha)'.  When r_m is
-    not given the strict window scan is attempted first.
+    alpha must lie in (1/(2q), 1/q), and r_m must exceed m and lie at or past
+    the numerically certified onset of monotone decrease of (phi^alpha)';
+    ``multiplier_lower_estimate`` decides r_m.
 
     g is a ``PrimeCoeffs``: its support is the table's ranks from r_m on,
     read from the table's one-byte gaps whenever it is needed, and its
@@ -198,8 +198,6 @@ def build_test_function(
         raise DomainError(f"alpha={alpha} outside (1/(2q), 1/q) = ({1/(2*q)}, {1/q})")
     if m < 2:
         raise DomainError(f"m must be >= 2, got {m}")
-    if r_m is None:
-        r_m = find_rm(m, table)
     if r_m <= m:
         raise DomainError(f"r_m={r_m} must exceed m={m}")
     onset = decrease_onset(1.0 / q)
@@ -222,23 +220,22 @@ def multiplier_lower_estimate(
     alpha: float,
     e: Exponent,
     table: PrimeTable,
-    conv_limit: int | None = None,
     r_m: int | None = None,
 ) -> MultiplierEstimate:
     """Certified quotient  ces(f*g).lo / ces(g).hi  for the (m, alpha)
     test function g, a valid lower bound for the multiplier norm of f.
-    The product f*g is streamed through the Cesaro sum, never stored.
+    This is the one place that decides g: r_m is the given anchor, else the
+    window onset of ``find_rm``, else the minimal admissible anchor m + 1.
+    The product f*g runs over the whole table, to ``table.limit`` times the
+    largest index of f, and is streamed through the Cesaro sum, never stored.
 
     ``reference`` records the weighted-ell^1 norm  sum |a_n| n^{-1/q},
     which the quotient can never exceed: a quotient above its certified
     upper bound ``_reference_hi`` raises SelfCheckError (rounding the
-    quotient is monotone, so it cannot cross the bound by itself).  When
-    the strict window scan fails, r_m falls back to the minimal
-    admissible anchor m + 1 and the estimate is flagged.
+    quotient is monotone, so it cannot cross the bound by itself).
     """
     if f.is_zero:
         raise DomainError("multiplier estimate needs a nonzero f")
-    flags = [DESK_SCALE_FLAG]
     try:
         onset = find_rm(m, table)
     except WindowNotFoundError:
@@ -250,21 +247,12 @@ def multiplier_lower_estimate(
                 f"m={m} is too large for the table to prime limit {table.limit} "
                 f"({len(table)} primes): its fallback anchor m + 1 lies past the end"
             )
-    window_verified = onset is not None and r_m >= onset
-    if not window_verified:
-        flags.append(HEURISTIC_WINDOW_FLAG)
     g = build_test_function(m, alpha, e, table, r_m=r_m)
-    p_rm = table.nth(r_m)
-    if conv_limit is None:
-        conv_limit = table.limit * f.max_index
-    if conv_limit < p_rm * f.max_index:
-        raise DomainError(
-            f"conv_limit {conv_limit} below p_rm * max support = {p_rm * f.max_index}"
-        )
+    conv_limit = table.limit * f.max_index
     # sum |c_n| <= sum |a_k| sum |b_m| scales the streamed product f*g
     scale = abs_sum_exponent(f.coeffs) + abs_sum_exponent(g.coeffs)
     num = ces_norm_stream(product_blocks(f, g, conv_limit), scale, e)
-    den = ces_norm(truncate(g, conv_limit).coeffs, e)
+    den = ces_norm(g.coeffs, e)
     ratio = num.lo / den.hi
     reference = ar_norm(f.coeffs, 1.0 / e.q)
     if ratio > _reference_hi(f.coeffs, 1.0 / e.q, reference):
@@ -277,11 +265,10 @@ def multiplier_lower_estimate(
         alpha=alpha,
         r_m=int(r_m),
         prime_limit=table.limit,
-        conv_limit=int(conv_limit),
+        conv_limit=conv_limit,
         ratio=float(ratio),
         reference=float(reference),
-        window_verified=window_verified,
-        flags=tuple(flags),
+        window_verified=onset is not None and r_m >= onset,
     )
 
 

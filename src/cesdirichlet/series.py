@@ -48,9 +48,9 @@ class DirichletPoly:
         return cls(CoeffSeq.from_pairs(pairs))
 
     @classmethod
-    def monomial(cls, m: int, c: complex = 1.0) -> "DirichletPoly":
-        """c * m^-s."""
-        return cls.from_pairs([(m, c)])
+    def monomial(cls, m: int) -> "DirichletPoly":
+        """m^-s."""
+        return cls.from_pairs([(m, 1.0)])
 
     @property
     def max_index(self) -> int:

@@ -53,7 +53,7 @@ class SuiteResult:
     name: str
     passed: bool
     duration: float
-    budget: float | None
+    budget: float
     details: dict = field(default_factory=dict)
     failures: list = field(default_factory=list)
 

@@ -22,7 +22,7 @@ from cesdirichlet.enclosure import LIB, TINY, U, Enclosure, gamma, pairwise_dept
 from cesdirichlet.errors import DomainError
 from cesdirichlet.dual import SENTINEL, jagers_dual_norm
 from cesdirichlet.kernels import hurwitz_zeta, log_power_sum, power_segment, sieve_primes
-from cesdirichlet import sequences
+from cesdirichlet import dual, sequences
 from cesdirichlet.sequences import (CoeffSeq, Exponent, PrimeCoeffs, _prefix_sums, abs_sum_exponent,
                                     ces_norm, ces_norm_stream)
 from cesdirichlet.series import DirichletPoly, convolve, product_blocks
@@ -427,6 +427,55 @@ def test_jagers_contains_mpmath(p, first, gaps, vals, decreasing):
 # ---------------------------------------------------------------------------
 # assumptions of the error model
 # ---------------------------------------------------------------------------
+
+def _chain_margin(db_lo, db_hi, d_lo, d_hi, p):
+    """What ``dual._chain_norm`` must at least return from its endpoints:
+    the exact (sum_k delta_b_k^q delta_B_k^(1-q))^(1/q) of each side's
+    endpoints, moved out by each modelled margin (the per-term gamma of
+    delta_b, the rounded exponent and the power; the least per-term count
+    of the q-th powers and the pairwise sum's gamma, both under the root;
+    the root's gamma), each at its smallest."""
+    mp = mpmath.mpf
+    q = mp(p) / (mp(p) - 1)
+    spread = max(abs(math.log(x)) for x in (*d_lo, *d_hi))
+    g = mp(gamma(4 + LIB + spread / p))
+    rel = mp((q + LIB + 2) * U)
+    g_sum = mp(gamma(pairwise_depth(len(db_lo)) + 1))
+    v_lo = [mp(b) * mp(d) ** (-1 / mp(p)) for b, d in zip(db_lo, d_hi)]
+    v_hi = [mp(b) * mp(d) ** (-1 / mp(p)) for b, d in zip(db_hi, d_lo)]
+    top = max(v_hi)
+    g_root = mp(gamma(LIB + 2 + float(mpmath.log(sum((v / top) ** q for v in v_hi)) / q)))
+    lo = sum(v ** q for v in v_lo) ** (1 / q)
+    hi = sum(v ** q for v in v_hi) ** (1 / q)
+    return (lo * (1 - g) * ((1 - rel) * (1 - g_sum)) ** (1 / q) * (1 - g_root),
+            hi * (1 + g) * ((1 + rel) * (1 + g_sum)) ** (1 / q) * (1 + g_root))
+
+
+@pytest.mark.parametrize("p", (1.5, 2.0, 3.0))
+def test_chain_norm_at_least_its_margin_wide(p, monkeypatch):
+    # every dual-norm enclosure is at least its modelled margin wider than
+    # the exact value of its endpoints on each side, while float64
+    # rounding stays within 2 U of it: on point inputs (all delta_b 1,
+    # all delta_B one value) of 1 to 300 terms, and on the chains that
+    # ``jagers_dual_norm`` builds for a decreasing and a random b
+    e = Exponent.from_p(p)
+    calls = []
+    chain_norm = dual._chain_norm
+    monkeypatch.setattr(dual, "_chain_norm",
+                        lambda *a: calls.append((a[:4], chain_norm(*a))) or calls[-1][1])
+    for n in (1, 40, 300):
+        for d in (1.0, 1000.0, 1e-3):
+            ones, ds = np.ones(n), np.full(n, d)
+            calls.append(((ones, ones, ds, ds), chain_norm(ones, ones, ds, ds, e)))
+    rng = np.random.default_rng(7)
+    jagers_dual_norm(CoeffSeq.from_pairs([(k, 1.0 / k) for k in range(1, 50)]), e)
+    jagers_dual_norm(CoeffSeq.from_pairs(
+        (int(k), complex(*rng.normal(size=2))) for k in np.unique(rng.integers(1, 3000, 200))), e)
+    assert len(calls) == 11
+    for args, enc in calls:
+        lo, hi = _chain_margin(*(x.tolist() for x in args), p)
+        assert enc.lo <= lo * (1 + 2 * U) and enc.hi >= hi * (1 - 2 * U)
+
 
 def test_elementary_functions_within_model():
     rng = np.random.default_rng(7)

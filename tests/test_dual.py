@@ -123,7 +123,7 @@ def _reference_attempt(idx, w, e, prefix):
     total = Enclosure(0.0, 0.0)
     for t in terms:
         total = total + t
-    return JagersTrace(tuple(chain), tuple(range(1, len(chain))), total.root(q))
+    return JagersTrace(tuple(chain), total.root(q))
 
 
 def greedy_dual_norm_reference(b: CoeffSeq, e: Exponent) -> JagersTrace:
@@ -133,7 +133,7 @@ def greedy_dual_norm_reference(b: CoeffSeq, e: Exponent) -> JagersTrace:
     prefix plus an integral bracket, doubled up to three times while two
     quotient enclosures overlap."""
     if b.is_empty:
-        return JagersTrace((SENTINEL,), (), Enclosure(0.0, 0.0))
+        return JagersTrace((SENTINEL,), Enclosure(0.0, 0.0))
     w = b.abs_values()
     for round_ in range(4):
         try:

@@ -226,13 +226,9 @@ def test_table_test_function_matches_array_twin(block, step, monkeypatch):
                 assert truncate(g, limit).coeffs.idx.tobytes() == truncate(twin, limit).coeffs.idx.tobytes()
                 assert ces_norm(truncate(g, limit).coeffs, E2) == ces_norm(truncate(twin, limit).coeffs, E2)
             est = multiplier_lower_estimate(f, 10, 0.45, E2, table, r_m=r_m)
-            cut = multiplier_lower_estimate(f, 10, 0.45, E2, table, r_m=r_m,
-                                            conv_limit=table.nth(r_m) * f.max_index)
             monkeypatch.setattr(multipliers, "build_test_function",
                                 lambda *a, **k: array_twin(build_test_function(*a, **k)))
             assert multiplier_lower_estimate(f, 10, 0.45, E2, table, r_m=r_m) == est
-            assert multiplier_lower_estimate(f, 10, 0.45, E2, table, r_m=r_m,
-                                             conv_limit=table.nth(r_m) * f.max_index) == cut
             monkeypatch.setattr(multipliers, "build_test_function", build_test_function)
 
 
@@ -279,12 +275,13 @@ def test_estimate_reads_each_entry_of_g_once_per_reader(monkeypatch):
 def test_test_function_compares_by_value(table_1e4):
     # equal test functions are equal, from two tables of the same limit
     # and against their int64 twin, and read as a CoeffSeq would
-    g = build_test_function(5, 0.45, E2, table_1e4)
+    rm = find_rm(5, table_1e4)
+    g = build_test_function(5, 0.45, E2, table_1e4, r_m=rm)
     twin = array_twin(g)
-    assert g == build_test_function(5, 0.45, E2, sieve_primes(10 ** 4))
+    assert g == build_test_function(5, 0.45, E2, sieve_primes(10 ** 4), r_m=rm)
     assert g == twin and twin == g
-    assert g != build_test_function(5, 0.44, E2, table_1e4)
-    assert g != build_test_function(10, 0.45, E2, table_1e4, r_m=find_rm(5, table_1e4) + 1)
+    assert g != build_test_function(5, 0.44, E2, table_1e4, r_m=rm)
+    assert g != build_test_function(10, 0.45, E2, table_1e4, r_m=rm + 1)
     assert g.coeffs.entries() == twin.coeffs.entries()
     assert g.coeffs.scaled(2.0) == twin.coeffs.scaled(2.0)
     assert repr(g.coeffs) == repr(twin.coeffs).replace("CoeffSeq", "PrimeCoeffs")
@@ -292,8 +289,8 @@ def test_test_function_compares_by_value(table_1e4):
 
 
 def test_build_test_function_support(table_1e4):
-    g = build_test_function(5, 0.45, E2, table_1e4)
     rm = find_rm(5, table_1e4)
+    g = build_test_function(5, 0.45, E2, table_1e4, r_m=rm)
     assert g.coeffs.idx[0] == table_1e4.nth(rm)
     prime_set = set(table_1e4.read(0, len(table_1e4)).tolist())
     assert all(int(n) in prime_set for n in g.coeffs.idx)
@@ -304,9 +301,9 @@ def test_build_test_function_support(table_1e4):
 
 def test_build_test_function_alpha_domain(table_1e4):
     with pytest.raises(DomainError):
-        build_test_function(5, 0.6, E2, table_1e4)  # alpha >= 1/q
+        build_test_function(5, 0.6, E2, table_1e4, r_m=find_rm(5, table_1e4))  # alpha >= 1/q
     with pytest.raises(DomainError):
-        build_test_function(5, 0.2, E2, table_1e4)  # alpha <= 1/(2q)
+        build_test_function(5, 0.2, E2, table_1e4, r_m=find_rm(5, table_1e4))  # alpha <= 1/(2q)
     with pytest.raises(DomainError):
         build_test_function(5, 0.45, E2, table_1e4, r_m=4)  # r_m <= m
 
@@ -338,7 +335,7 @@ def test_estimate_said_heuristic_when_window_missing(table_1e4):
     f = DirichletPoly.from_pairs([(1, 1.0), (2, 1.0)])
     est = multiplier_lower_estimate(f, 50, 0.45, E2, table_1e4)
     assert not est.window_verified
-    assert HEURISTIC_WINDOW_FLAG in est.flags
+    assert HEURISTIC_WINDOW_FLAG in est.as_record()["flag"]
     assert est.r_m == 51
 
 
@@ -346,7 +343,25 @@ def test_estimate_verified_for_small_m(table_1e4):
     f = DirichletPoly.from_pairs([(1, 1.0), (2, 1.0)])
     est = multiplier_lower_estimate(f, 3, 0.45, E2, table_1e4)
     assert est.window_verified
-    assert HEURISTIC_WINDOW_FLAG not in est.flags
+    assert HEURISTIC_WINDOW_FLAG not in est.as_record()["flag"]
+
+
+@pytest.mark.parametrize("m, verified", [(3, True), (50, False)])
+def test_estimate_uses_the_test_function_of_its_anchor(m, verified, table_1e4, monkeypatch):
+    # a verified window (m = 3) and the m + 1 fallback (m = 50 at 1e4): the g
+    # the product and the denominator read is build_test_function at the
+    # record's r_m, bit for bit
+    seen = []
+    monkeypatch.setattr(multipliers, "ces_norm", lambda a, e: seen.append(a) or ces_norm(a, e))
+    monkeypatch.setattr(multipliers, "product_blocks",
+                        lambda f, g, limit: seen.append(g.coeffs) or product_blocks(f, g, limit))
+    f = DirichletPoly.from_pairs([(1, 1.0), (2, 1.0), (3, 1.0)])
+    est = multiplier_lower_estimate(f, m, 0.45, E2, table_1e4)
+    assert est.window_verified is verified and (est.r_m == m + 1) is not verified
+    g = build_test_function(m, 0.45, E2, table_1e4, r_m=est.r_m).coeffs
+    assert len(seen) == 2
+    for got in seen:
+        assert got.idx.tobytes() == g.idx.tobytes() and got.val.tobytes() == g.val.tobytes()
 
 
 def test_estimate_monomial_consistency(table_1e4):
@@ -368,12 +383,6 @@ def test_estimate_alpha_trend(table_1e4):
 def test_estimate_rejects_zero(table_1e4):
     with pytest.raises(DomainError):
         multiplier_lower_estimate(DirichletPoly(CoeffSeq.empty()), 5, 0.45, E2, table_1e4)
-
-
-def test_estimate_conv_limit_guard(table_1e4):
-    f = DirichletPoly.from_pairs([(1, 1.0), (3, 1.0)])
-    with pytest.raises(DomainError):
-        multiplier_lower_estimate(f, 5, 0.45, E2, table_1e4, conv_limit=10)
 
 
 @pytest.fixture(scope="module")
@@ -548,6 +557,19 @@ def test_schur_finite_always():
     assert verdict == "schur"
     # sup-sum: positions 1 and 2 both see |3|^2/2
     assert enc.lo == pytest.approx(9.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("p", (1.5, 2.0, 3.0))
+@pytest.mark.parametrize("pairs", [[(2, 3.0)], [(1, 0.3 - 0.4j), (7, 2.5), (40, -1e-3j)],
+                                   [(k, 1.0 / k) for k in range(1, 60, 3)]])
+def test_schur_finite_at_least_four_ulps_wide(p, pairs):
+    # each endpoint lies 4 ulps out from the correctly rounded sup-sum of
+    # the float terms
+    b, e = CoeffSeq.from_pairs(pairs), Exponent.from_p(p)
+    w = b.abs_values() ** e.q / b.idx.astype(np.float64)
+    total = math.fsum(np.maximum.accumulate(w[::-1])[::-1] * np.diff(b.idx, prepend=0))
+    _, enc = schur_finite(b, e)
+    assert enc.lo <= ulp_down(total, 4) and enc.hi >= ulp_up(total, 4)
 
 
 def test_schur_log_power_threshold():
