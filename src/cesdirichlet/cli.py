@@ -259,7 +259,7 @@ def _cmd_verify(args, out):
         if os.path.isdir(args.report) or not (os.path.isdir(folder)
                                               and os.access(folder, os.W_OK | os.X_OK)):
             raise InputError(f"{args.report}: not a writable file path")
-    results = run_suites(names, seed=args.seed)
+    results = run_suites(names, args.seed)
     for res in results:
         status = "PASS" if res.passed else "FAIL"
         out.write(f"{status}  {res.name}  {res.as_record()['detail']}\n")

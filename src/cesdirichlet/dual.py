@@ -45,7 +45,7 @@ import numpy as np
 from .enclosure import LIB, TINY, U, Enclosure, gamma, pairwise_depth, ulp_down, ulp_up
 from .errors import ArgminTieError, DomainError, ResourceLimitError
 from .kernels import hurwitz_zeta, power_segment, zeta_real
-from .sequences import CoeffSeq, Exponent, _scale, _unscale
+from .sequences import CoeffSeq, Exponent, _scale, _unscale, dq_norm
 
 SENTINEL = math.inf
 
@@ -316,8 +316,6 @@ def bennett_equivalence_check(b: CoeffSeq, e: Exponent) -> bool:
     """True iff the certified dual-norm enclosure sits inside the
     two-sided majorant-norm equivalence window
     [(1/q) dq, (p-1)^(1/p) dq] widened by ``_BENNETT_SLACK``."""
-    from .sequences import dq_norm
-
     trace = jagers_dual_norm(b, e)
     dq = dq_norm(b, e)
     pad = _BENNETT_SLACK * max(1.0, dq)

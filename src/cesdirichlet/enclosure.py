@@ -53,8 +53,16 @@ at most 14 * 1024^-6 zeta(2s, 1024).  ``kernels.log_power_sum`` (the Schur
 roundings, five of them additions, times the terms' absolute sum, plus
 TINY per result that may underflow: c LIB comes from the log inside a
 power of condition c, and c lam, lam <= 3.61 (7.21 + 1/(c - 1) for a
-tail), from the rounded exponent c = q alpha.  All of this is
-engineering certification, not formally verified arithmetic.
+tail), from the rounded exponent c = q alpha.  ``multipliers.schur_finite``
+widens the ``math.fsum`` of its sup-sum terms |b_k|^q / n_k times their
+gaps by gamma of the largest per-term count: q LIB for the complex abs
+(none for a real or imaginary b_k), LIB for the power, 2 q |log |b_k||
+for q = p / (p - 1) rounded twice, 3 for the quotient, the product with
+the gap and the sum, 2 more when an index exceeds 2^53, and 1 for the
+product with 1 -+ gamma; |b_k|, its power, the quotient and the product
+may each fall below the normal range, so every term whose suffix holds
+such a value adds 4 TINY times its gap.  All of this is engineering
+certification, not formally verified arithmetic.
 """
 
 from __future__ import annotations

@@ -46,7 +46,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import sequences
-from .enclosure import LIB, TINY, Enclosure, gamma, ulp_down, ulp_up
+from .enclosure import LIB, TINY, U, Enclosure, gamma, ulp_down, ulp_up
 from .errors import DomainError, SelfCheckError, WindowNotFoundError
 from .kernels import (
     PrimeTable,
@@ -382,18 +382,35 @@ def noncompactness_bound(f: DirichletPoly, m: int, e: Exponent) -> bool:
 
 def schur_finite(b: CoeffSeq, e: Exponent) -> tuple[str, Enclosure]:
     """Schur test of a finitely supported b: always 'schur', the sup-sum
-    enclosed exactly (the sup-sequence vanishes past the support)."""
+    enclosed exactly (the sup-sequence vanishes past the support), widened
+    by the largest per-term count of the ``enclosure`` error model."""
     if b.is_empty:
         return "schur", Enclosure(0.0, 0.0)
+    a = b.abs_values()
     with np.errstate(over="ignore"):  # an infinite w fails the finite-sum check below
-        w = b.abs_values() ** e.q / b.idx.astype(np.float64)
-    suffix_max = np.maximum.accumulate(w[::-1])[::-1]
+        w = a ** e.q / b.idx.astype(np.float64)
     gaps = np.diff(np.concatenate(([0], b.idx)))
     try:
-        total = float(math.fsum(suffix_max * gaps))
-        return "schur", Enclosure(ulp_down(total, 4), ulp_up(total, 4))
-    except (OverflowError, ValueError):  # the sum, or an endpoint, is not finite
-        raise DomainError("the finite sup-sum exceeds the float64 range") from None
+        total = math.fsum(np.maximum.accumulate(w[::-1])[::-1] * gaps)
+    except OverflowError:  # finite terms whose sum is not
+        total = math.inf
+    if total < math.inf:
+        # q LIB for the complex abs (exact for real or imaginary b_k), the
+        # rounded q, the power, the quotient, the product with the gap and
+        # fsum, and the floats of indices and gaps past 2^53
+        cnt = float(np.max(e.q * LIB * ((b.val.real != 0) & (b.val.imag != 0))
+                           + 2.0 * e.q * np.abs(np.log(a))))
+        cnt += LIB + 3.0 + 2.0 * (b.max_index > 2 ** 53)
+        if cnt * U > 2.0 ** -10:
+            raise DomainError(f"p = {e.p} is too close to 1 for a certified Schur sum")
+        g = gamma(cnt + 1.0)  # and the product with 1 -+ g
+        # |b_k|, its power, the quotient and the product may each be off by
+        # TINY below the normal range, for every term whose suffix holds one
+        tiny = 4.0 * TINY * float(gaps[np.minimum.accumulate(w[::-1])[::-1] < 2.0 ** -1021].sum())
+        hi = total * ulp_up(1.0 + g) + tiny
+        if hi < math.inf:
+            return "schur", Enclosure(max(total * ulp_down(1.0 - g) - tiny, 0.0), hi)
+    raise DomainError("the finite sup-sum exceeds the float64 range")
 
 
 def schur_log_power(alpha: float, e: Exponent, horizon: int) -> tuple[str, Enclosure]:

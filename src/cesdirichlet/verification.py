@@ -1,10 +1,10 @@
 """The property-based verification suites behind ``cesdir verify``.
 
 Each suite checks one family of identities or inequalities at explicit
-tolerances over seeded random campaigns and returns a ``SuiteResult``
-with the observed numbers.  The suites are also asserted one-for-one by
-the acceptance test module, so ``verify --suite all`` and ``pytest``
-exercise the same code.
+tolerances over seeded random campaigns and returns only what it found:
+its failures and the observed numbers.  ``run_suites`` times each suite
+against its budget in ``ALL_SUITES``.  The acceptance tests assert the
+suites one-for-one, so ``verify --suite all`` and ``pytest`` agree.
 
 Frozen reference constants were computed from the independent oracles
 (integral-bracketed partial sums, high-precision series evaluation) and
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,17 +45,18 @@ ZETA2_INV_SQRT = 0.7796968012336761
 SQRT_ZETA2_MINUS_1 = 0.8030778709740584
 LADDER_REFERENCE = 2.284457050376173  # 1 + 2^-1/2 + 3^-1/2
 
-DEFAULT_SEED = 42
-
 
 @dataclass
 class SuiteResult:
     name: str
-    passed: bool
     duration: float
     budget: float
-    details: dict = field(default_factory=dict)
-    failures: list = field(default_factory=list)
+    details: dict
+    failures: list
+
+    @property
+    def passed(self) -> bool:
+        return not self.failures
 
     def as_record(self) -> dict:
         return {
@@ -74,23 +75,11 @@ class SuiteResult:
         return ", ".join(bits[:6])
 
 
-def _finish(name, budget, t0, failures, details) -> SuiteResult:
-    return SuiteResult(
-        name=name,
-        passed=not failures,
-        duration=time.perf_counter() - t0,
-        budget=budget,
-        details=details,
-        failures=failures,
-    )
-
-
 # ---------------------------------------------------------------------------
 
-def run_hardy(seed: int = DEFAULT_SEED) -> SuiteResult:
+def run_hardy(seed: int) -> tuple[list, dict]:
     """1000 random sequences x p in {1.5, 2, 3}: the averaging-operator
     ratio never exceeds p/(p-1)."""
-    t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     failures = []
     checked = 0
@@ -105,15 +94,13 @@ def run_hardy(seed: int = DEFAULT_SEED) -> SuiteResult:
             worst = max(worst, r / bound)
             if r > bound:
                 failures.append(f"ratio {r} > {bound} at p={p}, seq={a!r}")
-    return _finish("hardy", 10.0, t0, failures,
-                   {"checked": checked, "worst_fraction_of_bound": worst})
+    return failures, {"checked": checked, "worst_fraction_of_bound": worst}
 
 
-def run_dual_oracle(seed: int = DEFAULT_SEED) -> SuiteResult:
+def run_dual_oracle(seed: int) -> tuple[list, dict]:
     """100 random b (support <= 6) x p in {1.5, 2, 3}: the ascent oracle
     lands inside the certified chain enclosure within 1e-4, and the
     majorant-norm equivalence sandwich holds throughout."""
-    t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     failures = []
     worst_gap = 0.0
@@ -132,15 +119,13 @@ def run_dual_oracle(seed: int = DEFAULT_SEED) -> SuiteResult:
                 )
             if not bennett_equivalence_check(b, e):
                 failures.append(f"equivalence sandwich failed at p={p}, seq #{k}")
-    return _finish("dual-oracle", 60.0, t0, failures,
-                   {"pairs": 300, "worst_oracle_gap": worst_gap})
+    return failures, {"pairs": 300, "worst_oracle_gap": worst_gap}
 
 
-def run_point_eval_p2(seed: int = DEFAULT_SEED) -> SuiteResult:
+def run_point_eval_p2(seed: int) -> tuple[list, dict]:
     """The exact p = 2 point-evaluation series: at sigma = 1 it encloses
     sqrt(zeta(2) - 1) within width 1e-6 in under a second; on the sigma
     grid it stays inside the two-sided (2^s - 1 / s) bracket."""
-    t0 = time.perf_counter()
     failures = []
     t_call = time.perf_counter()
     enc = delta_norm_exact_p2(1.0)
@@ -161,15 +146,13 @@ def run_point_eval_p2(seed: int = DEFAULT_SEED) -> SuiteResult:
             failures.append(f"sigma={sigma}: {e} outside bracket [{lo_b}, {hi_b}]")
     # the measured call time feeds the pass/fail decision but stays out of
     # the details so that passing reports remain byte-deterministic
-    return _finish("point-eval-p2", 10.0, t0, failures,
-                   {"sigma1_width": enc.width})
+    return failures, {"sigma1_width": enc.width}
 
 
-def run_sigma_threshold(seed: int = DEFAULT_SEED) -> SuiteResult:
+def run_sigma_threshold(seed: int) -> tuple[list, dict]:
     """sigma_p at p = 2 against the frozen formula value, and the greedy
     chain on truncated (n^-sigma) past the threshold: single-element
     chain with the frozen plateau norm."""
-    t0 = time.perf_counter()
     failures = []
     e2 = Exponent.from_p(2.0)
     s2 = sigma_threshold(e2)
@@ -185,14 +168,13 @@ def run_sigma_threshold(seed: int = DEFAULT_SEED) -> SuiteResult:
             failures.append(f"sigma={sigma}: norm {trace.norm} misses {ZETA2_INV_SQRT}")
         if abs(trace.norm.mid - ZETA2_INV_SQRT) > 1e-6:
             failures.append(f"sigma={sigma}: norm off by {abs(trace.norm.mid - ZETA2_INV_SQRT)}")
-    return _finish("sigma-threshold", 10.0, t0, failures, {"sigma_2": s2})
+    return failures, {"sigma_2": s2}
 
 
-def run_monomial(seed: int = DEFAULT_SEED) -> SuiteResult:
+def run_monomial(seed: int) -> tuple[list, dict]:
     """m in {2, 3, 4, 10} x p in {1.5, 2}: 100 random g satisfy the
     monomial upper law at 1e-10, and the j = 1e6 probe reaches
     m^{-1/q} (1 - 1e-5)."""
-    t0 = time.perf_counter()
     failures = []
     worst = math.inf
     for p in (1.5, 2.0):
@@ -205,17 +187,15 @@ def run_monomial(seed: int = DEFAULT_SEED) -> SuiteResult:
                 failures.append(f"upper law violated for m={m}, p={p}")
             if lower < target * (1.0 - 1e-5):
                 failures.append(f"probe {lower} below {target}*(1-1e-5) for m={m}, p={p}")
-    return _finish("monomial-multiplier", 30.0, t0, failures,
-                   {"worst_probe_fraction": worst})
+    return failures, {"worst_probe_fraction": worst}
 
 
-def run_multiplier_ladder(seed: int = DEFAULT_SEED) -> SuiteResult:
+def run_multiplier_ladder(seed: int) -> tuple[list, dict]:
     """Desk-scale quotient ladder for f = 1 + 2^-s + 3^-s at p = 2 with
     primes to 1e7 (heuristic-window flagged): every certified quotient
     stays below the weighted-ell^1 reference, quotients are nondecreasing
     in m per alpha within 1e-3, and the best quotient clears 80% of the
     reference."""
-    t0 = time.perf_counter()
     failures = []
     e2 = Exponent.from_p(2.0)
     table = sieve_primes(10 ** 7)
@@ -247,14 +227,13 @@ def run_multiplier_ladder(seed: int = DEFAULT_SEED) -> SuiteResult:
     details = {"best_ratio": best, "reference": LADDER_REFERENCE,
                "heuristic_window_runs": flagged}
     details.update({f"ratio_m{m}_a{alpha}": r for (m, alpha), r in ratios.items()})
-    return _finish("multiplier-ladder", 180.0, t0, failures, details)
+    return failures, details
 
 
-def run_phi_sums_lambert(seed: int = DEFAULT_SEED) -> SuiteResult:
+def run_phi_sums_lambert(seed: int) -> tuple[list, dict]:
     """The phi^alpha summation sandwich on the sampled grid, plus both
     Lambert identities (w e^w = x and phi(x / W(x)) = x) at 1e-10
     relative on the standard points."""
-    t0 = time.perf_counter()
     failures = []
     for r0 in (100, 1000):
         for fac in (2.0, 10.0):
@@ -270,14 +249,13 @@ def run_phi_sums_lambert(seed: int = DEFAULT_SEED) -> SuiteResult:
         res2 = abs(phi_xlogx(x / w) - x) / max(1.0, x)
         if res1 > 1e-10 or res2 > 1e-10:
             failures.append(f"Lambert residuals {res1}, {res2} at x={x}")
-    return _finish("phi-sums-lambert", 5.0, t0, failures, {"grid_points": 8})
+    return failures, {"grid_points": 8}
 
 
-def run_projection_multiplicativity(seed: int = DEFAULT_SEED) -> SuiteResult:
+def run_projection_multiplicativity(seed: int) -> tuple[list, dict]:
     """50 random integer-coefficient pairs, r in {1, 2, 3}, full-support
     convolution limits: the smooth-index projection is exactly
     multiplicative."""
-    t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     failures = []
     table = sieve_primes(100)
@@ -293,13 +271,12 @@ def run_projection_multiplicativity(seed: int = DEFAULT_SEED) -> SuiteResult:
             right = convolve(qr_project(f, r, table), qr_project(g, r, table), limit)
             if left != right:
                 failures.append(f"projection not multiplicative at pair #{k}, r={r}")
-    return _finish("projection-multiplicativity", 10.0, t0, failures, {"pairs": 50})
+    return failures, {"pairs": 50}
 
 
-def run_noncompactness(seed: int = DEFAULT_SEED) -> SuiteResult:
+def run_noncompactness(seed: int) -> tuple[list, dict]:
     """50 random f x m in {2, 8, 64} x p in {1.5, 2}: the quantitative
     lower bound  ||m^{1/q} m^-s f|| >= (1/2) ||f|| - 1e-10."""
-    t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     failures = []
     seqs = [random_seq(rng) for _ in range(50)]
@@ -309,14 +286,13 @@ def run_noncompactness(seed: int = DEFAULT_SEED) -> SuiteResult:
             for k, a in enumerate(seqs):
                 if not noncompactness_bound(DirichletPoly(a), m, e):
                     failures.append(f"bound failed at p={p}, m={m}, seq #{k}")
-    return _finish("noncompactness", 30.0, t0, failures, {"checked": 300})
+    return failures, {"checked": 300}
 
 
-def run_schur(seed: int = DEFAULT_SEED) -> SuiteResult:
+def run_schur(seed: int) -> tuple[list, dict]:
     """Coefficientwise multipliers into the weighted-ell^1 algebra:
     (log n)^-1 qualifies at p = 2, (log n)^-0.4 does not, and finite
     sequences always do."""
-    t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     failures = []
     e2 = Exponent.from_p(2.0)
@@ -331,13 +307,12 @@ def run_schur(seed: int = DEFAULT_SEED) -> SuiteResult:
         verdict, enc = schur_finite(b, e2)
         if verdict != "schur":
             failures.append(f"finite sequence gave verdict {verdict}")
-    return _finish("schur", 5.0, t0, failures, {})
+    return failures, {}
 
 
-def run_norm_chain(seed: int = DEFAULT_SEED) -> SuiteResult:
+def run_norm_chain(seed: int) -> tuple[list, dict]:
     """100 random a at p = 2: the functional chain
     N <= M <= ||a||.hi  and  ||a||.lo <= sqrt(2) M <= 2 N + slack."""
-    t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     failures = []
     e2 = Exponent.from_p(2.0)
@@ -354,28 +329,32 @@ def run_norm_chain(seed: int = DEFAULT_SEED) -> SuiteResult:
             failures.append(f"norm lo > sqrt2 M at #{k}")
         if not (math.sqrt(2.0) * m_v <= 2.0 * n_v + tol):
             failures.append(f"sqrt2 M > 2N at #{k}")
-    return _finish("norm-chain", 10.0, t0, failures, {"checked": 100})
+    return failures, {"checked": 100}
 
 
+# each suite with its runtime budget in seconds
 ALL_SUITES = {
-    "hardy": run_hardy,
-    "dual-oracle": run_dual_oracle,
-    "point-eval-p2": run_point_eval_p2,
-    "sigma-threshold": run_sigma_threshold,
-    "monomial-multiplier": run_monomial,
-    "multiplier-ladder": run_multiplier_ladder,
-    "phi-sums-lambert": run_phi_sums_lambert,
-    "projection-multiplicativity": run_projection_multiplicativity,
-    "noncompactness": run_noncompactness,
-    "schur": run_schur,
-    "norm-chain": run_norm_chain,
+    "hardy": (run_hardy, 10.0),
+    "dual-oracle": (run_dual_oracle, 60.0),
+    "point-eval-p2": (run_point_eval_p2, 10.0),
+    "sigma-threshold": (run_sigma_threshold, 10.0),
+    "monomial-multiplier": (run_monomial, 30.0),
+    "multiplier-ladder": (run_multiplier_ladder, 180.0),
+    "phi-sums-lambert": (run_phi_sums_lambert, 5.0),
+    "projection-multiplicativity": (run_projection_multiplicativity, 10.0),
+    "noncompactness": (run_noncompactness, 30.0),
+    "schur": (run_schur, 5.0),
+    "norm-chain": (run_norm_chain, 10.0),
 }
 
 
-def run_suites(names: list[str], seed: int = DEFAULT_SEED) -> list[SuiteResult]:
+def run_suites(names: list[str], seed: int) -> list[SuiteResult]:
     results = []
     for name in names:
         if name not in ALL_SUITES:
             raise KeyError(f"unknown suite {name!r}")
-        results.append(ALL_SUITES[name](seed=seed))
+        check, budget = ALL_SUITES[name]
+        t0 = time.perf_counter()
+        failures, details = check(seed)
+        results.append(SuiteResult(name, time.perf_counter() - t0, budget, details, failures))
     return results

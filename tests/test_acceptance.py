@@ -14,20 +14,7 @@ and reproducible, not a flake.
 
 import pytest
 
-from cesdirichlet.verification import (
-    LADDER_REFERENCE,
-    run_dual_oracle,
-    run_hardy,
-    run_monomial,
-    run_multiplier_ladder,
-    run_noncompactness,
-    run_norm_chain,
-    run_phi_sums_lambert,
-    run_point_eval_p2,
-    run_projection_multiplicativity,
-    run_schur,
-    run_sigma_threshold,
-)
+from cesdirichlet.verification import LADDER_REFERENCE, run_suites
 
 SEED = 42
 
@@ -47,28 +34,29 @@ def check_suite(criterion: str, result) -> None:
 
 
 def test_criterion_01_hardy_bound():
-    check_suite("1 (averaging-operator bound)", run_hardy(seed=SEED))
+    check_suite("1 (averaging-operator bound)", run_suites(["hardy"], SEED)[0])
 
 
 def test_criterion_02_dual_norm_oracle():
-    check_suite("2 (dual-norm oracle sandwich)", run_dual_oracle(seed=SEED))
+    check_suite("2 (dual-norm oracle sandwich)", run_suites(["dual-oracle"], SEED)[0])
 
 
 def test_criterion_03_point_evaluation_p2():
-    check_suite("3 (exact p=2 point evaluation)", run_point_eval_p2(seed=SEED))
+    check_suite("3 (exact p=2 point evaluation)", run_suites(["point-eval-p2"], SEED)[0])
 
 
 def test_criterion_04_sigma_threshold():
-    check_suite("4 (threshold abscissa and chain collapse)", run_sigma_threshold(seed=SEED))
+    check_suite("4 (threshold abscissa and chain collapse)",
+                run_suites(["sigma-threshold"], SEED)[0])
 
 
 def test_criterion_05_monomial_multipliers():
-    check_suite("5 (monomial multiplier norms)", run_monomial(seed=SEED))
+    check_suite("5 (monomial multiplier norms)", run_suites(["monomial-multiplier"], SEED)[0])
 
 
 @pytest.fixture(scope="module")
 def ladder():
-    return run_multiplier_ladder(seed=SEED)
+    return run_suites(["multiplier-ladder"], SEED)[0]
 
 
 def _ladder_ratios(result):
@@ -122,21 +110,21 @@ def test_criterion_06_runtime(ladder):
 
 def test_criterion_07_phi_sums_and_lambert():
     check_suite("7 (summation sandwich and Lambert identities)",
-                run_phi_sums_lambert(seed=SEED))
+                run_suites(["phi-sums-lambert"], SEED)[0])
 
 
 def test_criterion_08_projection_multiplicativity():
     check_suite("8 (smooth-projection multiplicativity)",
-                run_projection_multiplicativity(seed=SEED))
+                run_suites(["projection-multiplicativity"], SEED)[0])
 
 
 def test_criterion_09_noncompactness():
-    check_suite("9 (non-compactness inequality)", run_noncompactness(seed=SEED))
+    check_suite("9 (non-compactness inequality)", run_suites(["noncompactness"], SEED)[0])
 
 
 def test_criterion_10_schur():
-    check_suite("10 (coefficientwise multiplier test)", run_schur(seed=SEED))
+    check_suite("10 (coefficientwise multiplier test)", run_suites(["schur"], SEED)[0])
 
 
 def test_criterion_11_norm_chain():
-    check_suite("11 (p=2 functional chain)", run_norm_chain(seed=SEED))
+    check_suite("11 (p=2 functional chain)", run_suites(["norm-chain"], SEED)[0])

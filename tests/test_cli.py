@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cesdirichlet import cli
+from cesdirichlet import cli, verification
 from cesdirichlet.cli import dump_coeffs, load_coeffs, parse_and_dispatch
 from cesdirichlet.errors import InputError
 from cesdirichlet.kernels import sieve_primes
@@ -425,6 +425,37 @@ def test_verify_single_suite(capsys):
     captured = capsys.readouterr()
     assert code == 0
     assert captured.out.startswith("PASS  schur")
+
+
+def test_verify_failing_suite_exits_3(tmp_path, capsys, monkeypatch):
+    # the runner prints a check's failures, exits 3 and reports it failed
+    monkeypatch.setitem(verification.ALL_SUITES, "fake",
+                        (lambda seed: (["first", f"second at seed {seed}"], {"n": 1}), 60.0))
+    report = tmp_path / "r.json"
+    code = parse_and_dispatch(["verify", "--suite", "fake", "--seed", "7", "--report", str(report)])
+    assert code == 3
+    assert capsys.readouterr().out == "FAIL  fake  first; second at seed 7\n"
+    assert parse_json(report.read_text()) == [
+        {"suite": "fake", "passed": False, "detail": "first; second at seed 7"}]
+
+
+def test_verify_over_budget_only_on_stderr(capsys, monkeypatch):
+    # a check past its budget is noted on stderr; stdout and the exit code
+    # are those of the same check within budget
+    def check(seed):
+        time.sleep(0.001)
+        return [], {"seed": seed}
+
+    runs = []
+    for budget in (60.0, 0.0):
+        monkeypatch.setitem(verification.ALL_SUITES, "fake", (check, budget))
+        code = parse_and_dispatch(["verify", "--suite", "fake", "--seed", "7"])
+        runs.append((code, capsys.readouterr()))
+    (code_in, within), (code_over, over) = runs
+    assert code_in == code_over == 0
+    assert within.out == over.out == "PASS  fake  seed=7\n"
+    assert "** over budget **" not in within.err
+    assert over.err.startswith("# fake: ") and over.err.endswith("(budget 0s)  ** over budget **\n")
 
 
 def test_report_verb(tmp_path, capsys):

@@ -1,13 +1,14 @@
 import gc
 import math
 import tracemalloc
+from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
 
 from cesdirichlet import kernels, multipliers, sequences
-from cesdirichlet.enclosure import ulp_down, ulp_up
+from cesdirichlet.enclosure import LIB, TINY, U, ulp_down, ulp_up
 from cesdirichlet.errors import DomainError, SelfCheckError, WindowNotFoundError
 from cesdirichlet.kernels import (decrease_onset, lambert_w, log_power_sum, phi_alpha_deriv,
                                   phi_xlogx, sieve_primes)
@@ -570,6 +571,87 @@ def test_schur_finite_at_least_four_ulps_wide(p, pairs):
     total = math.fsum(np.maximum.accumulate(w[::-1])[::-1] * np.diff(b.idx, prepend=0))
     _, enc = schur_finite(b, e)
     assert enc.lo <= ulp_down(total, 4) and enc.hi >= ulp_up(total, 4)
+
+
+def _mp_sup_sum(b, p):
+    """The sup-sum of the float entries of b at the exact q = p/(p-1) of
+    the float p, at 60 digits."""
+    with mpmath.workdps(60):
+        q = mpmath.mpf(p) / (mpmath.mpf(p) - 1)
+        w = [abs(mpmath.mpc(complex(v))) ** q / int(n) for n, v in zip(b.idx, b.val)]
+        total, prev = mpmath.mpf(0), 0
+        for k, n in enumerate(b.idx):
+            total += max(w[k:]) * (int(n) - prev)
+            prev = int(n)
+        return total
+
+
+def _random_schur_pairs(rng):
+    size = int(rng.integers(1, 31))
+    idx = np.sort(rng.choice(np.arange(1, 200), size, replace=False))
+    scale = 10.0 ** rng.uniform(-3.0, 3.0, size) if rng.integers(2) else rng.uniform(0.1, 3.0, size)
+    val = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size))
+    # complex, real and imaginary entries: the abs is exact for the last two
+    kind = rng.integers(3, size=size)
+    val = np.where(kind == 1, val.real, np.where(kind == 2, 1j * val.imag, val))
+    return list(zip(idx.tolist(), (scale * val).tolist()))
+
+
+SCHUR_EDGE_CASES = [
+    (1.1, [(1, -0.43758332786509146 - 2.2107342145382507j)]),
+    (1.5, [(3, 1e-200)]),  # |b|^q underflows to 0
+    (1.5, [(2, 1e-105), (9, 1e-300 + 1e-300j)]),  # a subnormal sup-sum
+    (1.5, [(1, 0.3 - 0.4j), (12, 1e-150j), (2 ** 60, 1.5)]),  # an index past 2^53
+]
+
+
+@pytest.mark.parametrize("p, pairs", SCHUR_EDGE_CASES)
+def test_schur_finite_contains_exact_edge_cases(p, pairs):
+    b = CoeffSeq.from_pairs(pairs)
+    _, enc = schur_finite(b, Exponent.from_p(p))
+    exact = _mp_sup_sum(b, p)
+    assert enc.lo <= exact <= enc.hi
+
+
+@pytest.mark.parametrize("p", (1.1, 1.5, 2.0, 3.0))
+def test_schur_finite_contains_exact(p):
+    rng = np.random.default_rng(int(p * 10))
+    e = Exponent.from_p(p)
+    for _ in range(250):
+        b = CoeffSeq.from_pairs(_random_schur_pairs(rng))
+        _, enc = schur_finite(b, e)
+        exact = _mp_sup_sum(b, p)
+        assert enc.lo <= exact <= enc.hi, (b, p)
+
+
+@pytest.mark.parametrize("p", (1.1, 1.5, 3.0))
+@pytest.mark.parametrize("pairs", [pairs for _, pairs in SCHUR_EDGE_CASES])
+def test_schur_finite_at_least_its_margin_wide(p, pairs):
+    # each endpoint lies at least the modelled margin out from the fsum of
+    # the float terms: the largest per-term count times the sum, or 4 TINY
+    # per gap of a term whose suffix reaches below the normal range
+    b, e = CoeffSeq.from_pairs(pairs), Exponent.from_p(p)
+    a = np.abs(b.val)
+    with np.errstate(under="ignore"):
+        w = a ** e.q / b.idx.astype(np.float64)
+    gaps = np.diff(b.idx, prepend=0)
+    total = Fraction(math.fsum(np.maximum.accumulate(w[::-1])[::-1] * gaps))
+    count = max(e.q * LIB * (v.real != 0 and v.imag != 0) + 2.0 * e.q * abs(math.log(x))
+                for v, x in zip(b.val, a)) + LIB + 3.0 + 2.0 * (b.max_index > 2 ** 53)
+    under = 4 * Fraction(TINY) * sum(int(gaps[k]) for k in range(len(w))
+                                     if w[k:].min() < 2.0 ** -1021)
+    margin = max(total * Fraction(count) * Fraction(U), under)
+    _, enc = schur_finite(b, e)
+    assert Fraction(enc.lo) <= max(total - margin, 0) and Fraction(enc.hi) >= total + margin
+
+
+def test_schur_finite_p_too_close_to_one():
+    # q = 2^44 times the complex abs error is past what a first-order
+    # count certifies
+    with pytest.raises(DomainError, match="too close to 1"):
+        schur_finite(CoeffSeq.from_pairs([(1, 0.6 + 0.8j)]), Exponent.from_p(1.0 + 2.0 ** -44))
+    verdict, _ = schur_finite(CoeffSeq.from_pairs([(1, 1.0)]), Exponent.from_p(1.0 + 2.0 ** -44))
+    assert verdict == "schur"
 
 
 def test_schur_log_power_threshold():
