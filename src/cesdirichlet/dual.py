@@ -89,15 +89,29 @@ def _exact_sq(v: complex) -> Fraction:
     return Fraction(v.real) ** 2 + Fraction(v.imag) ** 2
 
 
-def _upper_hull(w: list, err: list, vals: np.ndarray, seg_lo: list, seg_hi: list,
+def _exact_diff(w: list, err: list, vals: np.ndarray, shift: int, i: int, j: int):
+    """Rational [lo, hi] of w_i - w_j for w = |vals| 2^-shift: (|v_i|^2 -
+    |v_j|^2) 4^-shift / (w_i + w_j), the squared moduli exact and the sum
+    within err_i + err_j; w_i - w_j -+ (err_i + err_j) when that sum may be 0."""
+    e = Fraction(err[i]) + Fraction(err[j])
+    s = Fraction(w[i]) + Fraction(w[j])
+    if s <= e:
+        d = Fraction(w[i]) - Fraction(w[j])
+        return d - e, d + e
+    d = (_exact_sq(vals[i]) - _exact_sq(vals[j])) / Fraction(4) ** shift
+    return tuple(sorted((d / (s - e), d / (s + e))))
+
+
+def _upper_hull(w: list, err: list, vals: np.ndarray, shift: int, seg_lo: list, seg_hi: list,
                 tail_lo: list, tail_hi: list):
     """The upper-left hull of (B_k, w_k), k = 0..n-1, with w_0 the maximum
     and position n the sentinel (w[n] = err[n] = vals[n] = 0), as a list of
     (position, lo, hi, undecided): [lo, hi] encloses the B-difference to
     the hull point beneath, and ``undecided`` marks a point kept by a test
     that could not decide whether the point beneath lies on the hull.
-    ``err`` bounds the error of w = |vals|, ``seg`` encloses B_k - B_(k+1)
-    and ``tail`` B_k."""
+    ``err`` bounds the error of w = |vals| 2^-shift, ``seg`` encloses
+    B_k - B_(k+1) and ``tail`` B_k.  A test the floats leave open with an
+    inexact modulus is decided again in rationals, from ``_exact_diff``."""
     n = len(w) - 1
     hull = [(0, 0.0, 0.0, False)]
     for k in range(1, n + 1):
@@ -119,8 +133,18 @@ def _upper_hull(w: list, err: list, vals: np.ndarray, seg_lo: list, seg_hi: list
                 if (n1 + e1) * hi2 * _TURN_HI + TINY < (n2 - e2) * lo1 * _TURN_LO - TINY:
                     break
                 if (n1 - e1) * lo2 * _TURN_LO - TINY < (n2 + e2) * hi1 * _TURN_HI + TINY:
-                    undecided = True
-                    break
+                    if not (e1 or e2):
+                        undecided = True
+                        break
+                    # the same two tests in rationals, the |b|-differences
+                    # from exact squared moduli (upper ends b1, b2 >= 0)
+                    a1, b1 = _exact_diff(w, err, vals, shift, i, j)
+                    a2, b2 = _exact_diff(w, err, vals, shift, j, k)
+                    if b1 * Fraction(hi2) < a2 * Fraction(lo1):
+                        break
+                    if a1 * Fraction(lo2) < b2 * Fraction(hi1):
+                        undecided = True
+                        break
             if k == n:
                 lo2, hi2 = tail_lo[i], tail_hi[i]
             else:
@@ -198,7 +222,7 @@ def jagers_dual_norm(b: CoeffSeq, e: Exponent) -> JagersTrace:
     err = np.append(err[first:], 0.0)
     seg_lo, seg_hi = power_segment(p, idx[:-1], idx[1:])
     tail_lo, tail_hi = hurwitz_zeta(p, idx)
-    hull = _upper_hull(w.tolist(), err.tolist(), np.append(b.val[first:], 0.0),
+    hull = _upper_hull(w.tolist(), err.tolist(), np.append(b.val[first:], 0.0), shift,
                        seg_lo.tolist(), seg_hi.tolist(), tail_lo.tolist(), tail_hi.tolist())
     pos, d_lo, d_hi, tied = (np.array(col) for col in zip(*hull))
     chain = [int(idx[k]) for k in pos[:-1]] + [SENTINEL]

@@ -42,7 +42,10 @@ outward), ``kernels.zeta_tail(x, n)`` is ``hurwitz_zeta(x, n + 1)`` and
 ``kernels.power_sum_range`` one ``power_segment``, which admits x = 1
 for the harmonic sums.  So the point-evaluation bounds and the Schur
 ``power`` sums (zeta(q beta + 1) whole, or the harmonic witness) carry
-the kernels' margins.  In ``delta_norm_exact_p2`` each explicit term
+the kernels' margins; its beta < 0 witness horizon^(-(q beta + 1)) horizon
+widens by gamma of (3 |q beta| + |q beta + 1|) log(horizon) + LIB + 2
+(q rounded twice, the product with beta and the sum once each in the
+exponent, the power, and two products).  In ``delta_norm_exact_p2`` each explicit term
 n^2 (n^-s - (n+1)^-s)^2, n < 1024, computed as the square of
 n^(1-s) (-expm1(-s log1p(1/n))), carries 6 LIB + 7 roundings, and their
 ``math.fsum`` and the join with the tail add one each; each of the K = 6

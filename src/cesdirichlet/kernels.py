@@ -216,7 +216,8 @@ def smooth_mask(ns, r: int, table: PrimeTable) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 # Euler-Maclaurin for the Hurwitz zeta function: Bernoulli numbers
-# B_2, B_4, ..., B_18.  K = 8 of them enter the sum; B_18 bounds the remainder.
+# B_2, B_4, ..., B_18.  At most K = 8 of them enter the sum; B_18 bounds
+# the remainder.
 _BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510,
               43867 / 798)
 _EM_TERMS = len(_BERNOULLI) - 1
@@ -228,12 +229,16 @@ def _em_sum(m: np.ndarray, x: float, coef: list[float]) -> np.ndarray:
     """m^(1-x) (1/(x-1) + y/2 + y^2 sum_j C_j y^(2j-2)), y = 1/m, by Horner
     (``coef`` is C_K..C_1)."""
     y = 1.0 / m
-    v = y * y
-    acc = np.full_like(m, coef[0])
-    for c in coef[1:]:
-        acc *= v
-        acc += c
-    acc *= y
+    if len(coef) == 1:
+        acc = y * coef[0]
+    else:
+        v = y * y
+        acc = v * coef[0]
+        acc += coef[1]
+        for c in coef[2:]:
+            acc *= v
+            acc += c
+        acc *= y
     acc += 0.5
     acc *= y
     acc += 1.0 / (x - 1.0)
@@ -241,19 +246,21 @@ def _em_sum(m: np.ndarray, x: float, coef: list[float]) -> np.ndarray:
     return acc
 
 
-def _em_setup(x, n, harmonic=False) -> tuple[float, np.ndarray, int, list[float]]:
+def _em_setup(x, n, harmonic=False) -> tuple[float, np.ndarray, int, int, list[float]]:
     """Checks shared by the Euler-Maclaurin kernels (``harmonic`` admits
-    x = 1).  Returns x, the int64 indices, N0 = 16 + ceil(x) and
-    C_1..C_{K+1}, C_j = B_2j/(2j)! x (x+1) ... (x+2j-2)."""
+    x = 1).  Returns x, the int64 indices, N0 = 16 + ceil(x), the least
+    index (N0 when there is none) and C_1..C_{K+1},
+    C_j = B_2j/(2j)! x (x+1) ... (x+2j-2)."""
     x = float(x)
     if not ((x >= 1.0 if harmonic else x > 1.0) and x <= _MAX_HURWITZ_EXPONENT):
         raise DomainError(f"{'segment' if harmonic else 'Hurwitz'} kernel needs "
                           f"1 {'<=' if harmonic else '<'} x <= {_MAX_HURWITZ_EXPONENT:g}, got {x}")
     n = np.asarray(n, dtype=np.int64)
-    if n.size and (int(n.min()) < 1 or int(n.max()) > _MAX_EXACT_INDEX):
-        raise DomainError(f"Hurwitz kernel indices must lie in [1, 2**53], got "
-                          f"[{int(n.min())}, {int(n.max())}]")
     n0 = 16 + math.ceil(x)
+    least = int(n.min()) if n.size else n0
+    if n.size and (least < 1 or int(n.max()) > _MAX_EXACT_INDEX):
+        raise DomainError(f"Hurwitz kernel indices must lie in [1, 2**53], got "
+                          f"[{least}, {int(n.max())}]")
     # every m^(1-x) must stay far above the subnormal range
     if n.size and (x - 1.0) * math.log2(max(int(n.max()), n0)) > 1000.0:
         raise DomainError(f"zeta({x}, {int(n.max())}) leaves the float64 normal range")
@@ -261,7 +268,7 @@ def _em_setup(x, n, harmonic=False) -> tuple[float, np.ndarray, int, list[float]
     for j, b in enumerate(_BERNOULLI, start=1):
         coef.append(b / math.factorial(2 * j) * rising)
         rising *= (x + 2 * j - 1) * (x + 2 * j)
-    return x, n, n0, coef
+    return x, n, n0, least, coef
 
 
 def hurwitz_zeta(x: float, n) -> tuple[np.ndarray, np.ndarray]:
@@ -269,15 +276,29 @@ def hurwitz_zeta(x: float, n) -> tuple[np.ndarray, np.ndarray]:
     integer array 1 <= n <= 2**53 and real 1 < x <= 64.
 
     Below N0 = 16 + ceil(x) an explicit head; from N0 on, Euler-Maclaurin
-    with K = 8 terms (Johansson, Numer. Algorithms 2015, arXiv:1309.2877):
+    with K <= 8 terms (Johansson, Numer. Algorithms 2015, arXiv:1309.2877):
     zeta(x, m) = m^(1-x) (1/(x-1) + 1/(2m) + sum_j C_j m^-2j) + R with
     C_j = B_2j/(2j)! x (x+1) ... (x+2j-2).  k**-x is completely monotone,
-    so R lies between 0 and the first omitted term, which is positive and
-    for m >= N0 at most C_{K+1} (x-1)/N0^(2K+2) times the sum.
+    so R lies between 0 and the first omitted term, which for m >= N0 is
+    at most |C_{K+1}| (x-1)/m^(2K+2) times the sum.  The margin is the one
+    of K = 8 at N0, and each call takes the fewest terms whose omitted
+    term is no larger there, and below 2^-71 of the sum, at its least
+    index m: at x = 2, K = 8 at N0, K = 2 from m = 1958 and K = 1 from
+    m = 94190.
     """
-    x, n, n0, coef = _em_setup(x, n)
-    # remainder bound, doubled to cover its own rounding
-    eps_r = 2.0 * coef.pop() * (x - 1.0) / float(n0) ** (2 * _EM_TERMS + 2)
+    x, n, n0, least, coef = _em_setup(x, n)
+    # remainder bound of K = 8 at N0, doubled to cover its own rounding
+    eps_r = 2.0 * coef[-1] * (x - 1.0) / float(n0) ** (2 * _EM_TERMS + 2)
+    # the fewest terms K whose omitted term is at most eps_r / 2 and 2^-71
+    # of the sum at the least index m.  R then has the sign of C_{K+1}:
+    # a positive R lies within eps_r, a negative one within the U/2 that
+    # f_lo's outward ulp leaves below 1 - gamma.  2^-71 (4e-6 U) keeps the
+    # K = 8 bits in practice: 1 value in 2e7 moved by an ulp, sampled at
+    # the cut-offs of x = 1.01..64
+    m = float(max(least, n0))
+    cut = min(eps_r, 2.0 ** -70)
+    k = next((k for k in range(1, _EM_TERMS)
+              if 2.0 * abs(coef[k]) * (x - 1.0) / m ** (2 * k + 2) <= cut), _EM_TERMS)
     # for m >= N0 each Horner term is at most 1/(4 pi^2) of the one before
     # (|B_2j+2|/(2j+2)! < |B_2j|/(2j)!/(4 pi^2)), so the bracket is within
     # 11 U of exact (C_1 within 2 U, C_j within (4j + 2) U but damped,
@@ -286,14 +307,14 @@ def hurwitz_zeta(x: float, n) -> tuple[np.ndarray, np.ndarray]:
     # themselves are rounded outwards
     f_lo = ulp_down(1.0 - gamma(LIB + 13))
     f_hi = ulp_up(1.0 + (gamma(LIB + 13) + eps_r))
-    coef.reverse()
+    coef = coef[k - 1::-1]
     em = _em_sum(n.astype(np.float64), x, coef)
     lo, hi = em * f_lo, em * f_hi
-    small = n < n0
-    if small.any():
+    if least < n0:
         # zeta(x, n) = sum_{n <= k < N0} k^-x + zeta(x, N0): LIB per term,
         # at most N0 - 2 additions in the suffix sums, 1 to join the tail
         # and 1 to scale
+        small = n < n0
         at_n0 = _em_sum(np.array([float(n0)]), x, coef)[0]
         head = np.power(np.arange(1, n0 + 1, dtype=np.float64), -x)
         head[-1] = 0.0
@@ -321,7 +342,7 @@ def power_segment(x: float, a, b) -> tuple[np.ndarray, np.ndarray]:
     Patashnik, "Concrete Mathematics", section 9.5).  At x = 1 the first
     term E(x-1)/(x-1) is its limit L and a^(1-x) = 1: the harmonic sums.
     """
-    x, b, n0, coef = _em_setup(x, b, harmonic=True)
+    x, b, n0, _, coef = _em_setup(x, b, harmonic=True)
     a = np.asarray(a, dtype=np.int64)
     if a.shape != b.shape or (a.size and (int(a.min()) < 1 or bool(np.any(a >= b)))):
         raise DomainError("segments need integer arrays of equal shape with 1 <= a < b")

@@ -448,9 +448,16 @@ def schur_power(beta: float, e: Exponent, horizon: int) -> tuple[str, Enclosure]
         return "not_schur", power_sum_range(1.0, 1, horizon + 1)
     # beta < 0: t_k = k^-exponent with exponent < 1, so the sum diverges
     # (each sup is infinite once t_k grows); the witness horizon t_horizon
-    # is at most the sup-sum with sups taken up to the horizon
+    # is at most the sup-sum with sups taken up to the horizon.  Error
+    # model in ``enclosure``: q rounded twice and its product with beta
+    # put 3 |q beta| U into the exponent and the sum with 1 |exponent| U,
+    # each moving the power by log(horizon) times as much; the power adds
+    # LIB, the product with the (exact) float horizon 1 and that with
+    # 1 -+ g 1
+    count = (3.0 * abs(e.q * beta) + abs(exponent)) * math.log(horizon) + LIB + 2.0
+    g = gamma(count)
     try:
         partial = float(horizon) ** (-exponent) * horizon
-        return "not_schur", Enclosure(ulp_down(partial, 4), ulp_up(partial, 4))
+        return "not_schur", Enclosure(partial * ulp_down(1.0 - g), partial * ulp_up(1.0 + g))
     except (OverflowError, ValueError):  # the power, or an endpoint, is not finite
         raise DomainError(f"the beta={beta} sup-sum witness exceeds the float64 range") from None

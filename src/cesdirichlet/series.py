@@ -24,7 +24,7 @@ import numpy as np
 from . import sequences
 from .errors import DomainError
 from .kernels import PrimeTable, smooth_mask
-from .sequences import CoeffSeq, Reader
+from .sequences import CoeffSeq, PrimeCoeffs, Reader
 
 
 @dataclass(frozen=True)
@@ -83,6 +83,14 @@ def product_blocks(f: DirichletPoly, g: DirichletPoly, limit: int):
     Each index of f has a ``sequences.Reader`` of g, which peeks up to
     one entry past its share of the window and keeps what the window
     left for the next block, so it reads each entry of g once.
+
+    Each block is scanned for equal indices, non-finite values and
+    zeros, unless one look per call rules all three out: g is a
+    ``PrimeCoeffs`` whose first prime exceeds f's largest index (i p =
+    i' p' then forces p = p', so no two products share an index), and
+    the extreme moduli of f's and g's values (g read in blocks) keep
+    every |a_i b_j| within 2^-1020..2^1020, so that no product, complex
+    or real, overflows or rounds to 0.
     """
     if limit < 1:
         raise DomainError(f"convolution limit must be >= 1, got {limit}")
@@ -97,6 +105,8 @@ def product_blocks(f: DirichletPoly, g: DirichletPoly, limit: int):
     if limit > _INT64_MAX and (ga.rank([min(_INT64_MAX // i, t) for i, t in
                                         zip(fi.tolist(), tops)]) < cap).any():
         raise DomainError("a product index up to the convolution limit exceeds int64")
+    scan = not (isinstance(ga, PrimeCoeffs) and int(ga.read(0, 1)[0]) > int(fi[-1])
+                and _products_normal(fv, ga.val))
     pos = np.zeros_like(cap)
     readers = [Reader(ga) for _ in range(len(fi))]
     while (live := np.flatnonzero(pos < cap)).size:
@@ -128,17 +138,33 @@ def product_blocks(f: DirichletPoly, g: DirichletPoly, limit: int):
                 order = np.argsort(idx, kind="stable")
                 idx, val = idx[order], val[order]
                 del order  # not held while the block is consumed
-                same = idx[1:] == idx[:-1]
-                if same.any():
-                    starts = np.flatnonzero(np.concatenate(([True], ~same)))
-                    idx, val = idx[starts], np.add.reduceat(val, starts)
-        if not np.isfinite(val).all():
-            raise DomainError("coefficient values must be finite (no NaN or infinity)")
-        keep = val != 0
-        if not keep.all():
-            idx, val = idx[keep], val[keep]
+                if scan:
+                    same = idx[1:] == idx[:-1]
+                    if same.any():
+                        starts = np.flatnonzero(np.concatenate(([True], ~same)))
+                        idx, val = idx[starts], np.add.reduceat(val, starts)
+        if scan:
+            if not np.isfinite(val).all():
+                raise DomainError("coefficient values must be finite (no NaN or infinity)")
+            keep = val != 0
+            if not keep.all():
+                idx, val = idx[keep], val[keep]
         if idx.size:
             yield idx, val
+
+
+def _products_normal(fv: np.ndarray, gv: np.ndarray) -> bool:
+    """True when 2^-1020 < |a| |b| < 2^1020 for every a in ``fv`` and b in
+    ``gv``, read in blocks of ``sequences.BLOCK``.  A complex product's
+    larger part is then at least |a b|/sqrt(2) and both parts at most
+    2 |a b|, each within a few U |a b| of exact."""
+    fa = np.abs(fv)
+    lo, hi = float(fa.min()), float(fa.max())
+    g_lo, g_hi = math.inf, 0.0
+    for s in range(0, gv.size, sequences.BLOCK):
+        b = np.abs(gv[s:s + sequences.BLOCK])
+        g_lo, g_hi = min(g_lo, float(b.min())), max(g_hi, float(b.max()))
+    return lo * g_lo > 2.0 ** -1020 and hi * g_hi < 2.0 ** 1020
 
 
 def convolve(f: DirichletPoly, g: DirichletPoly, limit: int) -> DirichletPoly:

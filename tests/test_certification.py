@@ -22,7 +22,7 @@ from cesdirichlet.enclosure import LIB, TINY, U, Enclosure, gamma, pairwise_dept
 from cesdirichlet.errors import DomainError
 from cesdirichlet.dual import SENTINEL, jagers_dual_norm
 from cesdirichlet.kernels import hurwitz_zeta, log_power_sum, power_segment, sieve_primes
-from cesdirichlet import dual, sequences
+from cesdirichlet import dual, kernels, sequences
 from cesdirichlet.sequences import (CoeffSeq, Exponent, PrimeCoeffs, _prefix_sums, abs_sum_exponent,
                                     ces_norm, ces_norm_stream)
 from cesdirichlet.series import DirichletPoly, convolve, product_blocks
@@ -100,6 +100,81 @@ def test_hurwitz_long_array_matches_single_calls():
     single = [hurwitz_zeta(2.5, ns[k:k + 1]) for k in range(ns.size)]
     assert np.array_equal(lo.view(np.int64), np.concatenate([l for l, _ in single]).view(np.int64))
     assert np.array_equal(hi.view(np.int64), np.concatenate([h for _, h in single]).view(np.int64))
+
+
+def hurwitz_reference(x: float, n) -> tuple[np.ndarray, np.ndarray]:
+    """The former kernel: K = 8 Euler-Maclaurin terms at every index."""
+    x, n, n0, _, coef = kernels._em_setup(x, n)
+    eps_r = 2.0 * coef.pop() * (x - 1.0) / float(n0) ** 18
+    f_lo = ulp_down(1.0 - gamma(LIB + 13))
+    f_hi = ulp_up(1.0 + (gamma(LIB + 13) + eps_r))
+
+    def em_sum(m):
+        y = 1.0 / m
+        v = y * y
+        acc = np.full_like(m, coef[-1])
+        for c in coef[-2::-1]:
+            acc *= v
+            acc += c
+        acc *= y
+        acc += 0.5
+        acc *= y
+        acc += 1.0 / (x - 1.0)
+        return acc * np.power(m, 1.0 - x)
+
+    em = em_sum(n.astype(np.float64))
+    lo, hi = em * f_lo, em * f_hi
+    small = n < n0
+    if small.any():
+        at_n0 = em_sum(np.array([float(n0)]))[0]
+        head = np.power(np.arange(1, n0 + 1, dtype=np.float64), -x)
+        head[-1] = 0.0
+        head = np.cumsum(head[::-1])[::-1][n[small] - 1]
+        g = gamma(LIB + n0 + 1)
+        lo[small] = (head + at_n0 * f_lo) * ulp_down(1.0 - g)
+        hi[small] = (head + at_n0 * f_hi) * ulp_up(1.0 + g)
+    return lo, hi
+
+
+def _terms_used(x: float, m: int, monkeypatch) -> int:
+    """The number K of Euler-Maclaurin terms the kernel takes for [m]."""
+    seen = []
+    em_sum = kernels._em_sum
+    monkeypatch.setattr(kernels, "_em_sum", lambda n, x, coef: seen.append(len(coef)) or em_sum(n, x, coef))
+    hurwitz_zeta(x, [m])
+    monkeypatch.undo()
+    return seen[0]
+
+
+@pytest.mark.parametrize("x", (1.01, 1.5, 2.0, 2.5, 3.0, 7.3, 64.0))
+def test_hurwitz_fewer_terms_keep_the_bits(x, monkeypatch):
+    # around N0 and around each least index from which the kernel drops a
+    # term, alone, together and as the least index of a longer array, lo
+    # and hi are the bits of K = 8
+    n0 = 16 + math.ceil(x)
+    top = 2 ** 53 if (x - 1.0) * 53 <= 1000 else int(2.0 ** (1000 / (x - 1.0)))
+    cuts = []
+    for k in range(7, 0, -1):
+        if _terms_used(x, top, monkeypatch) > k:
+            break
+        lo, hi = n0, top  # the least m that takes at most k terms
+        while lo < hi:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if _terms_used(x, mid, monkeypatch) <= k else (mid + 1, hi)
+        cuts.append(lo)
+    assert _terms_used(x, n0, monkeypatch) == 8 and len(cuts) >= 6
+    rng = np.random.default_rng(19)
+    for c in [n0] + cuts:
+        near = np.arange(max(1, c - 3), min(c + 3, top) + 1)
+        arrays = [near] + [near[j:j + 1] for j in range(near.size)] + [
+            np.concatenate(([m], rng.integers(m, min(4 * m, top) + 1, 300))) for m in near]
+        for ns in arrays:
+            lo, hi = hurwitz_zeta(x, ns)
+            ref_lo, ref_hi = hurwitz_reference(x, ns)
+            assert lo.tobytes() == ref_lo.tobytes() and hi.tobytes() == ref_hi.tobytes(), (x, ns[0])
+        # mpmath's own Hurwitz zeta is off by 4e-11 relatively at x = 64, n = 251
+        for n, l, h in zip(near, *hurwitz_zeta(x, near)) if x < 64 else ():
+            assert l <= mpmath.zeta(mpmath.mpf(x), int(n)) <= h
 
 
 @pytest.mark.parametrize("x, ns", [(2.0, [2 ** 53 + 1]), (2.0, [0]), (1.0, [1]),

@@ -231,6 +231,47 @@ def test_jagers_equal_float_moduli_are_no_tie(b3):
         assert bennett_equivalence_check(b, e)
 
 
+def mp_chain_norm(b: CoeffSeq, p: float):
+    """The hull chain (without the sentinel) and the dual norm at 60
+    digits, from the moduli of the float entries and B_k = zeta(p, k)."""
+    with mpmath.workdps(60):
+        q = mpmath.mpf(p) / (mpmath.mpf(p) - 1)
+        pts = [(mpmath.zeta(mpmath.mpf(p), int(n)), abs(mpmath.mpc(complex(v))))
+               for n, v in b.entries()] + [(mpmath.mpf(0), mpmath.mpf(0))]
+        top = max(w for _, w in pts)
+        hull = [max(k for k, (_, w) in enumerate(pts) if w == top)]
+        for k in range(hull[0] + 1, len(pts)):
+            (bk, wk) = pts[k]
+            while len(hull) > 1:
+                (bi, wi), (bj, wj) = pts[hull[-2]], pts[hull[-1]]
+                if wj > wk and (wi - wj) * (bj - bk) < (wj - wk) * (bi - bj):
+                    break
+                hull.pop()
+            hull.append(k)
+        total = mpmath.fsum((pts[i][1] - pts[j][1]) ** q / (pts[i][0] - pts[j][0]) ** (q - 1)
+                            for i, j in zip(hull, hull[1:]))
+        return tuple(int(b.idx[k]) for k in hull[:-1]), total ** (1 / q)
+
+
+def test_jagers_near_equal_complex_moduli_decided_exactly():
+    # |b_2| rounds to 5.0 and |b_3| to 4.999999999999999: the float slope
+    # test after (1,) cannot tell 2 from 3, and exact squared moduli can
+    b = seq((1, 5.0), (2, 0.395438093295585 + 4.984338342686093j),
+            (3, 4.649143252813783 + 1.8399638623668855j))
+    chain, exact = mp_chain_norm(b, 2.0)
+    trace = jagers_dual_norm(b, E2)
+    assert chain == (1, 2, 3) and trace.m_chain == chain + (SENTINEL,)
+    assert trace.norm.lo <= exact <= trace.norm.hi
+
+
+def test_jagers_exact_tie_with_inexact_modulus_still_raises():
+    # |3 + 4i| = 5 exactly but carries a rounding bound: the exact re-decision
+    # meets the engineered tie of 5 (1, 0.4, 0.25) and raises
+    with pytest.raises(ArgminTieError) as exc:
+        jagers_dual_norm(seq((1, 3.0 + 4.0j), (2, 2.0), (3, 1.25)), E2)
+    assert exc.value.candidates == (2, 3) and exc.value.prefix_chain == (1,)
+
+
 @settings(derandomize=True, deadline=None, max_examples=150)
 @given(p=st.sampled_from((1.5, 2.0, 3.0)),
        idx=st.sets(st.integers(1, 60), min_size=1, max_size=12),

@@ -11,7 +11,7 @@ from cesdirichlet import sequences
 from cesdirichlet.enclosure import gamma
 from cesdirichlet.errors import DomainError
 from cesdirichlet.kernels import sieve_primes
-from cesdirichlet.sequences import CoeffSeq, Exponent, ar_norm, ces_norm
+from cesdirichlet.sequences import CoeffSeq, Exponent, PrimeCoeffs, ar_norm, ces_norm
 from cesdirichlet.series import (
     DirichletPoly,
     EvalPoint,
@@ -251,6 +251,68 @@ def test_product_blocks_refuse_indices_past_int64():
     assert [b[0].tolist() for b in product_blocks(poly((1, 1.0), (2, 1.0)),
                                                   poly((3, 1.0), (2 ** 62, 1.0)), top)] == [
         [3, 6, 2 ** 62]]
+
+
+PRIMES = sieve_primes(2000)
+
+
+def on_primes(start, values):
+    """g with real ``values`` on the primes of ranks start, start + 1, ...
+    (from 0) of a table to 2000."""
+    return DirichletPoly(PrimeCoeffs(PRIMES, start, np.asarray(values, dtype=np.float64)))
+
+
+SCAN_CASES = {
+    # f's largest index 6 is past g's first prime 2: the products 2 * 3
+    # and 3 * 2 merge, cancel to 0 and are dropped
+    "collisions": (poly((1, 0.5), (2, 1.0), (3, -1.0), (6, 2.0 - 1.0j)), on_primes(0, [1.0] * 60)),
+    # |a b| up to 5e307, past 2^1020 but finite
+    "near-max": (poly((1, 1e300), (2, -3.0j)), on_primes(1, np.linspace(1.0, 5e7, 60))),
+    # 1e-200 * 1e-200 rounds to 0 and is dropped
+    "underflow": (poly((1, 1e-200), (2, 1.0)), on_primes(1, [1e-200, 1.0] * 30)),
+}
+
+
+@pytest.mark.parametrize("block", [1, 7, 1 << 15])
+@pytest.mark.parametrize("case", sorted(SCAN_CASES))
+def test_product_blocks_scan_where_one_look_cannot_rule_out(case, block, monkeypatch):
+    # the blocks of each case go through the duplicate, finite and zero
+    # scans, and give the bits of the reference
+    f, g = SCAN_CASES[case]
+    limit = f.max_index * g.max_index
+    want = convolve_reference(f, g, limit).coeffs
+    monkeypatch.setattr(sequences, "BLOCK", block)
+    got = convolve(f, g, limit).coeffs
+    assert got.idx.tobytes() == want.idx.tobytes()
+    assert got.val.tobytes() == want.val.tobytes()
+    assert len(got) < len(f.coeffs) * len(g.coeffs) or case == "near-max"
+
+
+def test_product_blocks_overflow_past_the_look_raises():
+    f, g = poly((1, 1e300), (2, 1.0)), on_primes(1, [1.0, 1e10, 2.0])
+    with pytest.raises(DomainError, match="finite"):
+        list(product_blocks(f, g, 10 ** 6))
+
+
+@pytest.mark.parametrize("block", [1, 7, 1 << 15])
+def test_product_blocks_skip_the_scans_on_primes_past_f(block, monkeypatch):
+    # g's first prime 5 exceeds f's largest index 4 and every |a b| is
+    # normal, so no block is scanned; complex f with zero real or
+    # imaginary parts gives the bits of the reference
+    f = poly((1, 2.0j), (2, 3.0), (3, -1.5 + 0.5j), (4, -1e-3 + 0.0j))
+    g = on_primes(2, np.linspace(-2.0, 3.0, 200) + 0.01)
+    limit = f.max_index * g.max_index
+    want = convolve_reference(f, g, limit).coeffs
+
+    def no_scan(*args, **kwargs):
+        raise AssertionError("no block needs a finite scan")
+
+    monkeypatch.setattr(sequences, "BLOCK", block)
+    monkeypatch.setattr(np, "isfinite", no_scan)
+    blocks = list(product_blocks(f, g, limit))
+    monkeypatch.undo()
+    assert np.concatenate([b[0] for b in blocks]).tobytes() == want.idx.tobytes()
+    assert np.concatenate([b[1] for b in blocks]).tobytes() == want.val.tobytes()
 
 
 # ---------------------------------------------------------------------------
