@@ -23,7 +23,6 @@ from .kernels import (
     phi_alpha_deriv,
     phi_xlogx,
     sieve_primes,
-    smooth_membership,
     zeta_real,
     zeta_tail,
 )
@@ -34,7 +33,6 @@ from .sequences import (
     ces_norm,
     dq_norm,
     hardy_ratio,
-    least_decreasing_majorant,
     lp_norm,
     m_n_functionals_p2,
 )
@@ -44,8 +42,6 @@ from .series import (
     convolve,
     evaluate,
     qr_project,
-    translate,
-    truncate,
 )
 from .dual import (
     SENTINEL,

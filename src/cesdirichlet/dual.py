@@ -250,6 +250,8 @@ def dual_norm_oracle(b: CoeffSeq, e: Exponent, restarts: int, seed: int = 0) -> 
     the best value found: a lower bound on the true dual norm,
     empirically tight at these dimensions.
     """
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
     if b.is_empty:
         return 0.0
     m = len(b)

@@ -163,21 +163,15 @@ def sieve_primes(limit: int) -> PrimeTable:
     return PrimeTable(limit=int(limit), halves=halves, marks=marks, step=BLOCK)
 
 
-def smooth_membership(n: int, r: int, table: PrimeTable) -> bool:
-    """True iff every prime factor of n is among the first r primes.
-
-    n == 1 is smooth for every r (empty product).  Raises DomainError
-    when the table holds fewer than r primes and they do not already
-    exhaust n, since membership is then undecidable from the table.
-    """
-    return bool(smooth_mask([n], r, table)[0])
-
-
 def smooth_mask(ns, r: int, table: PrimeTable) -> np.ndarray:
-    """``smooth_membership`` of every n in ``ns``, as a bool array.  Only
-    the first r primes up to sqrt(max(ns)) are decoded, once; what trial
-    division by them leaves of n is 1, a prime (compared with p_r) or a
-    product of primes past them."""
+    """For every n in ``ns``, whether all prime factors of n are among
+    the first r primes, as a bool array; n == 1 is smooth for every r
+    (empty product).  Raises DomainError when the table holds fewer than
+    r primes and they do not already exhaust n, since membership is then
+    undecidable from the table.  Only the first r primes up to
+    sqrt(max(ns)) are decoded, once; what trial division by them leaves
+    of n is 1, a prime (compared with p_r) or a product of primes past
+    them."""
     ns = [int(n) for n in ns]
     if min(ns, default=1) < 1:
         raise DomainError(f"smoothness is defined for positive integers, got {min(ns)}")

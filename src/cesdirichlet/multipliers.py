@@ -111,6 +111,8 @@ def monomial_multiplier_check(
     """
     if m < 1:
         raise DomainError(f"monomial index must be >= 1, got {m}")
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
     if j_probe < 2:
         raise DomainError(f"probe index must be >= 2, got {j_probe}")
     if m == 1:
@@ -118,7 +120,7 @@ def monomial_multiplier_check(
     bound = float(m) ** (-1.0 / e.q)
     rng = np.random.default_rng(seed)
     upper_ok = True
-    mono = DirichletPoly.monomial(m)
+    mono = DirichletPoly.from_pairs([(m, 1.0)])
     for _ in range(samples):
         g = DirichletPoly(sequences.random_seq(rng, max_index=200))
         prod = convolve(mono, g, m * g.max_index)
@@ -369,7 +371,7 @@ def noncompactness_bound(f: DirichletPoly, m: int, e: Exponent) -> bool:
         raise DomainError("the bound is vacuous for f = 0")
     if m < 1:
         raise DomainError(f"m must be >= 1, got {m}")
-    prod = convolve(DirichletPoly.monomial(m), f, m * f.max_index)
+    prod = convolve(DirichletPoly.from_pairs([(m, 1.0)]), f, m * f.max_index)
     lhs = ces_norm(prod.coeffs, e)
     rhs = ces_norm(f.coeffs, e)
     factor = float(m) ** (1.0 / e.p) / (2.0 * m)

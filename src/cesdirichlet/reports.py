@@ -22,7 +22,7 @@ from .enclosure import Enclosure
 SIG_DIGITS = 12
 
 # Documented, stable column sets per record kind.  Kinds without an
-# entry fall back to sorted flattened keys.
+# entry fall back to the flattened keys in the order first seen.
 CSV_COLUMNS = {
     "multiplier-estimate": ["m", "alpha", "prime_limit", "conv_limit",
                             "ratio", "reference", "flag"],
@@ -97,9 +97,18 @@ def to_json(records: list[dict]) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
+def _finite(token: str) -> float:
+    x = float(token)
+    if not math.isfinite(x):
+        raise ValueError(f"{token} is not a finite JSON number")
+    return x
+
+
 def parse_json(text: str) -> list[dict]:
-    """The records of a JSON report; ValueError unless they are objects."""
-    payload = json.loads(text)
+    """The records of a JSON report; ValueError unless they are objects.
+    NaN, Infinity and numbers past the float64 range are refused, since
+    they could not be re-emitted as strict JSON."""
+    payload = json.loads(text, parse_constant=_finite, parse_float=_finite)
     records = payload.get("records") if isinstance(payload, dict) else None
     if not isinstance(records, list) or not all(isinstance(r, dict) for r in records):
         raise ValueError("expected an object with a 'records' array of objects")

@@ -72,9 +72,9 @@ class CoeffSeq:
     ``_validated=True`` with real float64 values (a product of
     ``PrimeCoeffs``); every consumer reads them through abs, products or
     ``real``/``imag``, so both kinds behave the same.  Either array may be
-    a read-only view.  ``idx``, ``read``, ``rank``, ``head`` and
-    ``max_index`` are how the support is reached, the rest is written on
-    top of them and ``val``; ``Reader`` reads both kinds in order.
+    a read-only view.  The support is reached only through ``idx``,
+    ``read``, ``rank`` and ``max_index``; the rest is written on top of
+    them and ``val``, and ``Reader`` reads both kinds in order.
     """
 
     __slots__ = ("idx", "val")
@@ -115,10 +115,6 @@ class CoeffSeq:
         return cls([int(n) for n, _ in pairs], [complex(v) for _, v in pairs])
 
     @classmethod
-    def from_dict(cls, d: dict) -> "CoeffSeq":
-        return cls.from_pairs(d.items())
-
-    @classmethod
     def empty(cls) -> "CoeffSeq":
         return cls(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.complex128),
                    _validated=True)
@@ -149,13 +145,6 @@ class CoeffSeq:
         """The number of support entries <= each of ``values``."""
         return np.searchsorted(self.idx, values, side="right")
 
-    def head(self, count: int) -> "CoeffSeq":
-        """The first ``count`` entries, sharing the read-only arrays."""
-        return CoeffSeq(self.idx[:count], self.val[:count], _validated=True)
-
-    def scaled(self, c: complex) -> "CoeffSeq":
-        return CoeffSeq(self.idx.copy(), self.val * c)
-
     def __eq__(self, other) -> bool:
         """Equal entries, whatever holds the support."""
         if not isinstance(other, CoeffSeq):
@@ -176,11 +165,12 @@ class CoeffSeq:
 class PrimeCoeffs(CoeffSeq):
     """Real float64 coefficients on consecutive primes: ``val[j]`` at the
     prime of rank ``start`` + j (from 0) of ``table``.  The support is
-    never stored: ``read`` decodes a run of it from the table's one-byte
-    gaps, ``rank`` decodes one table block per distinct value and ``idx``
-    all of it, for the few callers that want the whole array.  Everything
-    else is inherited, so it behaves as the ``CoeffSeq`` with the same
-    entries."""
+    never stored: of the four support methods, ``read`` decodes a run of
+    it from the table's one-byte gaps, ``rank`` decodes one table block
+    per distinct value, ``max_index`` one entry, and ``idx`` all of it,
+    for the few callers that want the whole array (equality, repr,
+    ``entries``).  Everything else is inherited, so it behaves as the
+    ``CoeffSeq`` with the same entries."""
 
     __slots__ = ("table", "start")
 
@@ -205,9 +195,6 @@ class PrimeCoeffs(CoeffSeq):
     def rank(self, values) -> np.ndarray:
         ranks = {v: self.table.rank(v) for v in set(values)}  # one block decoded each
         return np.clip([ranks[v] - self.start for v in values], 0, len(self))
-
-    def head(self, count: int) -> "PrimeCoeffs":
-        return PrimeCoeffs(self.table, self.start, self.val[:count])
 
 
 _NONE = np.empty(0, dtype=np.int64)
@@ -295,6 +282,17 @@ def _scale(w: np.ndarray) -> int:
     shift = math.frexp(float(w.max()))[1]
     np.ldexp(w, -shift, out=w)
     return shift
+
+
+def _powers(w: np.ndarray, x: float, name: str) -> np.ndarray:
+    """w**x of the scaled ``w``.  A largest term below the normal range
+    has lost bits (and is 0 from x = 1075 on, since max w >= 1/2), so it
+    raises DomainError rather than print them."""
+    out = w ** x
+    if float(out.max()) < 2.0 ** -1022:
+        raise DomainError(f"the {name} at exponent {x} has its largest term below the float64 "
+                          "normal range")
+    return out
 
 
 def _unscale(x: float, shift: int, name: str) -> float:
@@ -414,33 +412,16 @@ def ces_norm_stream(blocks, scale: int, e: Exponent) -> Enclosure:
 
 
 def lp_norm(a: CoeffSeq, p: float) -> float:
-    """Exact (sum |a_n|**p)**(1/p) for 1 <= p < inf."""
+    """Exact (sum |a_n|**p)**(1/p) for 1 <= p < inf.  With max |a_n|
+    scaled into [1/2, 1), its p-th power must stay normal: DomainError
+    otherwise, from p about 1022 (at the latest from p = 1075)."""
     if not 1 <= p < math.inf:
         raise DomainError(f"lp_norm needs 1 <= p < inf, got {p}")
     if a.is_empty:
         return 0.0
     w = a.abs_values()
     shift = _scale(w)
-    return _unscale(float(math.fsum(w ** p)) ** (1.0 / p), shift, "lp norm")
-
-
-def least_decreasing_majorant(b: CoeffSeq, horizon: int) -> np.ndarray:
-    """The smallest nonincreasing sequence dominating |b|, on 1..horizon.
-
-    ``horizon`` must reach the last support index; entries beyond the
-    support are zero.
-    """
-    if horizon < 1:
-        raise DomainError(f"horizon must be >= 1, got {horizon}")
-    if horizon < b.max_index:
-        raise DomainError(
-            f"horizon {horizon} is smaller than the largest support index {b.max_index}"
-        )
-    dense = np.zeros(horizon, dtype=np.float64)
-    if not b.is_empty:
-        dense[b.idx - 1] = b.abs_values()
-        dense = np.maximum.accumulate(dense[::-1])[::-1]
-    return dense
+    return _unscale(float(math.fsum(_powers(w, p, "lp norm"))) ** (1.0 / p), shift, "lp norm")
 
 
 def dq_norm(b: CoeffSeq, e: Exponent) -> float:
@@ -448,7 +429,9 @@ def dq_norm(b: CoeffSeq, e: Exponent) -> float:
 
     The majorant is constant between support indices, so the dense sum
     collapses to suffix maxima weighted by index gaps.  |b| is scaled by
-    a power of two first (the norm is homogeneous).
+    a power of two first (the norm is homogeneous), into [1/2, 1), and
+    the q-th power of its maximum must stay normal: DomainError otherwise,
+    from q about 1022 (p within about 1e-3 of 1).
     """
     if b.is_empty:
         return 0.0
@@ -457,7 +440,8 @@ def dq_norm(b: CoeffSeq, e: Exponent) -> float:
     shift = _scale(w)
     suffix_max = np.maximum.accumulate(w[::-1])[::-1]
     gaps = np.diff(np.concatenate(([0], b.idx)))
-    return _unscale(float(math.fsum(suffix_max ** q * gaps)) ** (1.0 / q), shift, "dq norm")
+    powered = _powers(suffix_max, q, "dq norm")
+    return _unscale(float(math.fsum(powered * gaps)) ** (1.0 / q), shift, "dq norm")
 
 
 def ar_norm(a: CoeffSeq, r: float) -> float:

@@ -47,11 +47,6 @@ class DirichletPoly:
     def from_pairs(cls, pairs) -> "DirichletPoly":
         return cls(CoeffSeq.from_pairs(pairs))
 
-    @classmethod
-    def monomial(cls, m: int) -> "DirichletPoly":
-        """m^-s."""
-        return cls.from_pairs([(m, 1.0)])
-
     @property
     def max_index(self) -> int:
         return self.coeffs.max_index
@@ -194,26 +189,6 @@ def evaluate(f: DirichletPoly, s: EvalPoint) -> complex:
     if not cmath.isfinite(value):
         raise DomainError(f"f({s.sigma} + {s.t}i) leaves the float64 range")
     return value
-
-
-def translate(f: DirichletPoly, r: float) -> DirichletPoly:
-    """The shifted series f(s + r): coefficients a_n n^-r."""
-    c = f.coeffs
-    if c.is_empty:
-        return f
-    weights = c.idx.astype(np.float64) ** -r
-    return DirichletPoly(CoeffSeq(c.idx.copy(), c.val * weights))
-
-
-def truncate(f: DirichletPoly, n: int) -> DirichletPoly:
-    """Drop all coefficients with index > n; the result shares f's
-    read-only arrays."""
-    if n < 1:
-        raise DomainError(f"truncation index must be >= 1, got {n}")
-    c = f.coeffs
-    if n >= c.max_index:
-        return f
-    return DirichletPoly(c.head(int(c.rank([n])[0])))
 
 
 def qr_project(f: DirichletPoly, r: int, table: PrimeTable) -> DirichletPoly:

@@ -26,6 +26,7 @@ from .dual import (
     jagers_dual_norm,
     sigma_threshold,
 )
+from .errors import DomainError
 from .kernels import lambert_w, phi_xlogx, sieve_primes, zeta_real
 from .multipliers import (
     lemma_j_check,
@@ -349,6 +350,8 @@ ALL_SUITES = {
 
 
 def run_suites(names: list[str], seed: int) -> list[SuiteResult]:
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
     results = []
     for name in names:
         if name not in ALL_SUITES:

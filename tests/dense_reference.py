@@ -12,7 +12,8 @@ accumulated term.  The power sums call neither ``kernels.hurwitz_zeta``
 nor ``kernels.power_segment``, the kernels they are compared with.
 ``dense_delta_norm_p2`` sums ``terms`` terms of the point-evaluation
 series and brackets the rest termwise; only that tail is a
-``hurwitz_zeta`` call.
+``hurwitz_zeta`` call.  ``least_decreasing_majorant`` is the dense
+majorant that ``sequences.dq_norm`` collapses to suffix maxima.
 """
 
 import math
@@ -23,7 +24,7 @@ from cesdirichlet.dual import delta_norm_bounds
 from cesdirichlet.enclosure import LIB, Enclosure, gamma, pairwise_depth, ulp_down, ulp_up
 from cesdirichlet.errors import DomainError
 from cesdirichlet.kernels import hurwitz_zeta
-from cesdirichlet.sequences import Exponent
+from cesdirichlet.sequences import CoeffSeq, Exponent
 
 EPS = 2.0 ** -52
 _SUM_CHUNK = 1 << 20
@@ -104,3 +105,22 @@ def dense_delta_norm_p2(sigma: float, terms: int = 10 ** 6) -> Enclosure:
         ulp_up(ulp_up(explicit + slack) + ulp_up(c_hi * float(z_hi[0]))),
     )
     return sq.root(2.0)
+
+
+def least_decreasing_majorant(b: CoeffSeq, horizon: int) -> np.ndarray:
+    """The smallest nonincreasing sequence dominating |b|, on 1..horizon.
+
+    ``horizon`` must reach the last support index; entries beyond the
+    support are zero.
+    """
+    if horizon < 1:
+        raise DomainError(f"horizon must be >= 1, got {horizon}")
+    if horizon < b.max_index:
+        raise DomainError(
+            f"horizon {horizon} is smaller than the largest support index {b.max_index}"
+        )
+    dense = np.zeros(horizon, dtype=np.float64)
+    if not b.is_empty:
+        dense[b.idx - 1] = b.abs_values()
+        dense = np.maximum.accumulate(dense[::-1])[::-1]
+    return dense

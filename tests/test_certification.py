@@ -308,7 +308,7 @@ def test_ces_norm_contains_mpmath(p, first, gaps, vals):
 @given(p=st.sampled_from(P_SET),
        d=st.dictionaries(st.integers(1, 3000), values, min_size=1, max_size=12))
 def test_ces_norm_inside_dense_reference(p, d):
-    a = CoeffSeq.from_dict(d)
+    a = CoeffSeq.from_pairs(d.items())
     e = Exponent.from_p(p)
     assert dense_ces_norm_reference(a, e).encloses(ces_norm(a, e))
 
@@ -340,7 +340,7 @@ small_supports = st.dictionaries(st.integers(1, 30), st.one_of(values, st.sample
 def test_streamed_product_contains_mpmath(p, block, f, g, cut):
     # the enclosure certifies the norm of the rounded product, which
     # ``convolve`` (bitwise the same blocks) stores for the reference
-    f, g = DirichletPoly(CoeffSeq.from_dict(f)), DirichletPoly(CoeffSeq.from_dict(g))
+    f, g = DirichletPoly.from_pairs(f.items()), DirichletPoly.from_pairs(g.items())
     limit = max(1, int(cut * f.max_index * g.max_index))
     scale = abs_sum_exponent(f.coeffs) + abs_sum_exponent(g.coeffs)
     with pytest.MonkeyPatch.context() as mp:

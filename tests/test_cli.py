@@ -471,10 +471,13 @@ def test_report_verb(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("content", [None, b"\xff\xfe", "[]", '{"records": [1]}',
-                                     '{"records": {}}'])
+                                     '{"records": {}}', '{"records": [{"x": NaN}]}',
+                                     '{"records": [{"v": {"lo": -Infinity, "hi": 1.0}}]}',
+                                     '{"records": [{"y": 1e400}]}'])
 def test_report_bad_file_exits_2(tmp_path, capsys, content):
-    # a missing file, a file that is not UTF-8, and JSON that is not an
-    # object with a 'records' array of objects
+    # a missing file, a file that is not UTF-8, JSON that is not an
+    # object with a 'records' array of objects, and numbers that strict
+    # JSON cannot print back
     src = tmp_path / "r.json"
     if isinstance(content, bytes):
         src.write_bytes(content)
@@ -502,6 +505,24 @@ def test_unwritable_output_file_exits_2(tmp_path, capsys, argv):
     argv = [path if a == "F" else a.replace("MISSING", missing) for a in argv]
     assert parse_and_dispatch(argv) == 2
     assert f"error: {missing}/" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["dual-norm", "--p", "2", "--input", "F", "--oracle", "--seed=-1"],
+    ["monomial-check", "--m", "2", "--seed=-1"],
+    ["verify", "--suite", "fake", "--seed=-1"],
+])
+def test_negative_seed_exits_2(tmp_path, capsys, monkeypatch, argv):
+    # numpy's generator takes no negative seed: refused as a domain error,
+    # and verify refuses it before any suite runs
+    def no_suite(seed):
+        raise AssertionError("a suite ran with a negative seed")
+
+    monkeypatch.setitem(verification.ALL_SUITES, "fake", (no_suite, 60.0))
+    path = write_coeffs(tmp_path, "f.json", [{"n": 1, "re": 1.0}, {"n": 3, "re": 0.5}])
+    assert parse_and_dispatch([path if a == "F" else a for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: seed must be >= 0, got -1\n"
 
 
 @pytest.mark.parametrize("where", ["missing", "file", "dir"])
@@ -636,6 +657,9 @@ def test_norms_huge_coefficients_finite(tmp_path, capsys, argv):
     (["norm", "--space", "ar", "--r", "nan"], UNIT),
     (["norm", "--space", "ar", "--r", "-3"], BIG),
     (["norm", "--space", "lp", "--p", "inf"], UNIT),
+    # the largest scaled term |a|^p or |b|^q falls below the normal range
+    (["norm", "--space", "lp", "--p", "1100"], UNIT),
+    (["norm", "--space", "dq", "--p", "1.0009"], UNIT),
     (["schur-test", "--kind", "power", "--beta", "nan"], UNIT),
     (["schur-test", "--kind", "power", "--beta", "inf"], UNIT),
     (["schur-test", "--kind", "log-power", "--alpha", "nan"], UNIT),

@@ -17,7 +17,6 @@ from cesdirichlet.kernels import (
     phi_xlogx,
     power_sum_range,
     sieve_primes,
-    smooth_membership,
     zeta_real,
     zeta_tail,
 )
@@ -357,21 +356,21 @@ def table100():
 
 def test_smooth_one(table100):
     for r in (1, 2, 5):
-        assert smooth_membership(1, r, table100)
+        assert kernels.smooth_mask([1], r, table100)[0]
 
 
 def test_smooth_examples(table100):
-    assert smooth_membership(12, 2, table100)      # 2^2 * 3
-    assert not smooth_membership(10, 2, table100)  # factor 5
-    assert smooth_membership(10, 3, table100)
-    assert smooth_membership(97, 25, table100)
-    assert not smooth_membership(97, 24, table100)
+    assert kernels.smooth_mask([12], 2, table100)[0]      # 2^2 * 3
+    assert not kernels.smooth_mask([10], 2, table100)[0]  # factor 5
+    assert kernels.smooth_mask([10], 3, table100)[0]
+    assert kernels.smooth_mask([97], 25, table100)[0]
+    assert not kernels.smooth_mask([97], 24, table100)[0]
 
 
 def test_smooth_undecidable():
     small = sieve_primes(10)  # primes 2, 3, 5, 7
     with pytest.raises(DomainError):
-        smooth_membership(11 * 13, 20, small)
+        kernels.smooth_mask([11 * 13], 20, small)
 
 
 def test_smooth_mask_matches_single_calls():
@@ -383,7 +382,7 @@ def test_smooth_mask_matches_single_calls():
             singles = []
             for n in ns:
                 try:
-                    singles.append(smooth_membership(n, r, table))
+                    singles.append(kernels.smooth_mask([n], r, table)[0])
                 except DomainError:
                     singles.append(None)
             if None in singles:
@@ -427,7 +426,7 @@ def test_smooth_reads_only_primes_to_the_root(monkeypatch):
     for n, smooth in ((p_r, True), (2 * p_r, True), (p_next, False), (3 * p_next, False),
                       (10 ** 6, True), (997 * 1009, True), (p_r * p_next, False)):
         decoded.clear()
-        assert smooth_membership(n, r, table) == smooth
+        assert kernels.smooth_mask([n], r, table)[0] == smooth
         assert sum(decoded) <= kernels._pi_upper(math.isqrt(n)) + 1
 
 
@@ -443,4 +442,4 @@ def test_smooth_matches_factorization(n, r):
             break
         while m % p == 0:
             m //= p
-    assert smooth_membership(n, r, table) == (m == 1)
+    assert kernels.smooth_mask([n], r, table)[0] == (m == 1)

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dense_reference import least_decreasing_majorant
+
 from cesdirichlet import kernels, sequences
 from cesdirichlet.errors import DomainError, ResourceLimitError
 from cesdirichlet.kernels import sieve_primes
@@ -17,7 +19,6 @@ from cesdirichlet.sequences import (
     ces_norm,
     dq_norm,
     hardy_ratio,
-    least_decreasing_majorant,
     lp_norm,
     m_n_functionals_p2,
 )
@@ -35,7 +36,7 @@ coeff_seqs = st.dictionaries(
     st.complex_numbers(min_magnitude=1e-3, max_magnitude=10.0,
                        allow_nan=False, allow_infinity=False),
     min_size=1, max_size=10,
-).map(CoeffSeq.from_dict)
+).map(lambda d: CoeffSeq.from_pairs(d.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -117,13 +118,12 @@ def test_prime_coeffs_is_a_coeffseq(monkeypatch):
     g = PrimeCoeffs(table, 4, val)
     twin = CoeffSeq(table.read(4, len(table)), val, _validated=True)
     assert isinstance(g, CoeffSeq) and g == twin and twin == g
-    for name in ("__len__", "is_empty", "entries", "abs_values", "scaled", "__eq__", "__repr__"):
+    for name in ("__len__", "is_empty", "entries", "abs_values", "__eq__", "__repr__"):
         assert name not in vars(PrimeCoeffs)
     assert (len(g), g.is_empty, g.max_index) == (len(twin), False, twin.max_index)
     assert g.read(3, 9, int(twin.idx[2])).tobytes() == twin.read(3, 9).tobytes()
     assert g.rank([1, 11, 12, 499, 10 ** 6]).tolist() == twin.rank([1, 11, 12, 499, 10 ** 6]).tolist()
-    assert g.head(3) == twin.head(3) and type(g.head(3)) is PrimeCoeffs
-    assert repr(g.head(2)) == "PrimeCoeffs(11:2, 13:1.98333)"
+    assert repr(PrimeCoeffs(table, 4, val[:2])) == "PrimeCoeffs(11:2, 13:1.98333)"
     with pytest.raises(AttributeError):
         g.val = val
 
@@ -184,7 +184,7 @@ def test_ces_against_bruteforce_partial_sums():
 @given(a=coeff_seqs)
 def test_ces_homogeneity(a):
     enc = ces_norm(a, E2)
-    doubled = ces_norm(a.scaled(2.0), E2)
+    doubled = ces_norm(CoeffSeq(a.idx, a.val * 2.0), E2)
     assert doubled.lo == pytest.approx(2.0 * enc.lo, rel=1e-12)
     assert doubled.hi == pytest.approx(2.0 * enc.hi, rel=1e-12)
 
@@ -193,7 +193,7 @@ def test_ces_homogeneity(a):
 @given(a=coeff_seqs, lam=st.floats(min_value=0.01, max_value=50.0))
 def test_ces_homogeneity_general(a, lam):
     enc = ces_norm(a, E2)
-    scaled = ces_norm(a.scaled(lam), E2)
+    scaled = ces_norm(CoeffSeq(a.idx, a.val * lam), E2)
     assert scaled.mid == pytest.approx(lam * enc.mid, rel=1e-9)
 
 
@@ -228,6 +228,23 @@ def test_lp_counting_and_empty():
     assert lp_norm(CoeffSeq.empty(), 2.0) == 0.0
     with pytest.raises(DomainError):
         lp_norm(seq((1, 1.0)), 0.5)
+
+
+@pytest.mark.parametrize("norm, value", [
+    (lambda a: lp_norm(a, 1075), 1.0),       # 2**-1075 is 0
+    (lambda a: lp_norm(a, 1060), 1.0000001),  # a subnormal largest term
+    (lambda a: dq_norm(a, Exponent(1.0009)), 1.0),  # q about 1112
+])
+def test_lp_dq_largest_term_below_normal_range(norm, value):
+    # max |a| is scaled into [1/2, 1), so its power can leave the normal
+    # range; the norm raises rather than print lost bits
+    with pytest.raises(DomainError, match="normal range"):
+        norm(seq((1, value)))
+
+
+def test_lp_largest_term_still_normal():
+    assert lp_norm(seq((1, 1.3)), 1070) == 1.3
+    assert lp_norm(seq((1, 3.0)), 1100) == 3.0
 
 
 def test_majorant_examples():
