@@ -66,6 +66,8 @@ def load_coeffs(path: str) -> CoeffSeq:
             payload = json.load(fh)
     except json.JSONDecodeError as ex:
         raise InputError(f"{path}: malformed JSON at line {ex.lineno}, column {ex.colno}") from ex
+    except RecursionError as ex:
+        raise InputError(f"{path}: JSON nested too deeply to parse") from ex
     if not isinstance(payload, dict) or "coeffs" not in payload:
         raise InputError(f"{path}: expected an object with a 'coeffs' array")
     rows = payload["coeffs"]

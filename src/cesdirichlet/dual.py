@@ -249,9 +249,16 @@ def dual_norm_oracle(b: CoeffSeq, e: Exponent, restarts: int, seed: int = 0) -> 
     a convex positive denominator is unimodal along each axis).  Returns
     the best value found: a lower bound on the true dual norm,
     empirically tight at these dimensions.
+
+    Each line search continues from the sums over the coordinates before
+    the one it moves, memoised once per coordinate, and adds the rest in
+    the same order, so every value is bitwise that of a full
+    re-evaluation.
     """
     if seed < 0:
         raise DomainError(f"seed must be >= 0, got {seed}")
+    if restarts < 1:
+        raise DomainError("need at least one restart")
     if b.is_empty:
         return 0.0
     m = len(b)
@@ -259,42 +266,51 @@ def dual_norm_oracle(b: CoeffSeq, e: Exponent, restarts: int, seed: int = 0) -> 
         raise ResourceLimitError(
             f"oracle support {m} exceeds the guard of {_ORACLE_SUPPORT_GUARD}"
         )
-    if restarts < 1:
-        raise DomainError("need at least one restart")
     p = e.p
+    inv_p = 1.0 / p
     c = [float(v) for v in b.abs_values()]
-    idx = [int(n) for n in b.idx]
     seg_lo, seg_hi = power_segment(p, b.idx[:-1], b.idx[1:])
-    seg = (0.5 * seg_lo + 0.5 * seg_hi).tolist()
     tail_lo, tail_hi = hurwitz_zeta(p, b.idx[-1:])
-    tail = 0.5 * float(tail_lo[0]) + 0.5 * float(tail_hi[0])
+    # the weight of acc ** p at each position: B_k - B_(k+1), then B_last
+    w = (0.5 * seg_lo + 0.5 * seg_hi).tolist()
+    w.append(0.5 * float(tail_lo[0]) + 0.5 * float(tail_hi[0]))
 
-    def norm_p(x: list[float]) -> float:
-        acc = 0.0
-        total = 0.0
-        for k in range(m - 1):
-            acc += x[k]
-            total += acc ** p * seg[k]
-        acc += x[m - 1]
-        return total + acc ** p * tail
+    def along(x: list[float], i: int):
+        """t -> the ratio at x with x[i] = t; along(x, 0)(x[0]) is the
+        ratio at x.  The sums over k < i are taken once, and each call
+        continues from them in the same order."""
+        acc0 = 0.0
+        total0 = 0.0
+        num0 = 0.0
+        for k in range(i):
+            acc0 += x[k]
+            total0 += acc0 ** p * w[k]
+            num0 += c[k] * x[k]
+        ci, wi = c[i], w[i]
+        rest = list(zip(x[i + 1:], w[i + 1:], c[i + 1:]))
 
-    def ratio(x: list[float]) -> float:
-        n = norm_p(x)
-        if n <= 0.0:
-            return 0.0
-        return sum(ck * xk for ck, xk in zip(c, x)) / n ** (1.0 / p)
+        def f(t: float) -> float:
+            acc = acc0 + t
+            total = total0 + acc ** p * wi
+            num = num0 + ci * t
+            for xk, wk, ck in rest:
+                acc += xk
+                total += acc ** p * wk
+                num += ck * xk
+            if total <= 0.0:
+                return 0.0
+            return num / total ** inv_p
+
+        return f
 
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
 
     def ascend(x: list[float]) -> float:
-        best = ratio(x)
+        best = along(x, 0)(x[0])
         for _ in range(_ORACLE_SWEEPS):
             improved = best
             for i in range(m):
-                def f(t):
-                    x[i] = t
-                    return ratio(x)
-
+                f = along(x, i)
                 lo_t, hi_t = 0.0, 2.0 * x[i] + 2.0 * max(x) + 1.0
                 f_hi = f(hi_t)
                 # expand while the objective still grows toward the right end
@@ -323,7 +339,7 @@ def dual_norm_oracle(b: CoeffSeq, e: Exponent, restarts: int, seed: int = 0) -> 
                 # the bracket expansion cannot overflow acc ** p
                 top = max(x)
                 x[:] = [t / top for t in x]
-                val = ratio(x)
+                val = along(x, 0)(x[0])
                 if val > best:
                     best = val
             if best - improved < 1e-13:

@@ -107,8 +107,12 @@ def _finite(token: str) -> float:
 def parse_json(text: str) -> list[dict]:
     """The records of a JSON report; ValueError unless they are objects.
     NaN, Infinity and numbers past the float64 range are refused, since
-    they could not be re-emitted as strict JSON."""
-    payload = json.loads(text, parse_constant=_finite, parse_float=_finite)
+    they could not be re-emitted as strict JSON, and so is JSON nested
+    too deeply to parse."""
+    try:
+        payload = json.loads(text, parse_constant=_finite, parse_float=_finite)
+    except RecursionError as ex:
+        raise ValueError("JSON nested too deeply to parse") from ex
     records = payload.get("records") if isinstance(payload, dict) else None
     if not isinstance(records, list) or not all(isinstance(r, dict) for r in records):
         raise ValueError("expected an object with a 'records' array of objects")

@@ -56,6 +56,9 @@ def test_load_malformed_json(tmp_path):
     path.write_text('{"coeffs": [')
     with pytest.raises(InputError, match="line"):
         load_coeffs(str(path))
+    path.write_text('{"coeffs": ' + "[" * 100000 + "]" * 100000 + "}")
+    with pytest.raises(InputError, match="nested too deeply"):
+        load_coeffs(str(path))
 
 
 def test_load_missing_file(tmp_path):
@@ -473,11 +476,13 @@ def test_report_verb(tmp_path, capsys):
 @pytest.mark.parametrize("content", [None, b"\xff\xfe", "[]", '{"records": [1]}',
                                      '{"records": {}}', '{"records": [{"x": NaN}]}',
                                      '{"records": [{"v": {"lo": -Infinity, "hi": 1.0}}]}',
-                                     '{"records": [{"y": 1e400}]}'])
+                                     '{"records": [{"y": 1e400}]}',
+                                     pytest.param('{"records": [{"x": ' + "[" * 100000
+                                                  + "]" * 100000 + "}]}", id="deeply-nested")])
 def test_report_bad_file_exits_2(tmp_path, capsys, content):
     # a missing file, a file that is not UTF-8, JSON that is not an
-    # object with a 'records' array of objects, and numbers that strict
-    # JSON cannot print back
+    # object with a 'records' array of objects, numbers that strict JSON
+    # cannot print back, and JSON nested too deeply to parse
     src = tmp_path / "r.json"
     if isinstance(content, bytes):
         src.write_bytes(content)

@@ -353,6 +353,8 @@ def test_jagers_norm_past_float64_range():
 
 def test_oracle_empty_and_guard():
     assert dual_norm_oracle(CoeffSeq.empty(), E2, restarts=2) == 0.0
+    with pytest.raises(DomainError, match="restart"):
+        dual_norm_oracle(CoeffSeq.empty(), E2, restarts=0)
     big = seq(*((n, 1.0) for n in range(1, 10)))
     with pytest.raises(ResourceLimitError):
         dual_norm_oracle(big, E2, restarts=2)
@@ -388,6 +390,92 @@ def test_oracle_sandwich_campaign(p):
         oracle = dual_norm_oracle(b, e, restarts=4, seed=100 + k)
         assert trace.norm.lo - 1e-4 <= oracle <= trace.norm.hi + 1e-4
         assert bennett_equivalence_check(b, e)
+
+
+# the oracle on supports 1 to 8 (the guard's limit) of PIN_IDX, with real
+# and with complex b (inexact moduli), at restarts 1 and at restarts 4 with
+# seed support % 2, as float.hex; recorded before the line search continued
+# from memoised prefix sums
+PIN_IDX = (1, 2, 3, 5, 8, 13, 21, 34)
+PIN_VALUES = {
+    "real": (0.9, -0.35, 1.25, 0.6, -0.8, 0.15, 1.1, -0.45),
+    "complex": (0.7 + 0.2j, -0.3 + 0.9j, 0.5 - 0.5j, 1.1 + 0.1j, -0.2 - 0.6j, 0.4 + 0.8j,
+                0.9 - 0.3j, 0.1 + 0.2j),
+}
+ORACLE_PINS = {
+    ("real", 1.1): (
+        "0x1.af9abb2e38e71p-4", "0x1.af9abb2e38e73p-4", "0x1.af9abb2e38e70p-4", "0x1.af9abb2e38e70p-4",
+        "0x1.573f444c6c6f3p-3", "0x1.573f444c6c6f3p-3", "0x1.573f444c6c6f1p-3", "0x1.573f444c6c6f5p-3",
+        "0x1.573f444c6c6f3p-3", "0x1.573f444c6c6f4p-3", "0x1.573f444c6c6f0p-3", "0x1.573f444c6c6f4p-3",
+        "0x1.6d852d44efde1p-3", "0x1.6d852d44efde1p-3", "0x1.6d852d44efde0p-3", "0x1.6d852d44efde0p-3",
+    ),
+    ("real", 1.5): (
+        "0x1.e5de56580a3dap-2", "0x1.e5de56580a3dbp-2", "0x1.e5de56580a3d7p-2", "0x1.e5de56580a3d9p-2",
+        "0x1.127a4c2bccd80p+0", "0x1.127a4c2bccd81p+0", "0x1.127a4c2bccd7ep+0", "0x1.127a4c2bccd80p+0",
+        "0x1.16724519ded3bp+0", "0x1.16724519ded3cp+0", "0x1.16724519ded3ap+0", "0x1.16724519ded3dp+0",
+        "0x1.e5a725f2b8344p+0", "0x1.e5a725f2bf1d9p+0", "0x1.e5a725f2b5e69p+0", "0x1.e5a725f2b5e8cp+0",
+    ),
+    ("real", 2.0): (
+        "0x1.6748c6f7c51f9p-1", "0x1.6748c6f7c51f9p-1", "0x1.6748c6f7c51f7p-1", "0x1.6748c6f7c51f7p-1",
+        "0x1.fd32fc3b46f13p+0", "0x1.fd32fc3b46f13p+0", "0x1.fd32fc3b46f13p+0", "0x1.fd32fc3b46f13p+0",
+        "0x1.2e60a79284fa5p+1", "0x1.2e60a792860f2p+1", "0x1.2e60a792815b2p+1", "0x1.2e60a7928170dp+1",
+        "0x1.3f32cd4318175p+2", "0x1.3f32cd4322a21p+2", "0x1.3f32cd431e125p+2", "0x1.3f32cd431e125p+2",
+    ),
+    ("real", 3.0): (
+        "0x1.b161c5de8425ap-1", "0x1.b161c5de8425ap-1", "0x1.d214bd5cfb6c0p-1", "0x1.d214bd5cfb6c1p-1",
+        "0x1.77fee1b225b7ep+1", "0x1.77fee1b225b80p+1", "0x1.8319ed5f1c6dbp+1", "0x1.8319ed5f1f41ap+1",
+        "0x1.1002810b61a66p+2", "0x1.1002810b61a66p+2", "0x1.1002810b5fed9p+2", "0x1.1002810b600fcp+2",
+        "0x1.4da6fafdf6645p+3", "0x1.4da6fafdfd0c3p+3", "0x1.4e1203d6a67a1p+3", "0x1.4e1203d6a67a2p+3",
+    ),
+    ("real", 7.0): (
+        "0x1.cc40c3abec4c6p-1", "0x1.cc40c3abec4c7p-1", "0x1.209e3d9cd40a2p+0", "0x1.209e3d9cd40a3p+0",
+        "0x1.d521033087066p+1", "0x1.d521033087068p+1", "0x1.14e77892ad760p+2", "0x1.14e77892b0160p+2",
+        "0x1.ad69cad1b3198p+2", "0x1.ad69cad1b3905p+2", "0x1.b5d2944ce6c53p+2", "0x1.b5d2944ce6c53p+2",
+        "0x1.321dc30a7cc2cp+4", "0x1.321dc30a7cc2cp+4", "0x1.5175dac167642p+4", "0x1.5175dac167642p+4",
+    ),
+    ("complex", 1.1): (
+        "0x1.5d2012e8276fep-4", "0x1.5d2012e8276ffp-4", "0x1.f1e7f67e0d6dcp-4", "0x1.f1e7f67e0d6dcp-4",
+        "0x1.f1e7f67e0d6dep-4", "0x1.f1e7f67e0d6dep-4", "0x1.3fcf106017a26p-3", "0x1.3fcf106017a26p-3",
+        "0x1.3fcf106017a22p-3", "0x1.3fcf106017a24p-3", "0x1.3fcf106017a22p-3", "0x1.3fcf106017a22p-3",
+        "0x1.3fcf106017a21p-3", "0x1.3fcf106017a27p-3", "0x1.3fcf106017a26p-3", "0x1.3fcf106017a27p-3",
+    ),
+    ("complex", 1.5): (
+        "0x1.890502616a308p-2", "0x1.890502616a308p-2", "0x1.613fa43ecaa0fp-1", "0x1.613fa43ecaa0fp-1",
+        "0x1.613fa43ecaa10p-1", "0x1.613fa43ecaa10p-1", "0x1.2661fdec1ea3ep+0", "0x1.2661fdec1ea3fp+0",
+        "0x1.2661fdec1ea3dp+0", "0x1.2661fdec1ea3dp+0", "0x1.520cfffd0c24bp+0", "0x1.520cfffd0c29ap+0",
+        "0x1.a339cfdc4ee68p+0", "0x1.a339cfdc4ee68p+0", "0x1.a339cfdc45cdap+0", "0x1.a339cfdc4783dp+0",
+    ),
+    ("complex", 2.0): (
+        "0x1.22a01dbc71c5ap-1", "0x1.22a01dbc71c5ap-1", "0x1.2e6a480b73652p+0", "0x1.2e6a480b73652p+0",
+        "0x1.397ab96ce2b98p+0", "0x1.397ab96ce2b99p+0", "0x1.2c85b332380bap+1", "0x1.2c85b332380bap+1",
+        "0x1.2c85b332380bap+1", "0x1.2c85b332380bbp+1", "0x1.9b263044c2387p+1", "0x1.9b263044c3db9p+1",
+        "0x1.13f9dcfda69b7p+2", "0x1.13f9dcfda69b7p+2", "0x1.13f9dcfda38d1p+2", "0x1.13f9dcfda38d2p+2",
+    ),
+    ("complex", 3.0): (
+        "0x1.5e90285a57abbp-1", "0x1.5e90285a57abbp-1", "0x1.9de031ae04175p+0", "0x1.9de031ae04175p+0",
+        "0x1.d4c425c54a4c2p+0", "0x1.d4c425c54a4c2p+0", "0x1.e77af51adf368p+1", "0x1.e77af51adf368p+1",
+        "0x1.fdc8e132bb783p+1", "0x1.fdc8e132bb783p+1", "0x1.90082faa6d34bp+2", "0x1.90082faa6ddb0p+2",
+        "0x1.216c8ed290cfbp+3", "0x1.216c8ed290cfcp+3", "0x1.216c8ed2905a4p+3", "0x1.216c8ed2905a4p+3",
+    ),
+    ("complex", 7.0): (
+        "0x1.744c94d2e8c44p-1", "0x1.744c94d2e8c45p-1", "0x1.e12301698b473p+0", "0x1.e12301698b473p+0",
+        "0x1.32744884fc3e5p+1", "0x1.32744884fc3e6p+1", "0x1.4f5909e808e71p+2", "0x1.4f5909e808e71p+2",
+        "0x1.9237881f1bf40p+2", "0x1.9237881f1bf40p+2", "0x1.552de81663534p+3", "0x1.552de81663af8p+3",
+        "0x1.0b45c84d53a65p+4", "0x1.0b45c84d53b79p+4", "0x1.142d11b9371b0p+4", "0x1.142d11b9371b0p+4",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind, p", list(ORACLE_PINS))
+def test_oracle_bits_are_pinned(kind, p):
+    # a change that moves any of these bits must say so and update the pins
+    e = Exponent.from_p(p)
+    got = []
+    for size in range(1, len(PIN_IDX) + 1):
+        b = CoeffSeq.from_pairs(zip(PIN_IDX[:size], PIN_VALUES[kind][:size]))
+        got += [dual_norm_oracle(b, e, restarts=1).hex(),
+                dual_norm_oracle(b, e, restarts=4, seed=size % 2).hex()]
+    assert tuple(got) == ORACLE_PINS[kind, p]
 
 
 @settings(max_examples=25, deadline=None)
