@@ -265,12 +265,33 @@ def _em_setup(x, n, harmonic=False) -> tuple[float, np.ndarray, int, int, list[f
     return x, n, n0, least, coef
 
 
+def _add_head(x: float, n0: int, a: np.ndarray, lo: np.ndarray, hi: np.ndarray, b=None) -> None:
+    """Where a < N0, adds the explicit head sum_{a <= k < min(b, N0)} k^-x
+    (b None: k < N0) to lo and hi in place and widens them.  Row s of
+    one (N0 + 1) x (N0 - 1) table holds the terms k < s from k = N0 - 1
+    down, summed along the row, so every head is summed from its
+    smallest term: LIB per term, at most N0 - 2 additions, 1 to join
+    the Euler-Maclaurin part from N0 and 1 to scale."""
+    small = a < n0
+    if not small.any():
+        return
+    k = np.arange(n0 - 1, 0, -1)
+    table = np.where(k < np.arange(n0 + 1)[:, None], np.power(k.astype(np.float64), -x), 0.0)
+    np.cumsum(table, axis=1, out=table)
+    head = table[n0 if b is None else np.minimum(b[small], n0), n0 - 1 - a[small]]
+    g = gamma(LIB + n0 + 1)
+    lo[small] = (head + lo[small]) * ulp_down(1.0 - g)
+    hi[small] = (head + hi[small]) * ulp_up(1.0 + g)
+
+
 def hurwitz_zeta(x: float, n) -> tuple[np.ndarray, np.ndarray]:
     """Certified [lo, hi] arrays of zeta(x, n) = sum_{k >= n} k**-x for an
     integer array 1 <= n <= 2**53 and real 1 < x <= 64.
 
-    Below N0 = 16 + ceil(x) an explicit head; from N0 on, Euler-Maclaurin
-    with K <= 8 terms (Johansson, Numer. Algorithms 2015, arXiv:1309.2877):
+    Below N0 = 16 + ceil(x) the explicit head of ``_add_head``, shared
+    with ``power_segment`` and summed from its smallest term under
+    gamma(LIB + N0 + 1); from N0 on, Euler-Maclaurin with K <= 8 terms
+    (Johansson, Numer. Algorithms 2015, arXiv:1309.2877):
     zeta(x, m) = m^(1-x) (1/(x-1) + 1/(2m) + sum_j C_j m^-2j) + R with
     C_j = B_2j/(2j)! x (x+1) ... (x+2j-2).  k**-x is completely monotone,
     so R lies between 0 and the first omitted term, which for m >= N0 is
@@ -301,21 +322,11 @@ def hurwitz_zeta(x: float, n) -> tuple[np.ndarray, np.ndarray]:
     # themselves are rounded outwards
     f_lo = ulp_down(1.0 - gamma(LIB + 13))
     f_hi = ulp_up(1.0 + (gamma(LIB + 13) + eps_r))
-    coef = coef[k - 1::-1]
-    em = _em_sum(n.astype(np.float64), x, coef)
+    # zeta(x, n) = sum_{n <= k < N0} k^-x + zeta(x, N0) below N0
+    em = _em_sum((np.maximum(n, n0) if least < n0 else n).astype(np.float64), x, coef[k - 1::-1])
     lo, hi = em * f_lo, em * f_hi
     if least < n0:
-        # zeta(x, n) = sum_{n <= k < N0} k^-x + zeta(x, N0): LIB per term,
-        # at most N0 - 2 additions in the suffix sums, 1 to join the tail
-        # and 1 to scale
-        small = n < n0
-        at_n0 = _em_sum(np.array([float(n0)]), x, coef)[0]
-        head = np.power(np.arange(1, n0 + 1, dtype=np.float64), -x)
-        head[-1] = 0.0
-        head = np.cumsum(head[::-1])[::-1][n[small] - 1]
-        g = gamma(LIB + n0 + 1)
-        lo[small] = (head + at_n0 * f_lo) * ulp_down(1.0 - g)
-        hi[small] = (head + at_n0 * f_hi) * ulp_up(1.0 + g)
+        _add_head(x, n0, n, lo, hi)
     return lo, hi
 
 
@@ -326,8 +337,10 @@ def power_segment(x: float, a, b) -> tuple[np.ndarray, np.ndarray]:
 
     Unlike zeta(x, a) - zeta(x, b), which cancels when b - a << a, the
     relative width stays about 1e-14 however short the segment.  Below
-    N0 = 16 + ceil(x) an explicit head; from N0 on, Euler-Maclaurin on
-    the segment itself: with y = 1/a, L = log1p((b - a)/a) and
+    N0 = 16 + ceil(x) the explicit head of ``_add_head``, shared with
+    ``hurwitz_zeta`` and summed from its smallest term under
+    gamma(LIB + N0 + 1); from N0 on, Euler-Maclaurin on the segment
+    itself: with y = 1/a, L = log1p((b - a)/a) and
     E(s) = -expm1(-s L) = 1 - (a/b)^s, every power difference
     a^(1-x-2j) - b^(1-x-2j) is a^(1-x) y^2j E(x+2j-1), so
     S = a^(1-x) (E(x-1)/(x-1) + y E(x)/2 + sum_j C_j y^2j E(x+2j-1)) + R.
@@ -380,19 +393,7 @@ def power_segment(x: float, a, b) -> tuple[np.ndarray, np.ndarray]:
         scale = np.power(af, 1.0 - x)
         lo[em] = bracket * scale * ulp_down(1.0 - g)
         hi[em] = (bracket + 2.0 * rem) * scale * ulp_up(1.0 + g)
-    small = a < n0
-    if small.any():
-        # sum_{a <= k < min(b, N0)} k^-x, smallest terms first: LIB per
-        # term, at most N0 - 2 additions, 1 to join the segment from N0
-        # and 1 to scale
-        sa, sb = a[small], np.minimum(b[small], n0)
-        terms = np.power(np.arange(1, n0, dtype=np.float64), -x)
-        head = np.zeros(sa.shape)
-        for k in range(n0 - 1, 0, -1):
-            head += np.where((sa <= k) & (k < sb), terms[k - 1], 0.0)
-        g = gamma(LIB + n0 + 1)
-        lo[small] = (head + lo[small]) * ulp_down(1.0 - g)
-        hi[small] = (head + hi[small]) * ulp_up(1.0 + g)
+    _add_head(x, n0, a, lo, hi, b)
     return lo, hi
 
 

@@ -115,6 +115,8 @@ def monomial_multiplier_check(
         raise DomainError(f"seed must be >= 0, got {seed}")
     if j_probe < 2:
         raise DomainError(f"probe index must be >= 2, got {j_probe}")
+    if samples < 1:
+        raise DomainError(f"sample count must be >= 1, got {samples}")
     if m == 1:
         return True, 1.0
     bound = float(m) ** (-1.0 / e.q)

@@ -310,15 +310,6 @@ def _blocks(a: CoeffSeq):
         yield rd.take(BLOCK)
 
 
-def _abs_blocks(blocks, shift: int):
-    """|val| 2**-shift of each block (idx, val), in a fresh array scaled
-    in place."""
-    for idx, val in blocks:
-        w = np.abs(val)
-        np.ldexp(w, -shift, out=w)
-        yield idx, w
-
-
 def abs_sum_exponent(a: CoeffSeq) -> int:
     """An exponent e with sum |a_n| <= 2**e up to rounding (0 for a = 0):
     ``_scale``'s shift of |a|, read block by block, plus the exponent of
@@ -358,7 +349,9 @@ def ces_norm_stream(blocks, scale: int, e: Exponent) -> Enclosure:
     sums_lo, sums_hi = [], []
     size = widest = 0
     zeta_max = 0.0
-    for idx, w in _abs_blocks(blocks, scale):
+    for idx, val in blocks:
+        w = np.abs(val)
+        np.ldexp(w, -scale, out=w)
         if float(w.min()) < 2.0 ** -1022:
             raise DomainError("coefficient magnitudes span more than the float64 exponent range")
         prev = carry[0]

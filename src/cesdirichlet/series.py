@@ -55,11 +55,6 @@ class DirichletPoly:
     def is_zero(self) -> bool:
         return self.coeffs.is_empty
 
-    def __eq__(self, other):
-        if not isinstance(other, DirichletPoly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
 
 _INT64_MAX = 2 ** 63 - 1
 

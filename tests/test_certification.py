@@ -214,6 +214,48 @@ def test_segment_domain():
         power_segment(30.0, np.array([1]), np.array([10 ** 12]))
 
 
+# [a, b) below N0 = 16 + ceil(x), across it, past it, and of one term
+SEGMENT_PIN_A = [3, 5, 100, 2000]
+SEGMENT_PIN_B = [12, 300, 5000, 2001]
+SEGMENT_PINS = [
+    (1.0, [("0x1.8516ae822df30p+0", "0x1.8516ae822df5ap+0"),
+           ("0x1.0c8b37e5aa3dap+2", "0x1.0c8b37e5aa429p+2"),
+           ("0x1.f55e0188fde26p+1", "0x1.f55e0188fdeabp+1"),
+           ("0x1.0624dd2f1a9dap-11", "0x1.0624dd2f1aa1fp-11")]),
+    (1.01, [("0x1.7e959ad420d0fp+0", "0x1.7e959ad420d3ap+0"),
+            ("0x1.030e25133e838p+2", "0x1.030e25133e883p+2"),
+            ("0x1.d591ce272d944p+1", "0x1.d591ce272d9bfp+1"),
+            ("0x1.e5ea0afbf40c8p-12", "0x1.e5ea0afbf4149p-12")]),
+    (1.5, [("0x1.56a07e900b865p-1", "0x1.56a07e900b88cp-1"),
+           ("0x1.a6cfface885f1p-1", "0x1.a6cfface88652p-1"),
+           ("0x1.60b28dc966922p-3", "0x1.60b28dc96697fp-3"),
+           ("0x1.7726636ae6e47p-17", "0x1.7726636ae6eaap-17")]),
+    (2.0, [("0x1.3b6cca9cf9de2p-2", "0x1.3b6cca9cf9e05p-2"),
+           ("0x1.be6e6d5d33728p-3", "0x1.be6e6d5d33777p-3"),
+           ("0x1.42c504e315857p-7", "0x1.42c504e3158acp-7"),
+           ("0x1.0c6f7a0b5ed6ap-22", "0x1.0c6f7a0b5edb1p-22")]),
+    (3.0, [("0x1.2c2b1c2e22b41p-4", "0x1.2c2b1c2e22b64p-4"),
+           ("0x1.8f981ae5a62cap-6", "0x1.8f981ae5a62fep-6"),
+           ("0x1.a77a55a12a22ep-15", "0x1.a77a55a12a29dp-15"),
+           ("0x1.12e0be826d671p-33", "0x1.12e0be826d6bap-33")]),
+    (7.3, [("0x1.8eb3c423282edp-12", "0x1.8eb3c42328323p-12"),
+           ("0x1.75942c4df2b25p-17", "0x1.75942c4df2b58p-17"),
+           ("0x1.7293ff0fde102p-45", "0x1.7293ff0fde163p-45"),
+           ("0x1.ee7b702facc2bp-81", "0x1.ee7b702faccaep-81")]),
+    (64.0, [("0x1.7a0a91594ed7cp-102", "0x1.7a0a91594ee02p-102"),
+            ("0x1.5100915716627p-149", "0x1.510091571669fp-149"),
+            ("0x1.dabcfb281980dp-425", "0x1.dabcfb281988ap-425"),
+            ("0x1.23ff06eea8455p-702", "0x1.23ff06eea84a2p-702")]),
+]
+
+
+@pytest.mark.parametrize("x, pins", SEGMENT_PINS)
+def test_segment_bits_are_pinned(x, pins):
+    # a change that moves any of these bits must say so and update the pins
+    lo, hi = power_segment(x, SEGMENT_PIN_A, SEGMENT_PIN_B)
+    assert [(l.hex(), h.hex()) for l, h in zip(lo.tolist(), hi.tolist())] == pins
+
+
 def mp_log_power_sum(c, a, b):
     """sum_{a <= n < b} 1/(n (log n)^c) at 25 digits: fsum below 64, mpmath.sumem
     on the finite rest (sumem over [N, inf] is off by percents at c near 1).

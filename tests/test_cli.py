@@ -379,6 +379,15 @@ def test_monomial_check_verb(capsys):
     assert rec["upper_ok"] is True
 
 
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_monomial_check_without_samples_exits_2(capsys, samples):
+    # upper_ok over no tested g would claim what nothing checked
+    assert parse_and_dispatch(["monomial-check", "--m", "2", f"--samples={samples}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: sample count must be >= 1, got {samples}\n"
+
+
 def test_multiplier_estimate_verb(tmp_path, capsys):
     path = write_coeffs(tmp_path, "f.json", UNIT)
     code = parse_and_dispatch(
@@ -765,14 +774,44 @@ def test_estimate_m_past_table_names_m(tmp_path, capsys):
     assert "r_m" not in err
 
 
-def test_trace_targets_resolve(monkeypatch):
-    # the benchmark's --trace 1 wraps these bindings by name; loaded by
-    # file path, as the benchmark directory is not a package
+def load_tracing(monkeypatch):
+    """The benchmark's span recorder, loaded by file path, as the
+    benchmark directory is not a package."""
     path = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
     spec = importlib.util.spec_from_file_location("bench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, tracing)  # for its dataclass
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_trace_targets_resolve(monkeypatch):
+    # the benchmark's --trace 1 wraps these bindings by name
+    tracing = load_tracing(monkeypatch)
     for mod, fname, _ in tracing.TARGETS:
         module = importlib.import_module(f"{tracing.PACKAGE}.{mod}")
         assert callable(getattr(module, fname, None)), f"{mod}.{fname}"
+
+
+def test_trace_counters_read_live_attributes(tmp_path, capsys, monkeypatch):
+    # the counters read arguments and results (convolve(...).coeffs, a.idx,
+    # power_sum_range's bounds, m_chain): each must still count under a
+    # traced request, and every wrapped binding must be restored after it
+    tracing = load_tracing(monkeypatch)
+    f = write_coeffs(tmp_path, "f.json", [{"n": 1, "re": 1.0}, {"n": 2, "re": 0.5}, {"n": 3, "re": 0.25}])
+    requests = [
+        ["norm", "--space", "ces", "--p", "2", "--input", f],
+        ["convolve", "--input", f, "--with", f, "--limit", "10"],
+        ["dual-norm", "--p", "2", "--input", f],
+        ["schur-test", "--kind", "power", "--beta", "0"],
+        ["multiplier-estimate", "--input", f, "--m", "3", "--alpha", "0.45",
+         "--prime-limit", "100000"],
+    ]
+    with tracing.patched(tracing.Recorder()) as recorder:
+        codes = [parse_and_dispatch(argv) for argv in requests]
+    capsys.readouterr()
+    assert codes == [0] * len(requests)
+    for name in ("series.convolve.out_terms", "sequences.ces_norm.dense_terms",
+                 "kernels.power_sum_range.terms", "dual.jagers_dual_norm.candidates_scanned"):
+        assert recorder.counters[name] > 0, name
+    assert tracing.wrapped_bindings() == []

@@ -74,6 +74,11 @@ def test_monomial_domain():
         monomial_multiplier_check(0, E2, samples=1, j_probe=10)
     with pytest.raises(DomainError):
         monomial_multiplier_check(2, E2, samples=1, j_probe=1)
+    # no g tested is no evidence for upper_ok, also where m = 1 needs none
+    for m in (1, 2):
+        for samples in (0, -5):
+            with pytest.raises(DomainError):
+                monomial_multiplier_check(m, E2, samples=samples, j_probe=10)
 
 
 # ---------------------------------------------------------------------------
