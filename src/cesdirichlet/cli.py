@@ -104,10 +104,11 @@ def dump_coeffs(seq: CoeffSeq) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# verb handlers
+# verb handlers: each takes the parsed arguments and returns the text it
+# prints (verify: the text and its exit code); parse_and_dispatch writes it
 # ---------------------------------------------------------------------------
 
-def _cmd_norm(args, out):
+def _cmd_norm(args):
     if args.r is not None and args.space != "ar":
         raise _UsageError("--r applies to --space ar only")
     if args.p is not None and args.space == "ar":
@@ -129,11 +130,10 @@ def _cmd_norm(args, out):
             e = Exponent.from_p(p)
             rec["q"] = e.q
             rec["value"] = dq_norm(seq, e)
-    out.write(emit_report([rec], args.format, kind="norm"))
-    return EXIT_OK
+    return emit_report([rec], args.format, kind="norm")
 
 
-def _cmd_dual_norm(args, out):
+def _cmd_dual_norm(args):
     if not args.oracle and (args.restarts is not None or args.seed is not None):
         raise _UsageError("--restarts and --seed apply to --oracle only")
     seq = load_coeffs(args.input)
@@ -150,11 +150,10 @@ def _cmd_dual_norm(args, out):
         restarts = 6 if args.restarts is None else args.restarts
         seed = 42 if args.seed is None else args.seed
         rec["oracle"] = dual_norm_oracle(seq, e, restarts=restarts, seed=seed)
-    out.write(emit_report([rec], args.format))
-    return EXIT_OK
+    return emit_report([rec], args.format)
 
 
-def _cmd_delta_norm(args, out):
+def _cmd_delta_norm(args):
     e = Exponent.from_p(args.p)
     rec = {"p": args.p, "sigma": args.sigma}
     if args.exact:
@@ -163,32 +162,29 @@ def _cmd_delta_norm(args, out):
         rec["norm"] = delta_norm_exact_p2(args.sigma)
     else:
         rec["norm"] = delta_norm_bounds(args.sigma, e)
-    out.write(emit_report([rec], args.format))
-    return EXIT_OK
+    return emit_report([rec], args.format)
 
 
-def _cmd_eval(args, out):
+def _cmd_eval(args):
     seq = load_coeffs(args.input)
     value = evaluate(DirichletPoly(seq), EvalPoint(sigma=args.sigma, t=args.t))
     rec = {"input": args.input, "sigma": args.sigma, "t": args.t, "value": value}
-    out.write(emit_report([rec], args.format))
-    return EXIT_OK
+    return emit_report([rec], args.format)
 
 
-def _cmd_convolve(args, out):
+def _cmd_convolve(args):
     f = DirichletPoly(load_coeffs(args.input))
     g = DirichletPoly(load_coeffs(args.with_input))
     h = convolve(f, g, args.limit)
     text = json.dumps(dump_coeffs(h.coeffs), indent=2, sort_keys=True) + "\n"
-    if args.output:
-        with _opened(args.output, "w") as fh:
-            fh.write(text)
-    else:
-        out.write(text)
-    return EXIT_OK
+    if not args.output:
+        return text
+    with _opened(args.output, "w") as fh:
+        fh.write(text)
+    return ""
 
 
-def _cmd_project(args, out):
+def _cmd_project(args):
     f = DirichletPoly(load_coeffs(args.input))
     # no prime past min(max index, p_r) decides r-smoothness:
     # p_r < r (ln r + ln ln r) for r >= 6 (Rosser and Schoenfeld, Illinois
@@ -197,20 +193,18 @@ def _cmd_project(args, out):
     bound = 11 if r < 6 else math.ceil(r * (math.log(r) + math.log(math.log(r))))
     table = sieve_primes(max(2, min(f.max_index, bound)))
     h = qr_project(f, args.r, table)
-    out.write(json.dumps(dump_coeffs(h.coeffs), indent=2, sort_keys=True) + "\n")
-    return EXIT_OK
+    return json.dumps(dump_coeffs(h.coeffs), indent=2, sort_keys=True) + "\n"
 
 
-def _cmd_multiplier_estimate(args, out):
+def _cmd_multiplier_estimate(args):
     f = DirichletPoly(load_coeffs(args.input))
     e = Exponent.from_p(args.p)
     table = sieve_primes(args.prime_limit)
     est = multiplier_lower_estimate(f, args.m, args.alpha, e, table, r_m=args.r_m)
-    out.write(emit_report([est.as_record()], args.format, kind="multiplier-estimate"))
-    return EXIT_OK
+    return emit_report([est.as_record()], args.format, kind="multiplier-estimate")
 
 
-def _cmd_monomial_check(args, out):
+def _cmd_monomial_check(args):
     e = Exponent.from_p(args.p)
     ok, lower = monomial_multiplier_check(
         args.m, e, samples=args.samples, j_probe=args.j_probe, seed=args.seed
@@ -224,11 +218,10 @@ def _cmd_monomial_check(args, out):
         "lower_est": lower,
         "bound": float(args.m) ** (-1.0 / e.q),
     }
-    out.write(emit_report([rec], args.format))
-    return EXIT_OK
+    return emit_report([rec], args.format)
 
 
-def _cmd_schur_test(args, out):
+def _cmd_schur_test(args):
     for flag, kind in (("input", "finite"), ("alpha", "log-power"), ("beta", "power")):
         if getattr(args, flag) is not None and args.kind != kind:
             raise _UsageError(f"--{flag} applies to --kind {kind} only")
@@ -247,11 +240,10 @@ def _cmd_schur_test(args, out):
         verdict, enc = schur_power(args.beta, e, args.horizon)
     rec = {"kind": args.kind, "p": args.p, "horizon": args.horizon,
            "verdict": verdict, "value": enc}
-    out.write(emit_report([rec], args.format))
-    return EXIT_OK
+    return emit_report([rec], args.format)
 
 
-def _cmd_verify(args, out):
+def _cmd_verify(args):
     # stdout stays byte-deterministic for fixed argv + seed: timings and
     # budget warnings go to stderr, pass/fail reflects the math only
     names = list(ALL_SUITES) if args.suite == "all" else [args.suite]
@@ -262,28 +254,32 @@ def _cmd_verify(args, out):
                                               and os.access(folder, os.W_OK | os.X_OK)):
             raise InputError(f"{args.report}: not a writable file path")
     results = run_suites(names, args.seed)
+    text = ""
     for res in results:
         status = "PASS" if res.passed else "FAIL"
-        out.write(f"{status}  {res.name}  {res.as_record()['detail']}\n")
+        text += f"{status}  {res.name}  {res.as_record()['detail']}\n"
         note = f"# {res.name}: {res.duration:.2f}s (budget {res.budget:.0f}s)"
         if res.duration > res.budget:
             note += "  ** over budget **"
         sys.stderr.write(note + "\n")
     if args.report:
-        with _opened(args.report, "w") as fh:
-            fh.write(emit_report([r.as_record() for r in results], args.format, kind="verify"))
-    return EXIT_OK if all(r.passed for r in results) else EXIT_VERIFY
+        try:
+            with _opened(args.report, "w") as fh:
+                fh.write(emit_report([r.as_record() for r in results], args.format, kind="verify"))
+        except InputError as ex:  # the suites ran: their lines are printed all the same
+            sys.stderr.write(f"error: {ex}\n")
+            return text, EXIT_DOMAIN
+    return text, EXIT_OK if all(r.passed for r in results) else EXIT_VERIFY
 
 
-def _cmd_report(args, out):
+def _cmd_report(args):
     with _opened(args.input, "r") as fh:
         text = fh.read()
     try:
         records = parse_json(text)
     except ValueError as ex:  # malformed JSON, or not a list of records
         raise InputError(f"{args.input}: not a valid report file ({ex})") from ex
-    out.write(emit_report(records, args.format, kind=args.kind))
-    return EXIT_OK
+    return emit_report(records, args.format, kind=args.kind)
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +294,6 @@ def build_parser() -> _Parser:
     p.add_argument("--p", type=float, default=None, help="exponent for ces, lp and dq (default 2)")
     p.add_argument("--r", type=float, default=None, help="weight exponent for --space ar")
     p.add_argument("--input", required=True)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=_cmd_norm)
 
     p = sub.add_parser("dual-norm", help="exact dual norm with greedy trace")
@@ -306,7 +301,6 @@ def build_parser() -> _Parser:
     p.add_argument("--input", required=True)
     p.add_argument("--oracle", action="store_true", help="also run the ascent oracle")
     p.add_argument("--restarts", type=int, default=None, help="oracle restarts (default 6)")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--seed", type=int, default=None, help="oracle seed (default 42)")
     p.set_defaults(func=_cmd_dual_norm)
 
@@ -316,14 +310,12 @@ def build_parser() -> _Parser:
     p.add_argument("--terms", type=int, default=None,
                    help="ignored: accepted for old command lines; --exact sums in O(1)")
     p.add_argument("--exact", action="store_true", help="exact p=2 series enclosure")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=_cmd_delta_norm)
 
     p = sub.add_parser("eval", help="evaluate a Dirichlet polynomial at a point")
     p.add_argument("--input", required=True)
     p.add_argument("--sigma", type=float, required=True)
     p.add_argument("--t", type=float, default=0.0)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("convolve", help="divisor-convolution product of two polynomials")
@@ -346,7 +338,6 @@ def build_parser() -> _Parser:
     p.add_argument("--prime-limit", type=int, default=10 ** 7)
     p.add_argument("--r-m", type=int, default=None,
                    help="window anchor override (flagged heuristic when unverified)")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=_cmd_multiplier_estimate)
 
     p = sub.add_parser("monomial-check", help="two-sided monomial multiplier probe")
@@ -354,7 +345,6 @@ def build_parser() -> _Parser:
     p.add_argument("--p", type=float, default=2.0)
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--j-probe", type=int, default=10 ** 6)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--seed", type=int, default=42)
     p.set_defaults(func=_cmd_monomial_check)
 
@@ -366,30 +356,31 @@ def build_parser() -> _Parser:
     p.add_argument("--p", type=float, default=2.0)
     p.add_argument("--horizon", type=int, default=10 ** 5,
                    help="log-power and power only, O(1) at any horizon below 2**53")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=_cmd_schur_test)
 
     p = sub.add_parser("verify", help="run the acceptance suites")
     p.add_argument("--suite", default="all", choices=["all", *ALL_SUITES])
     p.add_argument("--report", default=None, help="write suite records to this file")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--seed", type=int, default=42)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("report", help="re-emit a JSON report, e.g. as CSV")
     p.add_argument("--input", required=True)
     p.add_argument("--kind", default=None, help="column registry to use for CSV")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=_cmd_report)
 
+    for name, p in sub.choices.items():
+        if name not in ("convolve", "project"):  # these two print coefficient files
+            p.add_argument("--format", choices=("json", "csv"), default="json")
     return parser
 
 
 def parse_and_dispatch(argv: list[str]) -> int:
-    parser = build_parser()
+    """Run one request and return its exit code: the one place that writes
+    a verb's report to stdout and that maps an error to its exit code."""
     try:
-        args = parser.parse_args(argv)
-        return args.func(args, sys.stdout)
+        args = build_parser().parse_args(argv)
+        out = args.func(args)
     except _UsageError as ex:
         sys.stderr.write(f"usage error: {ex}\n")
         return EXIT_USAGE
@@ -400,6 +391,9 @@ def parse_and_dispatch(argv: list[str]) -> int:
     except SelfCheckError as ex:
         sys.stderr.write(f"self-check failed: {ex}\n")
         return EXIT_VERIFY
+    text, code = out if isinstance(out, tuple) else (out, EXIT_OK)
+    sys.stdout.write(text)
+    return code
 
 
 def main():

@@ -209,12 +209,13 @@ def smooth_mask(ns, r: int, table: PrimeTable) -> np.ndarray:
 # Certified zeta values, tails and power sums
 # ---------------------------------------------------------------------------
 
-# Euler-Maclaurin for the Hurwitz zeta function: Bernoulli numbers
-# B_2, B_4, ..., B_18.  At most K = 8 of them enter the sum; B_18 bounds
-# the remainder.
-_BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510,
-              43867 / 798)
-_EM_TERMS = len(_BERNOULLI) - 1
+# Euler-Maclaurin for the Hurwitz zeta function: B_2j/(2j)! for the
+# Bernoulli numbers B_2, B_4, ..., B_18, each the float quotient of the
+# rounded B_2j and the exact (2j)! (below 2**53).  At most K = 8 of them
+# enter the sum; B_18 bounds the remainder.
+_BERNOULLI_RATIOS = tuple(b / math.factorial(2 * j) for j, b in enumerate((
+    1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510, 43867 / 798), 1))
+_EM_TERMS = len(_BERNOULLI_RATIOS) - 1
 _MAX_HURWITZ_EXPONENT = 64.0
 _MAX_EXACT_INDEX = 2 ** 53
 
@@ -259,8 +260,8 @@ def _em_setup(x, n, harmonic=False) -> tuple[float, np.ndarray, int, int, list[f
     if n.size and (x - 1.0) * math.log2(max(int(n.max()), n0)) > 1000.0:
         raise DomainError(f"zeta({x}, {int(n.max())}) leaves the float64 normal range")
     coef, rising = [], x
-    for j, b in enumerate(_BERNOULLI, start=1):
-        coef.append(b / math.factorial(2 * j) * rising)
+    for j, ratio in enumerate(_BERNOULLI_RATIOS, start=1):
+        coef.append(ratio * rising)
         rising *= (x + 2 * j - 1) * (x + 2 * j)
     return x, n, n0, least, coef
 

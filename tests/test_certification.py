@@ -14,10 +14,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
 from dense_reference import EPS, dense_zeta_tail
+from frozen import frozen
 from cesdirichlet.enclosure import LIB, TINY, U, Enclosure, gamma, pairwise_depth, ulp_down, ulp_up
 from cesdirichlet.errors import DomainError
 from cesdirichlet.dual import SENTINEL, jagers_dual_norm
@@ -30,11 +28,6 @@ from cesdirichlet.series import DirichletPoly, convolve, product_blocks
 mpmath.mp.dps = 40
 
 P_SET = (1.01, 1.5, 2.0, 3.0)
-SEEDED = settings(derandomize=True, deadline=None, max_examples=60)
-
-indices = st.one_of(st.integers(1, 40), st.integers(1, 2 ** 53))
-values = st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3,
-                            allow_nan=False, allow_infinity=False)
 
 
 def dense_ces_norm_reference(a: CoeffSeq, e: Exponent) -> Enclosure:
@@ -70,8 +63,7 @@ def mp_ces_norm(a: CoeffSeq, p: float):
 # the kernel
 # ---------------------------------------------------------------------------
 
-@SEEDED
-@given(p=st.sampled_from(P_SET), ns=st.lists(indices, min_size=1, max_size=6))
+@frozen
 def test_hurwitz_contains_mpmath(p, ns):
     lo, hi = hurwitz_zeta(p, np.array(ns, dtype=np.int64))
     for n, l, h in zip(ns, lo, hi):
@@ -184,10 +176,7 @@ def test_hurwitz_domain(x, ns):
         hurwitz_zeta(x, np.array(ns, dtype=np.int64))
 
 
-@SEEDED
-@given(p=st.sampled_from((1.0,) + P_SET), starts=st.lists(indices, min_size=1, max_size=6),
-       gaps=st.lists(st.one_of(st.integers(1, 40), st.integers(1, 10 ** 15)),
-                     min_size=6, max_size=6))
+@frozen
 def test_segment_contains_mpmath(p, starts, gaps):
     a = np.array(starts, dtype=np.int64)
     b = np.minimum(a + np.array(gaps[:a.size]), 2 ** 53)
@@ -334,10 +323,7 @@ def test_log_power_domain(c, a, b):
 # ces_norm
 # ---------------------------------------------------------------------------
 
-@SEEDED
-@given(p=st.sampled_from(P_SET), first=st.integers(1, 40),
-       gaps=st.lists(st.integers(1, 10 ** 15), max_size=5),
-       vals=st.lists(values, min_size=6, max_size=6))
+@frozen
 def test_ces_norm_contains_mpmath(p, first, gaps, vals):
     idx = np.cumsum([first] + gaps)
     a = CoeffSeq(idx, np.array(vals[:idx.size]))
@@ -346,21 +332,14 @@ def test_ces_norm_contains_mpmath(p, first, gaps, vals):
     assert enc.width <= 1e-13 * enc.hi
 
 
-@SEEDED
-@given(p=st.sampled_from(P_SET),
-       d=st.dictionaries(st.integers(1, 3000), values, min_size=1, max_size=12))
+@frozen
 def test_ces_norm_inside_dense_reference(p, d):
     a = CoeffSeq.from_pairs(d.items())
     e = Exponent.from_p(p)
     assert dense_ces_norm_reference(a, e).encloses(ces_norm(a, e))
 
 
-@SEEDED
-@given(p=st.sampled_from(P_SET), block=st.one_of(st.integers(1, 4), st.just(1 << 15)),
-       first=st.integers(1, 40),
-       gaps=st.lists(st.one_of(st.integers(1, 3), st.integers(1, 10 ** 12)), min_size=2,
-                     max_size=9),
-       vals=st.lists(values, min_size=10, max_size=10))
+@frozen
 def test_ces_norm_blocks_contain_mpmath(p, block, first, gaps, vals):
     # blocks of 1..4 entries: the running sum crosses block boundaries
     idx = np.cumsum([first] + gaps)
@@ -372,13 +351,7 @@ def test_ces_norm_blocks_contain_mpmath(p, block, first, gaps, vals):
     assert enc.width <= 1e-13 * enc.hi
 
 
-small_supports = st.dictionaries(st.integers(1, 30), st.one_of(values, st.sampled_from([1.0, -1.0])),
-                                 min_size=1, max_size=8)
-
-
-@SEEDED
-@given(p=st.sampled_from(P_SET), block=st.sampled_from([1, 2, 5, 1 << 15, 1 << 16]),
-       f=small_supports, g=small_supports, cut=st.floats(0.05, 1.0))
+@frozen
 def test_streamed_product_contains_mpmath(p, block, f, g, cut):
     # the enclosure certifies the norm of the rounded product, which
     # ``convolve`` (bitwise the same blocks) stores for the reference
@@ -464,12 +437,7 @@ def _bits_or_error(norm):
     return enc.lo.hex(), enc.hi.hex()
 
 
-@SEEDED
-@given(p=st.sampled_from((1.1, 1.5, 2.0, 3.0, 7.0)), block=st.integers(1, 5),
-       first=st.integers(1, 40),
-       gaps=st.lists(st.one_of(st.integers(1, 3), st.integers(1, 10 ** 12)), max_size=11),
-       mags=st.lists(st.tuples(st.floats(1.0, 9.99), st.integers(-300, 300),
-                               st.floats(0.0, 6.3)), min_size=12, max_size=12))
+@frozen
 def test_ces_norm_is_the_stream_of_its_blocks(p, block, first, gaps, mags):
     # blocks of 1..5 entries, so A(n) crosses block edges, and magnitudes
     # 1e-300..1e301, so the scaling decides between a norm and the
@@ -520,14 +488,7 @@ def mp_dual_norm(b: CoeffSeq, p: float):
     return labels, total ** (1 / q)
 
 
-plateau = st.sampled_from([1.0, 0.5, -0.5, 0.5j, 0.25])
-
-
-@SEEDED
-@given(p=st.sampled_from(P_SET), first=st.integers(1, 40),
-       gaps=st.lists(st.one_of(st.integers(1, 3), st.integers(1, 10 ** 15)), max_size=7),
-       vals=st.lists(st.one_of(values, plateau), min_size=8, max_size=8),
-       decreasing=st.booleans())
+@frozen
 def test_jagers_contains_mpmath(p, first, gaps, vals, decreasing):
     idx = np.cumsum([first] + gaps)
     vals = vals[:idx.size]

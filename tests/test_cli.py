@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from frozen import CASES
 from cesdirichlet import cli, verification
 from cesdirichlet.cli import dump_coeffs, load_coeffs, parse_and_dispatch
 from cesdirichlet.errors import InputError
@@ -558,73 +559,133 @@ def test_verify_report_path_checked_before_suites(tmp_path, capsys, monkeypatch,
 
 
 # ---------------------------------------------------------------------------
+# pinned output: one request per verb
+# ---------------------------------------------------------------------------
+
+PIN_FILES = {
+    "f.json": {"coeffs": [{"n": 1, "re": 1.0}, {"n": 3, "re": -0.5, "im": 0.25},
+                          {"n": 4, "re": 0.75}]},
+    "g.json": {"coeffs": [{"n": 1, "re": 0.5}, {"n": 2, "re": 2.0, "im": -1.0}]},
+    "r.json": {"records": [{"space": "ces", "p": 2.0, "value": {"lo": 1.25, "hi": 1.5}}]},
+}
+
+# (argv, the JSON it prints, its stdout with --format csv or None for the
+# verbs without --format), recorded before the verbs returned their text;
+# JSON is printed with indent 2 and sorted keys
+PINNED = [
+    (["norm", "--space", "ces", "--p", "1.5", "--input", "f.json"],
+     {"records": [{"input": "f.json", "p": 1.5, "space": "ces",
+                   "value": {"hi": 3.10438854443, "lo": 3.10438854442}}]},
+     "space,p,r,value,value_lo,value_hi\nces,1.5,,,3.10438854442,3.10438854443\n"),
+    (["dual-norm", "--p", "1.5", "--input", "f.json", "--oracle", "--restarts", "2",
+      "--seed", "3"],
+     {"records": [{"chain": [1, 4, "inf"], "d_set_size": 2, "input": "f.json",
+                   "norm": {"hi": 0.722743469291, "lo": 0.72274346929},
+                   "oracle": 0.722743469291, "p": 1.5}]},
+     "input,p,norm_lo,norm_hi,chain,d_set_size,oracle\n"
+     "f.json,1.5,0.72274346929,0.722743469291,1;4;inf,2,0.722743469291\n"),
+    (["delta-norm", "--p", "2", "--sigma", "0.75", "--exact"],
+     {"records": [{"norm": {"hi": 0.919699170258, "lo": 0.919699170257}, "p": 2.0,
+                   "sigma": 0.75}]},
+     "p,sigma,norm_lo,norm_hi\n2,0.75,0.919699170257,0.919699170258\n"),
+    (["eval", "--input", "f.json", "--sigma", "0.5", "--t", "2"],
+     {"records": [{"input": "f.json", "sigma": 0.5, "t": 2.0,
+                   "value": {"im": 0.0139873305915, "re": 0.936411274816}}]},
+     "input,sigma,t,value_re,value_im\nf.json,0.5,2,0.936411274816,0.0139873305915\n"),
+    (["convolve", "--input", "f.json", "--with", "g.json", "--limit", "10"],
+     {"coeffs": [{"im": 0.0, "n": 1, "re": 0.5}, {"im": -1.0, "n": 2, "re": 2.0},
+                 {"im": 0.125, "n": 3, "re": -0.25}, {"im": 0.0, "n": 4, "re": 0.375},
+                 {"im": 1.0, "n": 6, "re": -0.75}, {"im": -0.75, "n": 8, "re": 1.5}]},
+     None),
+    (["project", "--input", "f.json", "--r", "1"],
+     {"coeffs": [{"im": 0.0, "n": 1, "re": 1.0}, {"im": 0.0, "n": 4, "re": 0.75}]},
+     None),
+    (["multiplier-estimate", "--input", "g.json", "--m", "3", "--alpha", "0.45",
+      "--prime-limit", "1000"],
+     {"records": [{"alpha": 0.45, "conv_limit": 2000, "flag": "desk-scale", "m": 3,
+                   "prime_limit": 1000, "r_m": 6, "ratio": 2.06472401485,
+                   "reference": 2.08113883008, "window_verified": True}]},
+     "m,alpha,prime_limit,conv_limit,ratio,reference,flag\n"
+     "3,0.45,1000,2000,2.06472401485,2.08113883008,desk-scale\n"),
+    (["monomial-check", "--m", "3", "--p", "1.5", "--samples", "4", "--j-probe", "50",
+      "--seed", "5"],
+     {"records": [{"bound": 0.693361274351, "j_probe": 50, "lower_est": 0.691817095265,
+                   "m": 3, "p": 1.5, "samples": 4, "upper_ok": True}]},
+     "m,p,samples,j_probe,upper_ok,lower_est,bound\n3,1.5,4,50,true,0.691817095265,0.693361274351\n"),
+    (["schur-test", "--kind", "log-power", "--alpha", "0.8"],
+     {"records": [{"horizon": 100000, "kind": "log-power", "p": 2.0,
+                   "value": {"hi": 3.535017158, "lo": 3.53501715799}, "verdict": "schur"}]},
+     "kind,p,horizon,verdict,value_lo,value_hi\nlog-power,2,100000,schur,3.53501715799,3.535017158\n"),
+    (["report", "--input", "r.json", "--kind", "norm"],
+     {"records": [{"p": 2.0, "space": "ces", "value": {"hi": 1.5, "lo": 1.25}}]},
+     "space,p,r,value,value_lo,value_hi\nces,2,,,1.25,1.5\n"),
+]
+PINNED_RUNS = [pytest.param(argv, json.dumps(obj, indent=2, sort_keys=True) + "\n",
+                            id=f"{argv[0]}-json") for argv, obj, _ in PINNED]
+PINNED_RUNS += [pytest.param([*argv, "--format", "csv"], csv, id=f"{argv[0]}-csv")
+                for argv, _, csv in PINNED if csv is not None]
+
+
+@pytest.fixture
+def pin_dir(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for name, payload in PIN_FILES.items():
+        (tmp_path / name).write_text(json.dumps(payload))
+    return tmp_path
+
+
+@pytest.mark.parametrize("argv, out", PINNED_RUNS)
+def test_verb_stdout_is_pinned(pin_dir, capsys, argv, out):
+    assert parse_and_dispatch(argv) == 0
+    assert capsys.readouterr().out == out
+
+
+@pytest.mark.parametrize("fmt, report", [
+    ("json", '{\n  "records": [\n    {\n      "detail": "sigma1_width=5.66214e-15",\n'
+             '      "passed": true,\n      "suite": "point-eval-p2"\n    }\n  ]\n}\n'),
+    ("csv", "suite,passed,detail\npoint-eval-p2,true,sigma1_width=5.66214e-15\n"),
+])
+def test_verify_stdout_and_report_are_pinned(pin_dir, capsys, fmt, report):
+    argv = ["verify", "--suite", "point-eval-p2", "--report", "v.out", "--format", fmt]
+    assert parse_and_dispatch(argv) == 0
+    assert capsys.readouterr().out == "PASS  point-eval-p2  sigma1_width=5.66214e-15\n"
+    assert (pin_dir / "v.out").read_text() == report
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs a device that refuses writes")
+def test_verify_prints_its_lines_when_the_report_write_fails(capsys):
+    # the path passes the check made before the suites run; the write fails after
+    code = parse_and_dispatch(["verify", "--suite", "point-eval-p2", "--report", "/dev/full"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == "PASS  point-eval-p2  sigma1_width=5.66214e-15\n"
+    assert captured.err.endswith("\nerror: /dev/full: [Errno 28] No space left on device\n")
+
+
+# ---------------------------------------------------------------------------
 # the exit-code contract on adversarial input
 # ---------------------------------------------------------------------------
 
-fuzz_n = st.one_of(st.integers(1, 60), st.sampled_from(
-    [0, -1, 2 ** 53, 2 ** 53 + 1, 2 ** 63, 2 ** 64, 1.5, "7", True, None]))
-fuzz_value = st.one_of(
-    st.floats(allow_nan=True, allow_infinity=True),
-    st.sampled_from([1e308, -1e308, 5e-324, 0.0, "abc", "inf", "-Infinity", "NaN", None, [1]]),
-)
-fuzz_row = st.fixed_dictionaries({"n": fuzz_n}, optional={"re": fuzz_value, "im": fuzz_value})
-plain_value = st.one_of(st.floats(-1e3, 1e3), st.sampled_from([1e308, -1e308, 5e-324]))
-plain_row = st.fixed_dictionaries({"n": st.integers(1, 2 ** 53)},
-                                  optional={"re": plain_value, "im": plain_value})
-# mostly well-formed files, so that the verbs run, with at most one bad row
-fuzz_rows = st.tuples(st.lists(plain_row, max_size=6), st.lists(fuzz_row, max_size=1)).map(
-    lambda parts: parts[0] + parts[1])
-fuzz_argv = st.one_of(
-    st.tuples(st.just("norm"), st.just("--space"), st.sampled_from(["ces", "lp", "dq"]),
-              st.just("--p"), st.sampled_from(["1.01", "1.5", "2", "3", "0.5", "nan", "inf"])),
-    st.tuples(st.just("norm"), st.just("--space"), st.just("ar"),
-              st.just("--r"), st.sampled_from(["0.5", "-3", "nan", "inf", "-inf"])),
-    st.tuples(st.just("dual-norm"), st.just("--p"),
-              st.sampled_from(["1.01", "1.5", "2", "3", "70", "1", "nan"])),
-    st.tuples(st.just("eval"), st.just("--sigma"),
-              st.sampled_from(["0.5", "2", "-1e308", "nan", "inf", "-inf"]),
-              st.just("--t"), st.sampled_from(["0", "1e300", "-3.5", "inf", "nan", "-inf"])),
-    st.tuples(st.just("schur-test"), st.just("--kind"), st.just("power"),
-              st.just("--beta"), st.sampled_from(["0.5", "0", "-1", "-300", "-1000", "nan"]),
-              st.just("--horizon"), st.sampled_from(["1", "2", "100000", str(2 ** 53)])),
-    st.tuples(st.just("schur-test"), st.just("--kind"), st.just("finite"),
-              st.just("--p"), st.sampled_from(["1.01", "1.5", "2", "3"])),
-)
-# files small enough for an estimate to run at prime limits <= 1e4
-small_rows = st.lists(st.fixed_dictionaries({"n": st.integers(1, 30), "re": plain_value},
-                                            optional={"im": plain_value}),
-                      min_size=1, max_size=4, unique_by=lambda row: row["n"])
+# The frozen examples (see ``frozen.py``) were drawn as follows.  Files:
+# up to six well-formed rows (n in 1..2**53; re, im in [-1e3, 1e3] or one
+# of 1e308, -1e308, 5e-324), so that the verbs run, plus at most one
+# fuzzed row (n in 1..60 or one of 0, -1, 2**53, 2**53 + 1, 2**63, 2**64,
+# 1.5, "7", True, None; re, im any float, NaN and infinities included, or
+# one of "abc", "inf", "-Infinity", "NaN", None, [1]).  The estimate also gets 1..4
+# rows with n <= 30, small enough to run at prime limits <= 1e4, and
+# each of its options valid or invalid about equally often, so that some
+# requests get through (alpha lies inside (1/(2q), 1/q) for 0.3 and 0.45
+# at p = 2 and for 0.3 at p = 1.5).
+
+def test_exit_code_contract_fuzz(tmp_path_factory):
+    # norm (ces, lp, dq, ar), dual-norm, eval and schur-test (power, finite)
+    for case in CASES["test_exit_code_contract_fuzz"]:
+        check_exit_contract(case["rows"], case["argv"], tmp_path_factory)
 
 
-def either(valid, invalid):
-    return st.one_of(st.sampled_from(valid), st.sampled_from(invalid))
-
-
-# each option is valid or invalid about equally often, so that some
-# requests get through; alpha lies inside (1/(2q), 1/q) for 0.3 and 0.45
-# at p = 2 and for 0.3 at p = 1.5
-fuzz_estimate_argv = st.tuples(
-    st.tuples(st.just("multiplier-estimate"),
-              st.just("--prime-limit"), st.sampled_from(["10", "100", "1000", "10000"]),
-              st.just("--m"), either(["2", "3"], ["0", "1", str(10 ** 23)]),
-              st.just("--alpha"),
-              either(["0.3", "0.45"], ["0.2", "0.6", "1e308", "nan", "inf", "-inf"]),
-              st.just("--p"), either(["2", "1.5"], ["1", "0.5", "1e308", "nan", "inf", "-inf"])),
-    st.one_of(st.just(()), st.tuples(st.just("--r-m"), st.sampled_from(
-        ["0", "-1", "3", str(10 ** 30)]))),
-).map(lambda parts: sum(parts, ()))
-
-
-@settings(derandomize=True, deadline=None, max_examples=300)
-@given(rows=fuzz_rows, argv=fuzz_argv)
-def test_exit_code_contract_fuzz(rows, argv, tmp_path_factory):
-    check_exit_contract(rows, argv, tmp_path_factory)
-
-
-@settings(derandomize=True, deadline=None, max_examples=200)
-@given(rows=st.one_of(fuzz_rows, small_rows), argv=fuzz_estimate_argv)
-def test_exit_code_contract_fuzz_multiplier_estimate(rows, argv, tmp_path_factory):
-    check_exit_contract(rows, argv, tmp_path_factory)
+def test_exit_code_contract_fuzz_multiplier_estimate(tmp_path_factory):
+    for case in CASES["test_exit_code_contract_fuzz_multiplier_estimate"]:
+        check_exit_contract(case["rows"], case["argv"], tmp_path_factory)
 
 
 def check_exit_contract(rows, argv, tmp_path_factory):

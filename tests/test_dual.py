@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from dense_reference import (EPS, dense_delta_norm_p2, dense_power_sum, dense_zeta_real,
                              dense_zeta_tail)
+from frozen import frozen
 from cesdirichlet.dual import (
     _DELTA_HEAD,
     _DELTA_ORDER,
@@ -272,11 +273,7 @@ def test_jagers_exact_tie_with_inexact_modulus_still_raises():
     assert exc.value.candidates == (2, 3) and exc.value.prefix_chain == (1,)
 
 
-@settings(derandomize=True, deadline=None, max_examples=150)
-@given(p=st.sampled_from((1.5, 2.0, 3.0)),
-       idx=st.sets(st.integers(1, 60), min_size=1, max_size=12),
-       mags=st.lists(st.floats(1e-3, 1e3), min_size=12, max_size=12),
-       decreasing=st.booleans())
+@frozen
 def test_hull_matches_reference_greedy(p, idx, mags, decreasing):
     mags = mags[:len(idx)]
     if decreasing:
