@@ -377,7 +377,9 @@ def build_parser() -> _Parser:
 
 def parse_and_dispatch(argv: list[str]) -> int:
     """Run one request and return its exit code: the one place that writes
-    a verb's report to stdout and that maps an error to its exit code."""
+    a verb's report to stdout and that maps the errors a verb raises to exit
+    codes.  ``verify`` maps a failed report write itself, so that the lines
+    of the suites that ran still print."""
     try:
         args = build_parser().parse_args(argv)
         out = args.func(args)

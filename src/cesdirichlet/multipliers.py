@@ -60,7 +60,7 @@ from .kernels import (
 )
 from .sequences import (CoeffSeq, Exponent, PrimeCoeffs, abs_sum_exponent, ar_norm, ces_norm,
                         ces_norm_stream)
-from .series import _INT64_MAX, DirichletPoly, product_blocks
+from .series import DirichletPoly, convolve, product_blocks
 
 HEURISTIC_WINDOW_FLAG = "heuristic-window"
 DESK_SCALE_FLAG = "desk-scale"
@@ -122,10 +122,12 @@ def monomial_multiplier_check(
     bound = float(m) ** (-1.0 / e.q)
     rng = np.random.default_rng(seed)
     upper_ok = True
+    mono = DirichletPoly.from_pairs([(m, 1.0)])
     for _ in range(samples):
-        g = sequences.random_seq(rng, max_index=200)
-        lhs = ces_norm(_times_monomial(m, g), e)
-        rhs = ces_norm(g, e)
+        g = DirichletPoly(sequences.random_seq(rng, max_index=200))
+        prod = convolve(mono, g, m * g.max_index)
+        lhs = ces_norm(prod.coeffs, e)
+        rhs = ces_norm(g.coeffs, e)
         if lhs.hi > bound * rhs.lo + _SLACK:
             upper_ok = False
     # single-monomial probe: ||m^-s j^-s|| / ||j^-s|| with exact supports
@@ -133,16 +135,6 @@ def monomial_multiplier_check(
     den = ces_norm(CoeffSeq.from_pairs([(j_probe, 1.0)]), e)
     lower_est = num.lo / den.hi
     return upper_ok, lower_est
-
-
-def _times_monomial(m: int, a: CoeffSeq) -> CoeffSeq:
-    """m^-s a: a's values moved to the indices m n.  ``convolve`` gave the same up
-    to a factor 1 + 0j per value, which moves no modulus, and the same errors past int64."""
-    if m > _INT64_MAX:
-        raise DomainError("coefficient indices must fit in int64")
-    if m * a.max_index > _INT64_MAX:
-        raise DomainError("a product index up to the convolution limit exceeds int64")
-    return CoeffSeq(a.idx * m, a.val, _validated=True)
 
 
 # ---------------------------------------------------------------------------
@@ -261,12 +253,10 @@ def multiplier_lower_estimate(
             )
     g = build_test_function(m, alpha, e, table, r_m=r_m)
     conv_limit = table.limit * f.max_index
-    # sum |c_n| <= sum |a_k| sum |b_m| scales the streamed product f*g, and
-    # g's own exponent its Cesaro sum, which is ``ces_norm(g.coeffs, e)``
-    g_scale = abs_sum_exponent(g.coeffs)
-    scale = abs_sum_exponent(f.coeffs) + g_scale
+    # sum |c_n| <= sum |a_k| sum |b_m| scales the streamed product f*g
+    scale = abs_sum_exponent(f.coeffs) + abs_sum_exponent(g.coeffs)
     num = ces_norm_stream(product_blocks(f, g, conv_limit), scale, e)
-    den = ces_norm_stream(sequences._blocks(g.coeffs), g_scale, e)
+    den = ces_norm(g.coeffs, e)
     ratio = num.lo / den.hi
     reference = ar_norm(f.coeffs, 1.0 / e.q)
     if ratio > _reference_hi(f.coeffs, 1.0 / e.q, reference):
@@ -383,7 +373,8 @@ def noncompactness_bound(f: DirichletPoly, m: int, e: Exponent) -> bool:
         raise DomainError("the bound is vacuous for f = 0")
     if m < 1:
         raise DomainError(f"m must be >= 1, got {m}")
-    lhs = ces_norm(_times_monomial(m, f.coeffs), e)
+    prod = convolve(DirichletPoly.from_pairs([(m, 1.0)]), f, m * f.max_index)
+    lhs = ces_norm(prod.coeffs, e)
     rhs = ces_norm(f.coeffs, e)
     factor = float(m) ** (1.0 / e.p) / (2.0 * m)
     return lhs.hi >= factor * rhs.lo - _SLACK

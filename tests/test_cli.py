@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frozen import CASES
+from frozen import run_frozen
 from cesdirichlet import cli, verification
 from cesdirichlet.cli import dump_coeffs, load_coeffs, parse_and_dispatch
 from cesdirichlet.errors import InputError
@@ -652,14 +652,18 @@ def test_verify_stdout_and_report_are_pinned(pin_dir, capsys, fmt, report):
     assert (pin_dir / "v.out").read_text() == report
 
 
-@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs a device that refuses writes")
-def test_verify_prints_its_lines_when_the_report_write_fails(capsys):
+def test_verify_prints_its_lines_when_the_report_write_fails(tmp_path, monkeypatch, capsys):
     # the path passes the check made before the suites run; the write fails after
-    code = parse_and_dispatch(["verify", "--suite", "point-eval-p2", "--report", "/dev/full"])
+    def full(*_args, **_kwargs):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli, "emit_report", full)
+    report = tmp_path / "v.out"
+    code = parse_and_dispatch(["verify", "--suite", "point-eval-p2", "--report", str(report)])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == "PASS  point-eval-p2  sigma1_width=5.66214e-15\n"
-    assert captured.err.endswith("\nerror: /dev/full: [Errno 28] No space left on device\n")
+    assert captured.err.endswith(f"\nerror: {report}: [Errno 28] No space left on device\n")
 
 
 # ---------------------------------------------------------------------------
@@ -677,15 +681,15 @@ def test_verify_prints_its_lines_when_the_report_write_fails(capsys):
 # requests get through (alpha lies inside (1/(2q), 1/q) for 0.3 and 0.45
 # at p = 2 and for 0.3 at p = 1.5).
 
-def test_exit_code_contract_fuzz(tmp_path_factory):
+def test_exit_code_contract_fuzz(subtests, tmp_path_factory):
     # norm (ces, lp, dq, ar), dual-norm, eval and schur-test (power, finite)
-    for case in CASES["test_exit_code_contract_fuzz"]:
-        check_exit_contract(case["rows"], case["argv"], tmp_path_factory)
+    run_frozen(subtests, "test_exit_code_contract_fuzz",
+               lambda rows, argv: check_exit_contract(rows, argv, tmp_path_factory))
 
 
-def test_exit_code_contract_fuzz_multiplier_estimate(tmp_path_factory):
-    for case in CASES["test_exit_code_contract_fuzz_multiplier_estimate"]:
-        check_exit_contract(case["rows"], case["argv"], tmp_path_factory)
+def test_exit_code_contract_fuzz_multiplier_estimate(subtests, tmp_path_factory):
+    run_frozen(subtests, "test_exit_code_contract_fuzz_multiplier_estimate",
+               lambda rows, argv: check_exit_contract(rows, argv, tmp_path_factory))
 
 
 def check_exit_contract(rows, argv, tmp_path_factory):

@@ -26,7 +26,7 @@ from cesdirichlet.multipliers import (
 )
 from cesdirichlet.sequences import (CoeffSeq, Exponent, PrimeCoeffs, abs_sum_exponent, ar_norm,
                                     ces_norm, ces_norm_stream)
-from cesdirichlet.series import DirichletPoly, convolve, product_blocks
+from cesdirichlet.series import DirichletPoly, product_blocks
 
 E2 = Exponent.from_p(2.0)
 ONE = DirichletPoly.from_pairs([(1, 1.0)])
@@ -79,26 +79,6 @@ def test_monomial_domain():
         for samples in (0, -5):
             with pytest.raises(DomainError):
                 monomial_multiplier_check(m, E2, samples=samples, j_probe=10)
-
-
-def test_monomial_shift_is_the_convolution(table_1e4):
-    # m^-s g by moving the indices gives the Cesaro norm bits of the
-    # convolution with the one-term m^-s, and its errors past int64
-    rng = np.random.default_rng(31)
-    gs = [sequences.random_seq(rng, max_index=200) for _ in range(20)]
-    gs.append(build_test_function(2, 0.3, E2, table_1e4, r_m=3).coeffs)  # real, on primes
-    for e in (E2, Exponent.from_p(1.5), Exponent.from_p(3.0)):
-        for g in gs:
-            for m in (1, 2, 3, 64, 10 ** 6):
-                mono = DirichletPoly.from_pairs([(m, 1.0)])
-                ref = ces_norm(convolve(mono, DirichletPoly(g), m * g.max_index).coeffs, e)
-                assert ces_norm(multipliers._times_monomial(m, g), e) == ref
-    g = CoeffSeq.from_pairs([(1, 1.0), (3, 2.0)])
-    for m in (2 ** 62, 2 ** 63):
-        with pytest.raises(DomainError) as ref:
-            convolve(DirichletPoly.from_pairs([(m, 1.0)]), DirichletPoly(g), m * 3)
-        with pytest.raises(DomainError, match=f"^{ref.value}$"):
-            multipliers._times_monomial(m, g)
 
 
 # ---------------------------------------------------------------------------
@@ -374,8 +354,7 @@ def test_estimate_uses_the_test_function_of_its_anchor(m, verified, table_1e4, m
     # the product and the denominator read is build_test_function at the
     # record's r_m, bit for bit
     seen = []
-    monkeypatch.setattr(sequences, "_blocks", lambda a, blocks=sequences._blocks: seen.append(a)
-                        or blocks(a))
+    monkeypatch.setattr(multipliers, "ces_norm", lambda a, e: seen.append(a) or ces_norm(a, e))
     monkeypatch.setattr(multipliers, "product_blocks",
                         lambda f, g, limit: seen.append(g.coeffs) or product_blocks(f, g, limit))
     f = DirichletPoly.from_pairs([(1, 1.0), (2, 1.0), (3, 1.0)])
