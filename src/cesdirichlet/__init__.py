@@ -14,7 +14,6 @@ from .errors import (
     InputError,
     ResourceLimitError,
     SelfCheckError,
-    WindowNotFoundError,
 )
 from .kernels import (
     PrimeTable,

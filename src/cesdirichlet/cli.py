@@ -24,7 +24,7 @@ import sys
 
 from .dual import delta_norm_bounds, delta_norm_exact_p2, dual_norm_oracle, jagers_dual_norm
 from .errors import (ArgminTieError, ConvergenceError, DomainError, InputError,
-                     ResourceLimitError, SelfCheckError, WindowNotFoundError)
+                     ResourceLimitError, SelfCheckError)
 from .kernels import sieve_primes
 from .multipliers import (monomial_multiplier_check, multiplier_lower_estimate, schur_finite,
                           schur_log_power, schur_power)
@@ -188,10 +188,12 @@ def _cmd_project(args):
     f = DirichletPoly(load_coeffs(args.input))
     # no prime past min(max index, p_r) decides r-smoothness:
     # p_r < r (ln r + ln ln r) for r >= 6 (Rosser and Schoenfeld, Illinois
-    # J. Math. 1962), and p_r <= 11 below
-    r = args.r
-    bound = 11 if r < 6 else math.ceil(r * (math.log(r) + math.log(math.log(r))))
-    table = sieve_primes(max(2, min(f.max_index, bound)))
+    # J. Math. 1962), and p_r <= 11 below; from r = max index on, p_r > r
+    # leaves the max index without the bound
+    r, limit = args.r, f.max_index
+    if r < limit:
+        limit = min(limit, 11 if r < 6 else math.ceil(r * (math.log(r) + math.log(math.log(r)))))
+    table = sieve_primes(max(2, limit))
     h = qr_project(f, args.r, table)
     return json.dumps(dump_coeffs(h.coeffs), indent=2, sort_keys=True) + "\n"
 
@@ -386,8 +388,7 @@ def parse_and_dispatch(argv: list[str]) -> int:
     except _UsageError as ex:
         sys.stderr.write(f"usage error: {ex}\n")
         return EXIT_USAGE
-    except (DomainError, InputError, ResourceLimitError,
-            ArgminTieError, WindowNotFoundError, ConvergenceError) as ex:
+    except (DomainError, InputError, ResourceLimitError, ArgminTieError, ConvergenceError) as ex:
         sys.stderr.write(f"error: {ex}\n")
         return EXIT_DOMAIN
     except SelfCheckError as ex:

@@ -27,11 +27,6 @@ class SelfCheckError(ArithmeticError):
     arithmetic behind it cannot be trusted."""
 
 
-class WindowNotFoundError(RuntimeError):
-    """No index in the scanned prime range satisfies the requested
-    prime-counting window through the end of the table."""
-
-
 class ArgminTieError(RuntimeError):
     """The greedy dual-norm chain could not certify a unique argmin.
 

@@ -13,10 +13,11 @@ identity numerically from both sides:
   certified quotient  ||f g|| / ||g||  which lower-bounds the multiplier
   norm for every admissible g,
 * ``find_rm`` scans a prime table for the onset of the two-sided
-  prime-counting window  m p_r/(m+1) <= r log r <= m p_r/(m-1).  The
-  upper half holds unconditionally (r log r < p_r for every r), but the
-  lower half requires p_r/(r log r) <= 1 + 1/m, which at desk scale is
-  only reachable for small m: the ratio still sits at ~1.122 at the
+  prime-counting window  m p_r/(m+1) <= r log r <= m p_r/(m-1), and
+  returns None when the table holds no such onset.  The upper half
+  holds unconditionally (r log r < p_r for every r), but the lower half
+  requires p_r/(r log r) <= 1 + 1/m, which at desk scale is only
+  reachable for small m: the ratio still sits at ~1.122 at the
   664579-th prime (the last below 10^7), so no verified window exists
   for m >= 9 within a 10^7 table.  Estimates built without a verified
   window carry ``window_verified=False``, a ``heuristic-window`` flag in
@@ -47,7 +48,7 @@ import numpy as np
 
 from . import sequences
 from .enclosure import LIB, TINY, U, Enclosure, gamma, ulp_down, ulp_up
-from .errors import DomainError, SelfCheckError, WindowNotFoundError
+from .errors import DomainError, SelfCheckError
 from .kernels import (
     PrimeTable,
     decrease_onset,
@@ -119,10 +120,10 @@ def monomial_multiplier_check(
         raise DomainError(f"sample count must be >= 1, got {samples}")
     if m == 1:
         return True, 1.0
+    mono = DirichletPoly.from_pairs([(m, 1.0)])  # an index past int64 raises DomainError here
     bound = float(m) ** (-1.0 / e.q)
     rng = np.random.default_rng(seed)
     upper_ok = True
-    mono = DirichletPoly.from_pairs([(m, 1.0)])
     for _ in range(samples):
         g = DirichletPoly(sequences.random_seq(rng, max_index=200))
         prod = convolve(mono, g, m * g.max_index)
@@ -141,12 +142,13 @@ def monomial_multiplier_check(
 # Prime-counting window and test functions
 # ---------------------------------------------------------------------------
 
-def find_rm(m: int, table: PrimeTable) -> int:
+def find_rm(m: int, table: PrimeTable) -> int | None:
     """Smallest r_m > m such that
     m p_r/(m+1) <= r log r <= m p_r/(m-1) for every r from r_m through
-    the end of the table.  The certification is empirical over the
-    table range only.  Raises WindowNotFoundError when even the last
-    index fails (the case for m >= 9 with tables up to 10^7).
+    the end of the table, or None when no rank qualifies: the table holds
+    fewer than m + 2 primes, or even its last rank fails (the case for
+    m >= 9 with tables up to 10^7).  The certification is empirical over
+    the table range only.
 
     The table is scanned from its end in chunks of ``sequences.BLOCK``
     ranks, each decoded from its checkpoint, stopping at the first chunk
@@ -155,27 +157,19 @@ def find_rm(m: int, table: PrimeTable) -> int:
         raise DomainError(f"window parameter m must be >= 2, got {m}")
     count = len(table)
     if count < m + 2:
-        raise WindowNotFoundError(f"table with {count} primes is too short for m={m}")
+        return None
     step = sequences.BLOCK
     last_bad = -1
-    deviation = None
     for s in range((count - 1) // step * step, -1, -step):
         r = np.arange(s + 1, min(s + step, count) + 1, dtype=np.float64)
         v = r * np.log(r)  # r log r; r=1 gives 0 and fails the lower side
         pr = table.read(s, s + step).astype(np.float64)
-        if deviation is None:
-            deviation = pr[-1] / v[-1] - 1.0
         bad = np.flatnonzero(~((m * pr / (m + 1.0) <= v) & (v <= m * pr / (m - 1.0))))
         if bad.size:
             last_bad = s + int(bad[-1])
             break
     r_m = max(m + 1, last_bad + 2)
-    if r_m > count:
-        raise WindowNotFoundError(
-            f"no r in 1..{count} satisfies the m={m} window through the table end "
-            f"(deviation at the end: {deviation:.4f} > 1/{m})"
-        )
-    return r_m
+    return r_m if r_m <= count else None
 
 
 def build_test_function(
@@ -240,10 +234,7 @@ def multiplier_lower_estimate(
     """
     if f.is_zero:
         raise DomainError("multiplier estimate needs a nonzero f")
-    try:
-        onset = find_rm(m, table)
-    except WindowNotFoundError:
-        onset = None
+    onset = find_rm(m, table)
     if r_m is None:
         r_m = m + 1 if onset is None else onset
         if r_m > len(table):

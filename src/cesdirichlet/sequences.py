@@ -356,23 +356,20 @@ def ces_norm_stream(blocks, scale: int, e: Exponent) -> Enclosure:
             raise DomainError("coefficient magnitudes span more than the float64 exponent range")
         prev = carry[0]
         cum = _prefix_sums(w, carry)
-        # w_k / A_{k-1} -> 1 - (A_{k-1}/A_k)^p in place; the first term is A_1^p
+        # w_k / A_{k-1} -> 1 - (A_{k-1}/A_k)^p in place; the first term's
+        # w_1 / A_0 = inf gives exactly 1, so it is A_1^p
         np.divide(w[1:], cum[:-1], out=w[1:])
-        if size:
+        with np.errstate(divide="ignore"):
             w[0] /= prev
-        r = w if size else w[1:]
-        np.log1p(r, out=r)
-        r *= -p
-        np.expm1(r, out=r)
-        np.negative(r, out=r)
-        if not size:
-            w[0] = 1.0
+        np.log1p(w, out=w)
+        w *= -p
+        np.expm1(w, out=w)
+        np.negative(w, out=w)
         np.power(cum, p, out=cum)
         w *= cum
         del cum
         lo, hi = hurwitz_zeta(p, idx)
-        if not size:
-            zeta_max = float(hi[0])
+        zeta_max = max(zeta_max, float(hi[0]))
         lo *= w
         hi *= w
         sums_lo.append(float(np.sum(lo)))

@@ -1,6 +1,7 @@
 import contextlib
 import importlib
 import importlib.util
+import inspect
 import io
 import json
 import math
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frozen import run_frozen
-from cesdirichlet import cli, verification
+from cesdirichlet import cli, errors, verification
 from cesdirichlet.cli import dump_coeffs, load_coeffs, parse_and_dispatch
 from cesdirichlet.errors import InputError
 from cesdirichlet.kernels import sieve_primes
@@ -825,6 +826,48 @@ def test_convergence_error_exits_2(tmp_path, capsys, monkeypatch):
                                "--alpha", "0.45", "--prime-limit", "10000"])
     assert code == 2
     assert "failed to converge" in capsys.readouterr().err
+
+
+def test_monomial_check_m_past_the_float_range_exits_2(capsys):
+    # the monomial's int64 index check refuses m before float(m) overflows
+    assert parse_and_dispatch(["monomial-check", "--m", str(10 ** 400)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
+def test_project_r_past_the_float_range_keeps_f(tmp_path, capsys):
+    # p_r > r >= every index of f, so every index is r-smooth
+    path = write_coeffs(tmp_path, "f.json", [{"n": 35, "re": 0.5}, {"n": 1, "re": 1.0},
+                                             {"n": 6, "re": 2.0, "im": -1.0}])
+    assert parse_and_dispatch(["project", "--input", path, "--r", str(10 ** 400)]) == 0
+    want = json.dumps(dump_coeffs(load_coeffs(path)), indent=2, sort_keys=True) + "\n"
+    assert capsys.readouterr().out == want
+
+
+# the exit code of each exception class of ``cesdirichlet.errors``
+EXIT_BY_ERROR = {"DomainError": 2, "InputError": 2, "ResourceLimitError": 2,
+                 "ConvergenceError": 2, "ArgminTieError": 2, "SelfCheckError": 3}
+
+
+def test_every_error_class_maps_to_its_exit_code(capsys, monkeypatch):
+    # a class added without a mapping, or a mapping kept for a deleted
+    # class, fails the first assertion; a class the dispatcher does not map
+    # escapes it
+    classes = {name: cls for name, cls in inspect.getmembers(errors, inspect.isclass)
+               if cls.__module__ == errors.__name__}
+    assert set(classes) == set(EXIT_BY_ERROR)
+    for name, cls in classes.items():
+        exc = cls((1,), (2, 3)) if cls is errors.ArgminTieError else cls(f"a {name}")
+
+        def raise_it(args, exc=exc):
+            raise exc
+
+        monkeypatch.setattr(cli, "_cmd_delta_norm", raise_it)
+        code = parse_and_dispatch(["delta-norm", "--p", "2", "--sigma", "1"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (EXIT_BY_ERROR[name], ""), name
+        assert captured.err.endswith(f"{exc}\n") and captured.err.count("\n") == 1
 
 
 def test_estimate_m_past_table_names_m(tmp_path, capsys):

@@ -9,7 +9,7 @@ import pytest
 
 from cesdirichlet import kernels, multipliers, sequences
 from cesdirichlet.enclosure import LIB, TINY, U, ulp_down, ulp_up
-from cesdirichlet.errors import DomainError, SelfCheckError, WindowNotFoundError
+from cesdirichlet.errors import DomainError, SelfCheckError
 from cesdirichlet.kernels import (decrease_onset, lambert_w, log_power_sum, phi_alpha_deriv,
                                   phi_xlogx, sieve_primes)
 from cesdirichlet.multipliers import (
@@ -112,8 +112,7 @@ def test_find_rm_window_one_sided_always(table_1e5):
 def test_find_rm_unreachable_for_large_m(table_1e5):
     # p_r/(r log r) is still ~1.13 at the end of a 1e5 table, so
     # deviations below 1/9 are unverifiable
-    with pytest.raises(WindowNotFoundError):
-        find_rm(50, table_1e5)
+    assert find_rm(50, table_1e5) is None
 
 
 def test_find_rm_domain(table_1e5):
@@ -123,24 +122,20 @@ def test_find_rm_domain(table_1e5):
 
 def dense_find_rm(m, table):
     """The window scan over the whole table at once (five full-length
-    float arrays), the reference for the chunked ``find_rm``."""
+    float arrays), the reference for the chunked ``find_rm``: None where
+    no rank of the table qualifies."""
     if m < 2:
         raise DomainError(f"window parameter m must be >= 2, got {m}")
     count = len(table)
     if count < m + 2:
-        raise WindowNotFoundError(f"table with {count} primes is too short for m={m}")
+        return None
     r = np.arange(1, count + 1, dtype=np.float64)
     v = r * np.log(r)
     pr = table.read(0, count).astype(np.float64)
     ok = (m * pr / (m + 1.0) <= v) & (v <= m * pr / (m - 1.0))
     bad = np.nonzero(~ok)[0]
     r_m = m + 1 if bad.size == 0 else max(m + 1, int(bad[-1]) + 2)
-    if r_m > count:
-        raise WindowNotFoundError(
-            f"no r in 1..{count} satisfies the m={m} window through the table end "
-            f"(deviation at the end: {pr[-1] / v[-1] - 1.0:.4f} > 1/{m})"
-        )
-    return r_m
+    return r_m if r_m <= count else None
 
 
 def dense_test_function(m, alpha, e, table, r_m):
@@ -157,20 +152,13 @@ def dense_test_function(m, alpha, e, table, r_m):
     return DirichletPoly(CoeffSeq(support, values, _validated=True))
 
 
-def _outcome(fn, *args):
-    try:
-        return fn(*args)
-    except WindowNotFoundError as exc:
-        return f"WindowNotFoundError: {exc}"
-
-
 @pytest.mark.parametrize("block", [1, 3, 64])
 def test_chunked_find_rm_matches_dense(block, table_1e5, table_1e4, monkeypatch):
     monkeypatch.setattr(sequences, "BLOCK", block)
     short = sieve_primes(40)  # 12 primes: too short for m = 10 and 50
     for table in (table_1e5, table_1e4, sieve_primes(200), short):
         for m in (2, 3, 5, 10, 50):
-            assert _outcome(find_rm, m, table) == _outcome(dense_find_rm, m, table)
+            assert find_rm(m, table) == dense_find_rm(m, table)
 
 
 @pytest.mark.parametrize("block", [1, 3, 64])
