@@ -50,6 +50,10 @@ from .sequences import CoeffSeq, Exponent, _scale, _unscale, dq_norm
 SENTINEL = math.inf
 
 _ORACLE_SUPPORT_GUARD = 8
+# oracle ascents, a work bound: each is at most 24 sweeps over at most
+# 8 coordinates, up to 11 ms at support 8 on a 2-core x86-64 host, so
+# about 4.5 s
+_ORACLE_MAX_RESTARTS = 400
 # coordinate sweeps per ascent of the oracle
 _ORACLE_SWEEPS = 24
 # absolute slack of the Bennett equivalence window, scaled by max(1, dq)
@@ -259,6 +263,8 @@ def dual_norm_oracle(b: CoeffSeq, e: Exponent, restarts: int, seed: int = 0) -> 
         raise DomainError(f"seed must be >= 0, got {seed}")
     if restarts < 1:
         raise DomainError("need at least one restart")
+    if restarts > _ORACLE_MAX_RESTARTS:
+        raise ResourceLimitError(f"restart count exceeds the {_ORACLE_MAX_RESTARTS} work guard")
     if b.is_empty:
         return 0.0
     m = len(b)

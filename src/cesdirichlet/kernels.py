@@ -8,11 +8,15 @@ the derivative of (x log x)**alpha used by the prime-supported
 multiplier test functions.
 
 All functions here are pure; returned tables are immutable and safe to
-share across threads.
+share across threads.  A process sieves each prime limit once:
+``sieve_primes`` keeps the two most recently used tables, shared
+read-only: at most 1.3 MiB for limits up to 1e7, and about 97 MiB at
+the 1e9 guard.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -152,15 +156,26 @@ def _sieve(limit: int) -> tuple[np.ndarray, np.ndarray]:
     return halves, 1 + 2 * np.concatenate(marks)[:-(-count // BLOCK)]
 
 
+@functools.lru_cache(maxsize=2)
+def _table(limit: int, step: int) -> PrimeTable:
+    """The table of ``sieve_primes``; ``step`` is the ``BLOCK`` its marks follow."""
+    halves, marks = _sieve(limit)
+    return PrimeTable(limit=limit, halves=halves, marks=marks, step=step)
+
+
 def sieve_primes(limit: int) -> PrimeTable:
     """Complete table of primes <= limit (2 <= limit <= 1e9), with a mark
-    before every ``BLOCK``-th rank."""
+    before every ``BLOCK``-th rank.
+
+    Each (limit, ``BLOCK``) is sieved once while it stays among the two
+    most recently used, which are kept and shared read-only.  The limit
+    is checked on every call, before the lookup, so ``1e6`` stays an
+    error after ``10**6`` is kept."""
     if not isinstance(limit, (int, np.integer)) or limit < 2:
         raise DomainError(f"sieve limit must be an integer >= 2, got {limit!r}")
     if limit > _MAX_SIEVE_LIMIT:
         raise DomainError(f"sieve limit {limit} exceeds the {_MAX_SIEVE_LIMIT} memory guard")
-    halves, marks = _sieve(int(limit))
-    return PrimeTable(limit=int(limit), halves=halves, marks=marks, step=BLOCK)
+    return _table(int(limit), BLOCK)
 
 
 def smooth_mask(ns, r: int, table: PrimeTable) -> np.ndarray:

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frozen import run_frozen
-from cesdirichlet import cli, errors, verification
+from cesdirichlet import cli, dual, errors, multipliers, verification
 from cesdirichlet.cli import dump_coeffs, load_coeffs, parse_and_dispatch
 from cesdirichlet.errors import InputError
 from cesdirichlet.kernels import sieve_primes
@@ -388,6 +388,29 @@ def test_monomial_check_without_samples_exits_2(capsys, samples):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: sample count must be >= 1, got {samples}\n"
+
+
+@pytest.mark.parametrize("past", [1, "1" + "0" * 400], ids=["guard+1", "10**400"])
+@pytest.mark.parametrize("verb, flag, guard, rows", [
+    ("monomial-check", "--samples", multipliers._MAX_SAMPLES, None),
+    ("dual-norm", "--restarts", dual._ORACLE_MAX_RESTARTS, [{"n": 1, "re": 1.0}, {"n": 3, "re": 0.5}]),
+    ("dual-norm", "--restarts", dual._ORACLE_MAX_RESTARTS, []),
+], ids=["samples", "restarts", "restarts-empty"])
+def test_counts_past_the_work_guard_exit_2(tmp_path, capsys, past, verb, flag, guard, rows):
+    # a count past its guard is refused before any work, whatever the file holds
+    count = str(guard + past) if isinstance(past, int) else past
+    argv = [verb, "--p", "2", flag, count]
+    if rows is None:
+        argv += ["--m", "2"]
+    else:
+        argv += ["--input", write_coeffs(tmp_path, "b.json", rows), "--oracle"]
+    t0 = time.perf_counter()
+    assert parse_and_dispatch(argv) == 2
+    assert time.perf_counter() - t0 < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "work guard" in captured.err
 
 
 def test_multiplier_estimate_verb(tmp_path, capsys):
@@ -803,8 +826,6 @@ def test_product_index_past_int64_exits_2(tmp_path, capsys, argv, rows, out):
 
 def test_failed_self_check_exits_3(tmp_path, capsys, monkeypatch):
     # a reference of 0 makes every certified quotient exceed it
-    from cesdirichlet import multipliers
-
     monkeypatch.setattr(multipliers, "ar_norm", lambda *args: 0.0)
     path = write_coeffs(tmp_path, "f.json", UNIT)
     code = parse_and_dispatch(["multiplier-estimate", "--input", path, "--m", "5",
@@ -814,7 +835,6 @@ def test_failed_self_check_exits_3(tmp_path, capsys, monkeypatch):
 
 
 def test_convergence_error_exits_2(tmp_path, capsys, monkeypatch):
-    from cesdirichlet import multipliers
     from cesdirichlet.errors import ConvergenceError
 
     def no_convergence(beta):

@@ -46,8 +46,11 @@ def test_sieve_10():
     assert list(t.read(0, len(t))) == [2, 3, 5, 7]
 
 
-@pytest.mark.parametrize("bad", [1, 0, -5, 10 ** 9 + 1])
+@pytest.mark.parametrize("bad", [1, 0, -5, 10 ** 9 + 1, 1e6, True])
 def test_sieve_domain(bad):
+    # checked before the kept tables: 1e6 == 10**6 hashes alike, so a
+    # lookup first would hand the kept 10**6 table to the float
+    sieve_primes(10 ** 6)
     with pytest.raises(DomainError):
         sieve_primes(bad)
 
@@ -74,8 +77,11 @@ def test_segmented_sieve_agrees(monkeypatch):
         assert np.array_equal(table.read(0, len(table)), plain_sieve_reference(limit))
     # segments of 64 odd numbers and checkpoints every 5 ranks: many
     # boundaries of both, primes up to 1e4 crossing them
+    # _SEGMENT_SIZE is not part of the table cache's key: clear it, so the
+    # small segments really run whatever was sieved before
     monkeypatch.setattr(kernels, "_SEGMENT_SIZE", 64)
     monkeypatch.setattr(kernels, "BLOCK", 5)
+    kernels._table.cache_clear()
     for limit in (127, 128, 129, 10 ** 4 + 7):
         table = sieve_primes(limit)
         assert table.step == 5
@@ -87,6 +93,7 @@ def test_table_reads_match_decoded(step, monkeypatch):
     monkeypatch.setattr(kernels, "BLOCK", step)
     table = sieve_primes(600)
     ref = plain_sieve_reference(600)
+    assert table.step == step  # not a kept table of another step
     assert len(table) == ref.size == 109
     for start in range(ref.size + 1):
         for stop in (start, start + 1, start + 2, start + 7, ref.size, ref.size + 3):
@@ -97,6 +104,33 @@ def test_table_reads_match_decoded(step, monkeypatch):
         assert table.nth(r) == ref[r - 1]
     for value in range(-1, 605):
         assert table.rank(value) == np.searchsorted(ref, value, side="right")
+
+
+def test_sieve_keeps_each_table():
+    table = sieve_primes(10 ** 6)
+    assert sieve_primes(10 ** 6) is table
+    assert sieve_primes(np.int64(10 ** 6)) is table
+    halves, marks = kernels._sieve(10 ** 6)
+    assert np.array_equal(table.halves, halves) and np.array_equal(table.marks, marks)
+    assert (table.limit, table.step) == (10 ** 6, kernels.BLOCK)
+    assert not table.halves.flags.writeable and not table.marks.flags.writeable
+    with pytest.raises(ValueError):
+        table.halves[0] = 1
+
+
+def test_sieve_keeps_two_tables_until_cleared():
+    kernels._table.cache_clear()
+    first = sieve_primes(1000)
+    second = sieve_primes(2000)
+    assert sieve_primes(1000) is first and sieve_primes(2000) is second
+    assert kernels._table.cache_info().currsize == 2
+    sieve_primes(3000)  # evicts the least recently used, 1000
+    again = sieve_primes(1000)
+    assert again is not first and np.array_equal(again.halves, first.halves)
+    kernels._table.cache_clear()
+    fresh = sieve_primes(2000)
+    assert fresh is not second and np.array_equal(fresh.halves, second.halves)
+    assert kernels._table.cache_info().misses == 1
 
 
 def test_table_odd_first_gap():
