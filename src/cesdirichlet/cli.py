@@ -185,16 +185,7 @@ def _cmd_convolve(args):
 
 
 def _cmd_project(args):
-    f = DirichletPoly(load_coeffs(args.input))
-    # no prime past min(max index, p_r) decides r-smoothness:
-    # p_r < r (ln r + ln ln r) for r >= 6 (Rosser and Schoenfeld, Illinois
-    # J. Math. 1962), and p_r <= 11 below; from r = max index on, p_r > r
-    # leaves the max index without the bound
-    r, limit = args.r, f.max_index
-    if r < limit:
-        limit = min(limit, 11 if r < 6 else math.ceil(r * (math.log(r) + math.log(math.log(r)))))
-    table = sieve_primes(max(2, limit))
-    h = qr_project(f, args.r, table)
+    h = qr_project(DirichletPoly(load_coeffs(args.input)), args.r)
     return json.dumps(dump_coeffs(h.coeffs), indent=2, sort_keys=True) + "\n"
 
 

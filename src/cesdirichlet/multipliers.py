@@ -15,9 +15,9 @@ identity numerically from both sides:
 * ``find_rm`` scans a prime table for the onset of the two-sided
   prime-counting window  m p_r/(m+1) <= r log r <= m p_r/(m-1), and
   returns None when the table holds no such onset.  The upper half
-  holds unconditionally (r log r < p_r for every r), but the lower half
-  requires p_r/(r log r) <= 1 + 1/m, which at desk scale is only
-  reachable for small m: the ratio still sits at ~1.122 at the
+  holds unconditionally (r log r < p_r for every r, Rosser 1939), but
+  the lower half requires p_r/(r log r) <= 1 + 1/m, which at desk scale
+  is only reachable for small m: the ratio still sits at ~1.122 at the
   664579-th prime (the last below 10^7), so no verified window exists
   for m >= 9 within a 10^7 table.  Estimates built without a verified
   window carry ``window_verified=False``, a ``heuristic-window`` flag in
@@ -74,6 +74,8 @@ _LEMMA_J_REL_SLACK = 1e-12
 # and two Cesaro norms of at most 200 terms, 0.3-0.55 ms on a 2-core
 # x86-64 host, so about 5 s
 _MAX_SAMPLES = 10_000
+# the largest index of a random probe g of the monomial law
+_PROBE_MAX_INDEX = 200
 
 
 @dataclass(frozen=True)
@@ -126,12 +128,14 @@ def monomial_multiplier_check(
         raise ResourceLimitError(f"sample count exceeds the {_MAX_SAMPLES} work guard")
     if m == 1:
         return True, 1.0
-    mono = DirichletPoly.from_pairs([(m, 1.0)])  # an index past int64 raises DomainError here
+    if m * max(_PROBE_MAX_INDEX, j_probe) > 2 ** 53:  # the Cesaro norms' index range
+        raise DomainError(f"m={m} times max({_PROBE_MAX_INDEX}, j_probe={j_probe}) passes 2**53")
+    mono = DirichletPoly.from_pairs([(m, 1.0)])
     bound = float(m) ** (-1.0 / e.q)
     rng = np.random.default_rng(seed)
     upper_ok = True
     for _ in range(samples):
-        g = DirichletPoly(sequences.random_seq(rng, max_index=200))
+        g = DirichletPoly(sequences.random_seq(rng, max_index=_PROBE_MAX_INDEX))
         prod = convolve(mono, g, m * g.max_index)
         lhs = ces_norm(prod.coeffs, e)
         rhs = ces_norm(g.coeffs, e)
@@ -149,12 +153,12 @@ def monomial_multiplier_check(
 # ---------------------------------------------------------------------------
 
 def find_rm(m: int, table: PrimeTable) -> int | None:
-    """Smallest r_m > m such that
-    m p_r/(m+1) <= r log r <= m p_r/(m-1) for every r from r_m through
-    the end of the table, or None when no rank qualifies: the table holds
-    fewer than m + 2 primes, or even its last rank fails (the case for
-    m >= 9 with tables up to 10^7).  The certification is empirical over
-    the table range only.
+    """Smallest r_m > m such that m p_r/(m+1) <= r log r <= m p_r/(m-1)
+    for every r from r_m through the end of the table, or None when no
+    rank qualifies: the table holds fewer than m + 2 primes, or even its
+    last rank fails (the case for m >= 9 with tables up to 10^7).  Only
+    the lower half is tested, empirically over the table range: r log r
+    < p_r (Rosser 1939, see ``kernels``) settles the upper, in float64 too.
 
     The table is scanned from its end in chunks of ``sequences.BLOCK``
     ranks, each decoded from its checkpoint, stopping at the first chunk
@@ -170,7 +174,7 @@ def find_rm(m: int, table: PrimeTable) -> int | None:
         r = np.arange(s + 1, min(s + step, count) + 1, dtype=np.float64)
         v = r * np.log(r)  # r log r; r=1 gives 0 and fails the lower side
         pr = table.read(s, s + step).astype(np.float64)
-        bad = np.flatnonzero(~((m * pr / (m + 1.0) <= v) & (v <= m * pr / (m - 1.0))))
+        bad = np.flatnonzero(m * pr / (m + 1.0) > v)
         if bad.size:
             last_bad = s + int(bad[-1])
             break
@@ -370,6 +374,8 @@ def noncompactness_bound(f: DirichletPoly, m: int, e: Exponent) -> bool:
         raise DomainError("the bound is vacuous for f = 0")
     if m < 1:
         raise DomainError(f"m must be >= 1, got {m}")
+    if m * f.max_index > 2 ** 53:  # the Cesaro norms' index range
+        raise DomainError(f"m={m} times the largest index {f.max_index} of f passes 2**53")
     prod = convolve(DirichletPoly.from_pairs([(m, 1.0)]), f, m * f.max_index)
     lhs = ces_norm(prod.coeffs, e)
     rhs = ces_norm(f.coeffs, e)

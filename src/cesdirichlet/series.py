@@ -23,7 +23,7 @@ import numpy as np
 
 from . import sequences
 from .errors import DomainError
-from .kernels import PrimeTable, smooth_mask
+from .kernels import smooth_mask
 from .sequences import CoeffSeq, PrimeCoeffs, Reader
 
 
@@ -186,15 +186,12 @@ def evaluate(f: DirichletPoly, s: EvalPoint) -> complex:
     return value
 
 
-def qr_project(f: DirichletPoly, r: int, table: PrimeTable) -> DirichletPoly:
-    """Keep exactly the coefficients whose index is p_1..p_r smooth.
-
-    The table must suffice to decide smoothness of every support index
-    (DomainError otherwise, propagated from the membership test).
-    """
+def qr_project(f: DirichletPoly, r: int) -> DirichletPoly:
+    """Keep exactly the coefficients whose index is p_1..p_r smooth
+    (``smooth_mask`` decides every index)."""
     c = f.coeffs
     if c.is_empty:
         return f
-    keep = smooth_mask(c.idx.tolist(), r, table)
+    keep = smooth_mask(c.idx.tolist(), r)
     return DirichletPoly(CoeffSeq(c.idx[keep].copy(), c.val[keep].copy(),
                                   _validated=True))

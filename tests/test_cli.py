@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frozen import run_frozen
-from cesdirichlet import cli, dual, errors, multipliers, verification
+from cesdirichlet import cli, dual, errors, kernels, multipliers, verification
 from cesdirichlet.cli import dump_coeffs, load_coeffs, parse_and_dispatch
 from cesdirichlet.errors import InputError
 from cesdirichlet.kernels import sieve_primes
@@ -309,7 +309,7 @@ def test_project_sieves_only_to_p_r(tmp_path, capsys, monkeypatch):
     path = write_coeffs(tmp_path, "f.json", [{"n": 12, "re": 1.0}, {"n": 2 * 10 ** 9, "re": 2.0},
                                              {"n": 7, "re": 1.0}, {"n": 10 ** 8, "re": 3.0}])
     limits = []
-    monkeypatch.setattr(cli, "sieve_primes", lambda limit: limits.append(limit) or sieve_primes(limit))
+    monkeypatch.setattr(kernels, "sieve_primes", lambda limit: limits.append(limit) or sieve_primes(limit))
     for r, kept in ((1, []), (3, [12, 10 ** 8, 2 * 10 ** 9]), (4, [7, 12, 10 ** 8, 2 * 10 ** 9]),
                     (10 ** 5, [7, 12, 10 ** 8, 2 * 10 ** 9])):
         assert parse_and_dispatch(["project", "--input", path, "--r", str(r)]) == 0
@@ -848,8 +848,24 @@ def test_convergence_error_exits_2(tmp_path, capsys, monkeypatch):
     assert "failed to converge" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("m", ["10000000000", "100000000000000"])
+def test_monomial_check_m_past_2_53_exits_2_before_any_sample(capsys, m):
+    # m * j_probe (10**16 at the default j_probe of 10**6) or m * 200 (the
+    # random probes' largest index) past 2**53 is refused with the other
+    # argument checks, before the Hurwitz kernel sees the index
+    t0 = time.perf_counter()
+    assert parse_and_dispatch(["monomial-check", "--m", m, "--p", "2", "--samples", "2"]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert f"m={m}" in captured.err and "j_probe=1000000" in captured.err
+    # 9e9 * 10**6 = 9e15 <= 2**53
+    assert parse_and_dispatch(["monomial-check", "--m", "9000000000", "--p", "2", "--samples", "2"]) == 0
+
+
 def test_monomial_check_m_past_the_float_range_exits_2(capsys):
-    # the monomial's int64 index check refuses m before float(m) overflows
+    # the m * j_probe guard refuses m before float(m) overflows
     assert parse_and_dispatch(["monomial-check", "--m", str(10 ** 400)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

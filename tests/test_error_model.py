@@ -1,17 +1,20 @@
 """The premises of the error model in ``enclosure`` on the host that runs
 the tests: numpy's ``power``, ``log``, ``log1p``, ``expm1`` and complex
 ``abs`` within 4 ulps (``LIB`` = 8 U relative) over the arguments their
-call sites pass, and elementwise results that do not depend on how an
+call sites pass, elementwise results that do not depend on how an
 array is chunked (the streamed readers evaluate the same entries in
-blocks of any alignment)."""
+blocks of any alignment), and ``np.sum`` of a contiguous float64 array
+within gamma(``pairwise_depth(n)``) of the exact sum, relative to the
+sum of the moduli."""
 
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
 
-from cesdirichlet.enclosure import LIB
+from cesdirichlet.enclosure import LIB, U, gamma, pairwise_depth
 
 # 4 ulps, the premise behind LIB = 8 U: an ulp is between U and 2 U of
 # the value it is taken at
@@ -91,3 +94,29 @@ def test_library_function_ignores_chunking(name):
         in_place = args[0].copy()
         ufunc(in_place, *args[1:], out=in_place)
         assert whole.tobytes() == in_place.tobytes()
+
+
+def _exact_sum(x: np.ndarray) -> Fraction:
+    """The exact sum of the float64 array x: its terms are dyadic."""
+    ratios = [v.as_integer_ratio() for v in x.tolist()]
+    den = max(d for _, d in ratios)
+    return Fraction(sum(n * (den // d) for n, d in ratios), den)
+
+
+@pytest.mark.parametrize("n", [7, 128, 129, 1000, 2 ** 15, 2 ** 16 + 3])
+def test_np_sum_within_the_pairwise_bound(n):
+    rng = np.random.default_rng(n)
+    # 1 and then n - 1 halves of its ulp: each addition in turn rounds the
+    # half away (to even), so only a sum that adds them up first keeps them
+    adversarial = np.concatenate(([1.0], np.full(n - 1, U)))
+    for x in (rng.uniform(0.0, 1.0, n), np.exp(rng.uniform(-30.0, 30.0, n)), adversarial):
+        assert x.flags.c_contiguous and x.dtype == np.float64
+        exact = _exact_sum(x)  # every term is positive
+        bound = Fraction(gamma(pairwise_depth(n))) * exact
+        assert abs(Fraction(float(np.sum(x))) - exact) <= bound
+    # a left-to-right sum is off by n - 1 U, past the bound from n = 128 on:
+    # the adversarial array tells a sequential np.sum from a pairwise one
+    sequential = float(np.cumsum(adversarial)[-1])
+    exact = _exact_sum(adversarial)
+    assert sequential == 1.0 and exact - 1 == (n - 1) * Fraction(U)
+    assert (exact - 1 > Fraction(gamma(pairwise_depth(n))) * exact) == (n >= 128)

@@ -383,50 +383,99 @@ def test_decrease_onset():
 # smoothness
 # ---------------------------------------------------------------------------
 
-@pytest.fixture(scope="module")
-def table100():
-    return sieve_primes(100)
+def smooth_mask_reference(ns, r, table):
+    """The former ``smooth_mask``: the caller's table, and a DomainError
+    where its primes cannot decide."""
+    ns = [int(n) for n in ns]
+    if min(ns, default=1) < 1:
+        raise DomainError(f"smoothness is defined for positive integers, got {min(ns)}")
+    if r < 1:
+        raise DomainError(f"prime count r must be >= 1, got {r}")
+    root = math.isqrt(max(ns, default=1))
+    count = min(r, len(table), kernels._pi_upper(root)) if root >= 2 else 0
+    decoded = table.read(0, count)
+    roots = decoded[:np.searchsorted(decoded, root, side="right")].tolist()
+    p_r = None if r > len(table) else int(decoded[r - 1]) if r <= count else table.nth(r)
+    out = np.empty(len(ns), dtype=bool)
+    for k, n in enumerate(ns):
+        whole = True  # n not cut short by p * p > n
+        for p in roots:
+            if p * p > n:
+                whole = False
+                break
+            while n % p == 0:
+                n //= p
+        if n == 1 or (whole and len(roots) == r):
+            out[k] = n == 1  # else every factor of n lies past p_r
+        elif (not whole or root <= table.limit) and (p_r is not None or n <= table.limit):
+            # every prime <= sqrt(n) was tried, so n is a prime; with r past
+            # the table, a prime <= the limit is in it
+            out[k] = p_r is None or n <= p_r
+        else:
+            # n's factors lie past the table, maybe among p_{len+1}..p_r
+            raise DomainError(
+                f"prime table with {len(table)} primes cannot decide {r}-smoothness of remainder {n}"
+            )
+    return out
 
 
-def test_smooth_one(table100):
+def test_smooth_one():
     for r in (1, 2, 5):
-        assert kernels.smooth_mask([1], r, table100)[0]
+        assert kernels.smooth_mask([1], r)[0]
 
 
-def test_smooth_examples(table100):
-    assert kernels.smooth_mask([12], 2, table100)[0]      # 2^2 * 3
-    assert not kernels.smooth_mask([10], 2, table100)[0]  # factor 5
-    assert kernels.smooth_mask([10], 3, table100)[0]
-    assert kernels.smooth_mask([97], 25, table100)[0]
-    assert not kernels.smooth_mask([97], 24, table100)[0]
+def test_smooth_examples():
+    assert kernels.smooth_mask([12], 2)[0]      # 2^2 * 3
+    assert not kernels.smooth_mask([10], 2)[0]  # factor 5
+    assert kernels.smooth_mask([10], 3)[0]
+    assert kernels.smooth_mask([97], 25)[0]
+    assert not kernels.smooth_mask([97], 24)[0]
 
 
-def test_smooth_undecidable():
-    small = sieve_primes(10)  # primes 2, 3, 5, 7
-    with pytest.raises(DomainError):
-        kernels.smooth_mask([11 * 13], 20, small)
+def test_smooth_past_the_sieve_guard():
+    # p_r for r = 10**8 may lie anywhere below 2.1e9, past the 1e9 guard,
+    # and 2e9 + 11 is prime: no table the guard allows decides it
+    with pytest.raises(DomainError, match="memory guard"):
+        kernels.smooth_mask([2 * 10 ** 9 + 11], 10 ** 8)
+
+
+def test_smooth_mask_matches_the_reference():
+    # the reference decides a batch with one table, or refuses the whole
+    # batch.  A batch holds the n of one integer square root, so that the
+    # reference gives every part of it, a single n too, the same answers.
+    # Wherever the reference decides, smooth_mask agrees; where it refuses,
+    # smooth_mask decides as the largest prime factor says
+    ns = np.arange(1, 2500)
+    primes = sieve_primes(2500).read(0, 2500)
+    top_rank = np.zeros(ns.size + 1, dtype=np.int64)  # rank of n's largest prime factor
+    for rank, p in enumerate(primes.tolist(), 1):
+        top_rank[p::p] = rank
+    batches = [range(k * k, min((k + 1) ** 2, 2500)) for k in range(1, 50)]
+    refused = 0
+    for r in list(range(1, 41)) + [10 ** 6]:
+        got = kernels.smooth_mask(ns, r)
+        assert got.tolist() == (top_rank[1:] <= r).tolist()
+        for table in (sieve_primes(10), sieve_primes(100), sieve_primes(1000)):
+            for batch in batches:
+                mine = got[batch.start - 1:batch.stop - 1].tolist()
+                try:
+                    want = smooth_mask_reference(batch, r, table).tolist()
+                except DomainError:
+                    refused += len(batch)
+                    continue
+                assert mine == want
+    assert refused > 0
 
 
 def test_smooth_mask_matches_single_calls():
-    # one decode for many n: the same answers, and the same refusal when
-    # one n is undecidable from the table
-    for table in (sieve_primes(10), sieve_primes(100)):
-        for r in (1, 2, 4, 5, 25, 26, 40):
-            ns = list(range(1, 400))
-            singles = []
-            for n in ns:
-                try:
-                    singles.append(kernels.smooth_mask([n], r, table)[0])
-                except DomainError:
-                    singles.append(None)
-            if None in singles:
-                with pytest.raises(DomainError, match="cannot decide"):
-                    kernels.smooth_mask(ns, r, table)
-                ns = [n for n, ok in zip(ns, singles) if ok is not None]
-                singles = [ok for ok in singles if ok is not None]
-            assert kernels.smooth_mask(ns, r, table).tolist() == singles
+    # one decode for many n: the same answers as one n at a time, each
+    # of which sieves its own, smaller table
+    for r in (1, 2, 4, 5, 25, 26, 40):
+        ns = list(range(1, 400))
+        singles = [kernels.smooth_mask([n], r)[0] for n in ns]
+        assert kernels.smooth_mask(ns, r).tolist() == singles
     with pytest.raises(DomainError, match="positive"):
-        kernels.smooth_mask([3, 0], 2, sieve_primes(10))
+        kernels.smooth_mask([3, 0], 2)
 
 
 def test_smooth_mask_matches_factorization():
@@ -440,7 +489,7 @@ def test_smooth_mask_matches_factorization():
                 while n % p == 0:
                     n //= p
             want.append(n == 1)
-        assert kernels.smooth_mask(ns, r, table).tolist() == want
+        assert kernels.smooth_mask(ns, r).tolist() == want
 
 
 def test_smooth_reads_only_primes_to_the_root(monkeypatch):
@@ -460,7 +509,7 @@ def test_smooth_reads_only_primes_to_the_root(monkeypatch):
     for n, smooth in ((p_r, True), (2 * p_r, True), (p_next, False), (3 * p_next, False),
                       (10 ** 6, True), (997 * 1009, True), (p_r * p_next, False)):
         decoded.clear()
-        assert kernels.smooth_mask([n], r, table)[0] == smooth
+        assert kernels.smooth_mask([n], r)[0] == smooth
         assert sum(decoded) <= kernels._pi_upper(math.isqrt(n)) + 1
 
 
@@ -476,4 +525,4 @@ def test_smooth_matches_factorization(n, r):
             break
         while m % p == 0:
             m //= p
-    assert kernels.smooth_mask([n], r, table)[0] == (m == 1)
+    assert kernels.smooth_mask([n], r)[0] == (m == 1)

@@ -101,12 +101,14 @@ def test_find_rm_small_m(table_1e5):
         assert rm > m
 
 
-def test_find_rm_window_one_sided_always(table_1e5):
-    # the upper half r log r <= m p_r/(m-1) holds for every r >= 2
-    # (r log r < p_r), so only the lower half can fail
-    primes = table_1e5.read(0, len(table_1e5)).astype(float)
-    rs = np.arange(2, len(table_1e5) + 1, dtype=float)
-    assert np.all(rs * np.log(rs) < primes[1:])
+def test_find_rm_window_one_sided_always():
+    # the upper half r log r <= m p_r/(m-1) holds for every r >= 1
+    # (r log r < p_r, Rosser 1939), so only the lower half can fail: in
+    # float64 too, as the scan computes it, over the 1e6 table
+    table = sieve_primes(10 ** 6)
+    primes = table.read(0, len(table)).astype(np.float64)
+    rs = np.arange(1, len(table) + 1, dtype=np.float64)
+    assert np.all(rs * np.log(rs) < primes)
 
 
 def test_find_rm_unreachable_for_large_m(table_1e5):
@@ -150,6 +152,13 @@ def dense_test_function(m, alpha, e, table, r_m):
     values = phi_alpha_deriv(rs, alpha).astype(np.complex128)
     support = table.read(r_m - 1, len(table))
     return DirichletPoly(CoeffSeq(support, values, _validated=True))
+
+
+def test_find_rm_one_sided_scan_matches_two_sided(table_1e5, table_1e4):
+    # the scan tests the lower half only; the reference tests both
+    for table in (table_1e4, table_1e5, sieve_primes(10 ** 6)):
+        for m in range(2, 13):
+            assert find_rm(m, table) == dense_find_rm(m, table)
 
 
 @pytest.mark.parametrize("block", [1, 3, 64])
@@ -571,6 +580,14 @@ def test_noncompact_campaign():
 def test_noncompact_rejects_zero():
     with pytest.raises(DomainError):
         noncompactness_bound(DirichletPoly(CoeffSeq.empty()), 2, E2)
+
+
+def test_noncompact_refuses_products_past_2_53():
+    # m times the largest index of f must stay in the Cesaro norms' range
+    f = DirichletPoly.from_pairs([(1, 1.0), (3, 2.0)])
+    assert noncompactness_bound(f, 2 ** 53 // 3, E2)
+    with pytest.raises(DomainError, match="m=3002399751580331"):
+        noncompactness_bound(f, 2 ** 53 // 3 + 1, E2)
 
 
 # ---------------------------------------------------------------------------

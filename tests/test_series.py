@@ -7,7 +7,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cesdirichlet import sequences
+from frozen import frozen
+
+from cesdirichlet import kernels, sequences
 from cesdirichlet.enclosure import gamma
 from cesdirichlet.errors import DomainError
 from cesdirichlet.kernels import sieve_primes
@@ -87,15 +89,21 @@ def exact_convolution(*polys):
     return exact, mass, count
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(f=small_polys, g=small_polys)
-@example(f=poly((1, 1.8125), (2, 1), (3, 1), (5, -1 + 1.3e-79j)),
-         g=poly((1, -1.8125 + 8e-91j), (2, 1), (3, 1), (5, -1 + 1.3e-79j)))
+def frozen_poly(coeffs):
+    """A frozen example's ``{index: value}`` as a ``DirichletPoly``."""
+    return DirichletPoly(CoeffSeq.from_pairs(coeffs.items()))
+
+
+# frozen (see ``frozen.py``): 200 draws of small_polys for f and g, after
+# the example f = 1.8125 + 2^-s + 3^-s + (-1 + 1.3e-79j) 5^-s,
+# g = (-1.8125 + 8e-91j) + 2^-s + 3^-s + (-1 + 1.3e-79j) 5^-s
+@frozen
 def test_convolve_commutative(f, g):
     # both orders against the exact convolution.  A complex product is
     # within sqrt(2) gamma(2) of exact and k summed products add gamma(k - 1),
     # relative to sum_{ij=n} |f_i||g_j|: colliding products that cancel
     # leave order-dependent residues, or exact zeros (dropped, read as 0)
+    f, g = frozen_poly(f), frozen_poly(g)
     limit = f.max_index * g.max_index
     exact, mass, count = exact_convolution(f, g)
     for h in (convolve(f, g, limit), convolve(g, f, limit)):
@@ -183,20 +191,13 @@ def convolve_reference(f: DirichletPoly, g: DirichletPoly, limit: int) -> Dirich
     return DirichletPoly(CoeffSeq(idx[starts], np.add.reduceat(val, starts)))
 
 
-# supports from a small range collide often; integer values cancel exactly
-block_polys = st.dictionaries(
-    st.integers(min_value=1, max_value=60),
-    st.one_of(st.complex_numbers(min_magnitude=1e-3, max_magnitude=5.0,
-                                 allow_nan=False, allow_infinity=False),
-              st.sampled_from([1.0, -1.0, 2.0, 1j])),
-    min_size=1, max_size=40,
-).map(lambda d: DirichletPoly(CoeffSeq.from_pairs(d.items())))
-
-
-@settings(derandomize=True, deadline=None, max_examples=200)
-@given(f=block_polys, g=block_polys, block=st.sampled_from([1, 2, 3, 5, 16, 1 << 15, 1 << 16]),
-       cut=st.floats(0.0, 1.2))
+# frozen (see ``frozen.py``): f and g drew 1..40 indices in 1..60, a range
+# small enough that products collide often, with values of modulus in
+# [1e-3, 5] or one of 1, -1, 2 and 1j, so that integer values cancel
+# exactly; block from 1, 2, 3, 5, 16, 2^15 and 2^16; cut in [0, 1.2]
+@frozen
 def test_convolve_matches_reference_bitwise(f, g, block, cut):
+    f, g = frozen_poly(f), frozen_poly(g)
     limit = max(1, int(cut * f.max_index * g.max_index))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sequences, "BLOCK", block)
@@ -375,27 +376,24 @@ def test_point_eval_bound_random_campaign():
 # smooth projection
 # ---------------------------------------------------------------------------
 
-@pytest.fixture(scope="module")
-def table():
-    return sieve_primes(100)
-
-
-def test_qr_powers_of_two(table):
+def test_qr_powers_of_two():
     f = ones_upto(6)
-    assert qr_project(f, 1, table).coeffs.idx.tolist() == [1, 2, 4]
+    assert qr_project(f, 1).coeffs.idx.tolist() == [1, 2, 4]
 
 
-def test_qr_keeps_one(table):
-    assert qr_project(ONE, 3, table) == ONE
+def test_qr_keeps_one():
+    assert qr_project(ONE, 3) == ONE
 
 
-def test_qr_insufficient_table():
-    tiny = sieve_primes(10)  # cannot decide 8-smoothness of 143 = 11 * 13
-    with pytest.raises(DomainError):
-        qr_project(poly((143, 1.0)), 8, tiny)
+def test_qr_keeps_143_at_r_8():
+    # 143 = 11 * 13 = p_5 p_6: smooth_mask sieves what it needs, where a
+    # table to 10 once left 8-smoothness of 143 undecided
+    assert kernels.smooth_mask([143], 20)[0]
+    assert not kernels.smooth_mask([143], 5)[0]
+    assert qr_project(poly((143, 1.0)), 8) == poly((143, 1.0))
 
 
-def test_qr_multiplicative_exact(table):
+def test_qr_multiplicative_exact():
     rng = np.random.default_rng(11)
     for _ in range(50):
         size_f, size_g = rng.integers(1, 9, size=2)
@@ -409,6 +407,6 @@ def test_qr_multiplicative_exact(table):
             continue
         limit = f.max_index * g.max_index
         for r in (1, 2, 3):
-            left = qr_project(convolve(f, g, limit), r, table)
-            right = convolve(qr_project(f, r, table), qr_project(g, r, table), limit)
+            left = qr_project(convolve(f, g, limit), r)
+            right = convolve(qr_project(f, r), qr_project(g, r), limit)
             assert left == right
