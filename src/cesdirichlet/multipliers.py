@@ -61,7 +61,7 @@ from .kernels import (
 )
 from .sequences import (CoeffSeq, Exponent, PrimeCoeffs, abs_sum_exponent, ar_norm, ces_norm,
                         ces_norm_stream)
-from .series import DirichletPoly, convolve, product_blocks
+from .series import DirichletPoly, convolve, product_blocks, products_distinct
 
 HEURISTIC_WINDOW_FLAG = "heuristic-window"
 DESK_SCALE_FLAG = "desk-scale"
@@ -236,6 +236,9 @@ def multiplier_lower_estimate(
     window onset of ``find_rm``, else the minimal admissible anchor m + 1.
     The product f*g runs over the whole table, to ``table.limit`` times the
     largest index of f, and is streamed through the Cesaro sum, never stored.
+    Where no two products share an index (``products_distinct``), it
+    streams |f|*g instead: |c_(ip)| = |a_i| g_p, the same norm in float64,
+    with |a_i| from C ``hypot`` (``enclosure``); a real f keeps its bits.
 
     ``reference`` records the weighted-ell^1 norm  sum |a_n| n^{-1/q},
     which the quotient can never exceed: a quotient above its certified
@@ -256,7 +259,10 @@ def multiplier_lower_estimate(
     conv_limit = table.limit * f.max_index
     # sum |c_n| <= sum |a_k| sum |b_m| scales the streamed product f*g
     scale = abs_sum_exponent(f.coeffs) + abs_sum_exponent(g.coeffs)
-    num = ces_norm_stream(product_blocks(f, g, conv_limit), scale, e)
+    v = f.coeffs.val
+    factor = (DirichletPoly(CoeffSeq(f.coeffs.idx, np.hypot(v.real, v.imag), _validated=True))
+              if products_distinct(f, g) else f)
+    num = ces_norm_stream(product_blocks(factor, g, conv_limit), scale, e)
     den = ces_norm(g.coeffs, e)
     ratio = num.lo / den.hi
     reference = ar_norm(f.coeffs, 1.0 / e.q)

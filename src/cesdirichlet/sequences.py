@@ -29,7 +29,7 @@ be stored; ``ces_norm`` is that sum over its own blocks.  Each block's
 |a| is transformed in place, and while the next block is built only the
 previous block's index and |a| arrays are still held.  Every norm
 scales |a| by a power of two first, so only a norm beyond the float64
-range raises.
+range raises, or a modulus beyond it (which finite parts may have).
 """
 
 from __future__ import annotations
@@ -69,12 +69,12 @@ class CoeffSeq:
     nonzero values.
 
     Values are complex128, except where a trusted builder passes
-    ``_validated=True`` with real float64 values (a product of
-    ``PrimeCoeffs``); every consumer reads them through abs, products or
-    ``real``/``imag``, so both kinds behave the same.  Either array may be
-    a read-only view.  The support is reached only through ``idx``,
-    ``read``, ``rank`` and ``max_index``; the rest is written on top of
-    them and ``val``, and ``Reader`` reads both kinds in order.
+    ``_validated=True`` with real float64 values (a product with a
+    ``PrimeCoeffs``, or moduli); every consumer reads them through abs,
+    products or ``real``/``imag``, so both kinds behave the same.  Either
+    array may be a read-only view.  The support is reached only through
+    ``idx``, ``read``, ``rank`` and ``max_index``; the rest is written on
+    top of them and ``val``, and ``Reader`` reads both kinds in order.
     """
 
     __slots__ = ("idx", "val")
@@ -135,7 +135,11 @@ class CoeffSeq:
         return [(int(n), complex(v)) for n, v in zip(self.idx, self.val)]
 
     def abs_values(self) -> np.ndarray:
-        return np.abs(self.val)
+        with np.errstate(over="ignore"):  # finite parts, a modulus past the float64 range
+            w = np.abs(self.val)
+        if not np.isfinite(w).all():
+            raise DomainError("a coefficient modulus exceeds the float64 range")
+        return w
 
     def read(self, start: int, stop: int, prev: int | None = None) -> np.ndarray:
         """Support entries start..stop-1, a view (``prev`` is unused)."""
@@ -319,7 +323,11 @@ def abs_sum_exponent(a: CoeffSeq) -> int:
     if a.is_empty:
         return 0
     vals = [a.val[s:s + BLOCK] for s in range(0, len(a), BLOCK)]
-    shift = math.frexp(max(float(np.max(np.abs(v))) for v in vals))[1]
+    with np.errstate(over="ignore"):  # finite parts, a modulus past the float64 range
+        top = max(float(np.max(np.abs(v))) for v in vals)
+    if top == math.inf:
+        raise DomainError("a coefficient modulus exceeds the float64 range")
+    shift = math.frexp(top)[1]
     total = math.fsum(float(np.sum(np.ldexp(np.abs(v), -shift))) for v in vals)
     return shift + math.frexp(total)[1]
 

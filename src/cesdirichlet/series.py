@@ -75,12 +75,12 @@ def product_blocks(f: DirichletPoly, g: DirichletPoly, limit: int):
     left for the next block, so it reads each entry of g once.
 
     Each block is scanned for equal indices, non-finite values and
-    zeros, unless one look per call rules all three out: g is a
-    ``PrimeCoeffs`` whose first prime exceeds f's largest index (i p =
-    i' p' then forces p = p', so no two products share an index), and
-    the extreme moduli of f's and g's values (g read in blocks) keep
-    every |a_i b_j| within 2^-1020..2^1020, so that no product, complex
-    or real, overflows or rounds to 0.
+    zeros, unless one look per call rules all three out: no two products
+    share an index (``products_distinct``), and the extreme moduli of
+    f's and g's values (g read in blocks) keep every |a_i b_j| within
+    2^-1020..2^1020, so that no product, complex or real, overflows or
+    rounds to 0.  Real f and g (f's moduli, as the multiplier estimate
+    streams them) multiply, merge and gather float64, not complex128.
     """
     if limit < 1:
         raise DomainError(f"convolution limit must be >= 1, got {limit}")
@@ -95,8 +95,7 @@ def product_blocks(f: DirichletPoly, g: DirichletPoly, limit: int):
     if limit > _INT64_MAX and (ga.rank([min(_INT64_MAX // i, t) for i, t in
                                         zip(fi.tolist(), tops)]) < cap).any():
         raise DomainError("a product index up to the convolution limit exceeds int64")
-    scan = not (isinstance(ga, PrimeCoeffs) and int(ga.read(0, 1)[0]) > int(fi[-1])
-                and _products_normal(fv, ga.val))
+    scan = not (products_distinct(f, g) and _products_normal(fv, ga.val))
     pos = np.zeros_like(cap)
     readers = [Reader(ga) for _ in range(len(fi))]
     while (live := np.flatnonzero(pos < cap)).size:
@@ -115,8 +114,8 @@ def product_blocks(f: DirichletPoly, g: DirichletPoly, limit: int):
         idx = np.empty(int(sizes.sum()), dtype=np.int64)
         val = np.empty(idx.size, dtype=vtype)
         o = 0
-        # a product or sum that leaves the float64 range fails the finite
-        # check below; the state is not held across the yield
+        # a product, sum or modulus that leaves the float64 range fails the
+        # finite check at the end; the state is not held across the yield
         with np.errstate(over="ignore", invalid="ignore"):
             for k, n in zip(live.tolist(), sizes.tolist()):
                 gi, gv = readers[k].take(n)
@@ -133,14 +132,22 @@ def product_blocks(f: DirichletPoly, g: DirichletPoly, limit: int):
                     if same.any():
                         starts = np.flatnonzero(np.concatenate(([True], ~same)))
                         idx, val = idx[starts], np.add.reduceat(val, starts)
+            if scan and not np.isfinite(np.abs(val)).all():
+                raise DomainError("product values and their moduli must be finite")
         if scan:
-            if not np.isfinite(val).all():
-                raise DomainError("coefficient values must be finite (no NaN or infinity)")
             keep = val != 0
             if not keep.all():
                 idx, val = idx[keep], val[keep]
         if idx.size:
             yield idx, val
+
+
+def products_distinct(f: DirichletPoly, g: DirichletPoly) -> bool:
+    """No two products a_i b_j share an index: the nonempty g is a
+    ``PrimeCoeffs`` whose first prime exceeds f's largest index, so
+    i p = i' p' forces p = p'."""
+    ga = g.coeffs
+    return isinstance(ga, PrimeCoeffs) and int(ga.read(0, 1)[0]) > f.max_index
 
 
 def _products_normal(fv: np.ndarray, gv: np.ndarray) -> bool:

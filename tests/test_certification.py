@@ -9,6 +9,7 @@ one: the O(support) enclosure must lie inside it.  The last tests check
 the assumptions of the floating-point model in ``enclosure``.
 """
 
+import cmath
 import math
 
 import mpmath
@@ -20,9 +21,10 @@ from cesdirichlet.enclosure import LIB, TINY, U, Enclosure, gamma, pairwise_dept
 from cesdirichlet.errors import DomainError
 from cesdirichlet.dual import SENTINEL, jagers_dual_norm
 from cesdirichlet.kernels import hurwitz_zeta, log_power_sum, power_segment, sieve_primes
-from cesdirichlet import dual, kernels, sequences
+from cesdirichlet import dual, kernels, multipliers, sequences
 from cesdirichlet.sequences import (CoeffSeq, Exponent, PrimeCoeffs, _prefix_sums, abs_sum_exponent,
                                     ces_norm, ces_norm_stream)
+from cesdirichlet.multipliers import build_test_function, multiplier_lower_estimate
 from cesdirichlet.series import DirichletPoly, convolve, product_blocks
 
 mpmath.mp.dps = 40
@@ -47,11 +49,12 @@ def dense_ces_norm_reference(a: CoeffSeq, e: Exponent) -> Enclosure:
                      ulp_up(explicit + head * tail.hi) + slack).root(p)
 
 
-def mp_ces_norm(a: CoeffSeq, p: float):
-    """||a||^p = sum_k zeta(p, i_k) (A_k^p - A_{k-1}^p) at 40 digits."""
+def mp_ces_norm(a, p: float):
+    """||a||^p = sum_k zeta(p, i_k) (A_k^p - A_{k-1}^p) at 40 digits, for
+    a ``CoeffSeq`` or (n, a_n) pairs in order, a_n an mpmath number."""
     s = mpmath.mpf(p)
     total, acc, prev = mpmath.mpf(0), mpmath.mpf(0), mpmath.mpf(0)
-    for n, v in a.entries():
+    for n, v in a.entries() if isinstance(a, CoeffSeq) else a:
         acc += mpmath.sqrt(mpmath.mpf(v.real) ** 2 + mpmath.mpf(v.imag) ** 2)
         power = acc ** s
         total += mpmath.zeta(s, n) * (power - prev)
@@ -367,6 +370,25 @@ def test_streamed_product_contains_mpmath(p, block, f, g, cut):
         return
     assert enc.lo <= mp_ces_norm(prod, p) <= enc.hi
     assert enc.width <= 1e-13 * enc.hi
+
+
+@pytest.mark.parametrize("p, alpha", [(1.5, 0.3), (2.0, 0.45), (3.0, 0.6)])
+def test_estimate_moduli_contain_mpmath(p, alpha, monkeypatch):
+    # phases on 1, 2, 3 end below g's first prime: the numerator streamed as
+    # |a_i| g_j encloses the norm of the exact product, |a_i| g_j at 40
+    # digits, and that of the rounded complex product, as the test above
+    f = DirichletPoly.from_pairs([(1, 0.6 + 0.8j), (2, cmath.exp(2j)), (3, cmath.exp(-4j))])
+    e, table = Exponent.from_p(p), sieve_primes(1000)
+    seen = []
+    monkeypatch.setattr(multipliers, "ces_norm_stream",
+                        lambda *a: seen.append(ces_norm_stream(*a)) or seen[-1])
+    est = multiplier_lower_estimate(f, 10, alpha, e, table)
+    g = build_test_function(10, alpha, e, table, est.r_m)
+    exact = sorted((i * int(n), abs(mpmath.mpc(a)) * mpmath.mpf(b.real))
+                   for i, a in f.coeffs.entries() for n, b in g.coeffs.entries())
+    (num,) = seen
+    assert num.lo <= mp_ces_norm(exact, p) <= num.hi
+    assert num.lo <= mp_ces_norm(convolve(f, g, est.conv_limit).coeffs, p) <= num.hi
 
 
 def test_ces_norm_rejects_inexact_indices():

@@ -784,6 +784,59 @@ def test_non_finite_values_exit_2(tmp_path, capsys, argv, rows):
     assert "error:" in capsys.readouterr().err
 
 
+# parts within the float64 range, moduli past it
+HUGE_MODULUS = [{"n": 1, "re": 1.7e308, "im": 1.7e308}, {"n": 2, "re": 1.0, "im": 0.5}]
+# f on n / p for the six primes p of g from 5 to 19 (r_m = 3), each |a| = 1.70e308:
+# c_n = sum_p a_(n/p) g_p has finite parts and a modulus of 1.87e308
+COLLIDING_PRIMES = (5, 7, 11, 13, 17, 19)
+COLLIDING = [{"n": math.prod(COLLIDING_PRIMES) // p, "re": 1.2e308, "im": 1.2e308}
+             for p in COLLIDING_PRIMES]
+
+
+@pytest.mark.parametrize("argv, rows", [
+    (["norm", "--space", "ces", "--p", "2"], HUGE_MODULUS),
+    (["norm", "--space", "lp", "--p", "2"], HUGE_MODULUS),
+    (["norm", "--space", "dq", "--p", "2"], HUGE_MODULUS),
+    (["norm", "--space", "ar", "--r", "0.5"], HUGE_MODULUS),
+    (["dual-norm", "--p", "2"], HUGE_MODULUS),
+    (["dual-norm", "--p", "2", "--oracle"], HUGE_MODULUS),
+    (["multiplier-estimate", "--m", "3", "--alpha", "0.45", "--prime-limit", "1000"], HUGE_MODULUS),
+    (["multiplier-estimate", "--m", "2", "--alpha", "0.3", "--prime-limit", "1000", "--r-m", "3"],
+     COLLIDING),
+])
+def test_moduli_past_the_float64_range_exit_2(tmp_path, capsys, argv, rows):
+    # a modulus that overflows, in the file or in a sum of colliding
+    # products, ends in one error line, with no RuntimeWarning
+    path = write_coeffs(tmp_path, "f.json", rows)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert parse_and_dispatch([*argv, "--input", path]) == 2
+    assert [str(w.message) for w in caught] == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+# unit-modulus phases on 1, 2, 3 as the ladder benchmark draws them
+PHASES = [{"n": 1, "re": 0.8775825618903728, "im": 0.479425538604203},
+          {"n": 2, "re": -0.4161468365471424, "im": 0.9092974268256817},
+          {"n": 3, "re": -0.6536436208636119, "im": -0.7568024953079282}]
+
+
+def test_complex_phase_estimate_stdout_is_pinned(tmp_path, capsys):
+    # a product of many blocks (limit 1e6), recorded while the estimate
+    # still streamed the complex product f g rather than |f| g
+    path = write_coeffs(tmp_path, "f.json", PHASES)
+    argv = ["multiplier-estimate", "--input", path, "--m", "50", "--alpha", "0.45",
+            "--prime-limit", "1000000"]
+    assert parse_and_dispatch(argv) == 0
+    record = {"alpha": 0.45, "conv_limit": 3000000, "flag": "desk-scale,heuristic-window",
+              "m": 50, "prime_limit": 1000000, "r_m": 51, "ratio": 2.26790535623,
+              "reference": 2.28445705038, "window_verified": False}
+    out = json.dumps({"records": [record]}, indent=2, sort_keys=True) + "\n"
+    assert capsys.readouterr().out == out
+
+
 @pytest.mark.parametrize("argv", [
     ["schur-test", "--kind", "finite", "--p", "2", "--input", "F"],
     ["eval", "--sigma=-2", "--input", "F"],

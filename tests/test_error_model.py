@@ -1,11 +1,11 @@
 """The premises of the error model in ``enclosure`` on the host that runs
 the tests: numpy's ``power``, ``log``, ``log1p``, ``expm1`` and complex
 ``abs`` within 4 ulps (``LIB`` = 8 U relative) over the arguments their
-call sites pass, elementwise results that do not depend on how an
-array is chunked (the streamed readers evaluate the same entries in
-blocks of any alignment), and ``np.sum`` of a contiguous float64 array
-within gamma(``pairwise_depth(n)``) of the exact sum, relative to the
-sum of the moduli."""
+call sites pass, C ``hypot`` within 1 ulp, elementwise results that do
+not depend on how an array is chunked (the streamed readers evaluate the
+same entries in blocks of any alignment), and ``np.sum`` of a contiguous
+float64 array within gamma(``pairwise_depth(n)``) of the exact sum,
+relative to the sum of the moduli."""
 
 import math
 from fractions import Fraction
@@ -120,3 +120,15 @@ def test_np_sum_within_the_pairwise_bound(n):
     exact = _exact_sum(adversarial)
     assert sequential == 1.0 and exact - 1 == (n - 1) * Fraction(U)
     assert (exact - 1 > Fraction(gamma(pairwise_depth(n))) * exact) == (n >= 128)
+
+
+def test_hypot_within_one_ulp():
+    # the multiplier estimate's |a_i| (``enclosure``): C hypot, which
+    # Python's complex abs also calls, within 1 ulp, so at most 2 U
+    (z,) = _complex_args(np.random.default_rng(2027), 2 * SAMPLES)
+    got = np.hypot(z.real, z.imag)
+    assert got.tolist() == [abs(v) for v in z.tolist()]
+    with mpmath.workprec(160):
+        worst = max(_ulps(x, mpmath.hypot(mpmath.mpf(v.real), mpmath.mpf(v.imag)))
+                    for x, v in zip(got.tolist(), z.tolist()))
+    assert worst <= 1.0, f"hypot: {worst:.3f} ulps"

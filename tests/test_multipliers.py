@@ -26,6 +26,7 @@ from cesdirichlet.multipliers import (
 )
 from cesdirichlet.sequences import (CoeffSeq, Exponent, PrimeCoeffs, abs_sum_exponent, ar_norm,
                                     ces_norm, ces_norm_stream)
+from cesdirichlet.reports import normalize_record
 from cesdirichlet.series import DirichletPoly, product_blocks
 
 E2 = Exponent.from_p(2.0)
@@ -394,6 +395,62 @@ def test_estimate_bits_are_pinned(p, alpha, num, den, ratio, table_1e6, monkeypa
     assert (got_num.lo.hex(), got_num.hi.hex()) == num
     assert (got_den.lo.hex(), got_den.hi.hex()) == den
     assert est.ratio.hex() == ratio
+
+
+def phase_poly(phases, indices=(1, 2, 3)):
+    """Unit-modulus coefficients e^(i t) on ``indices``, as in the ladder benchmark."""
+    return DirichletPoly.from_pairs([(n, complex(math.cos(t), math.sin(t)))
+                                     for n, t in zip(indices, phases)])
+
+
+def spy_numerator(monkeypatch):
+    """Patch the estimate's ``ces_norm_stream``: returns the list that
+    collects the dtype of every block and then the enclosure."""
+    seen = []
+
+    def noted(blocks):
+        for idx, val in blocks:
+            seen.append(val.dtype)
+            yield idx, val
+
+    def spy(blocks, scale, e):
+        seen.append(ces_norm_stream(noted(blocks), scale, e))
+        return seen[-1]
+
+    monkeypatch.setattr(multipliers, "ces_norm_stream", spy)
+    return seen
+
+
+@pytest.mark.parametrize("limit", [10 ** 4, 10 ** 5, 10 ** 6])
+def test_estimate_moduli_give_the_complex_product_record(limit, monkeypatch):
+    # f ends below g's first prime, so the stream is |f| g in float64; the
+    # record printed is the one of the complex product f g
+    table = sieve_primes(limit)
+    for seed, (p, alpha) in enumerate([(1.5, 0.3), (2.0, 0.45), (3.0, 0.6)]):
+        f = phase_poly(np.random.default_rng(seed).uniform(0.0, 2.0 * math.pi, 3))
+        e = Exponent.from_p(p)
+        with monkeypatch.context() as mp:
+            seen = spy_numerator(mp)
+            est = multiplier_lower_estimate(f, 10, alpha, e, table)
+        assert len(seen) > 1 and set(seen[:-1]) == {np.dtype(np.float64)}
+        with monkeypatch.context() as mp:
+            mp.setattr(multipliers, "products_distinct", lambda f, g: False)
+            ref = multiplier_lower_estimate(f, 10, alpha, e, table)
+        assert normalize_record(est.as_record()) == normalize_record(ref.as_record())
+
+
+def test_estimate_keeps_the_complex_product_where_products_collide(table_1e4, monkeypatch):
+    # g from p_3 = 5 holds 13 and 17, so c_221 = a_13 g_17 + a_17 g_13: the
+    # numerator is bitwise the stream of the complex product
+    f = phase_poly([0.5, 2.0], indices=(13, 17))
+    seen = spy_numerator(monkeypatch)
+    est = multiplier_lower_estimate(f, 2, 0.3, E2, table_1e4, r_m=3)
+    *dtypes, num = seen
+    assert set(dtypes) == {np.dtype(np.complex128)}
+    g = build_test_function(2, 0.3, E2, table_1e4, r_m=3)
+    scale = abs_sum_exponent(f.coeffs) + abs_sum_exponent(g.coeffs)
+    ref = ces_norm_stream(product_blocks(f, g, est.conv_limit), scale, E2)
+    assert (num.lo.hex(), num.hi.hex()) == (ref.lo.hex(), ref.hi.hex())
 
 
 def test_estimate_monomial_consistency(table_1e4):
