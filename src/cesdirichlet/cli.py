@@ -19,6 +19,7 @@ import contextlib
 import json
 import math
 import os
+import re
 import sys
 
 
@@ -44,6 +45,12 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's own pattern has no exponent: "--t -2e1" would read
+        # -2e1 as an option
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
     def error(self, message):
         raise _UsageError(message)
 
@@ -91,7 +98,7 @@ def load_coeffs(path: str) -> CoeffSeq:
             raise InputError(f"{path}: coeffs[{pos}] has a non-numeric value") from ex
         idx.append(n)
         val.append(complex(re_part, im_part))
-    return CoeffSeq.from_pairs(zip(idx, val))
+    return CoeffSeq(idx, val)
 
 
 def dump_coeffs(seq: CoeffSeq) -> dict:

@@ -1,6 +1,7 @@
 """Number-theoretic and special-function kernels.
 
-Prime tables in one byte per prime, read in blocks; membership in the
+Prime tables in one byte per prime, with the prime before every 2^8-th
+rank as a mark, so a read starts at any rank; membership in the
 p_1..p_r-smooth integers; certified Hurwitz zeta values, power-sum
 segments (and the real zeta values, tails and power sums taken from
 them) and sums of 1/(n (log n)^c); the principal Lambert W branch; and
@@ -20,10 +21,11 @@ The prime-number facts the program uses, with their sources:
 
 All functions here are pure; returned tables are immutable and safe to
 share across threads.  ``sieve_primes`` keeps the two most recently
-used tables, shared read-only: at most 1.3 MiB for limits up to 1e7,
-and about 97 MiB at the 1e9 guard.  A ladder pass sieves 1e6 and 1e7
-once each; ``verify --suite all`` sieves 1e7, then the projection suite's
-tables up to 11: 424 calls, 17 misses, 16 of them about 50 us each.
+used tables, shared read-only: about 1.3 MiB for limits up to 1e7 (the
+marks 20 KiB a table) and about 100 MiB at the 1e9 guard (the marks
+1.5 MiB a table).  A ladder pass sieves 1e6 and 1e7 once each;
+``verify --suite all`` sieves 1e7, then the projection suite's tables
+up to 11: 424 calls, 17 misses, 16 of them about 50 us each.
 """
 
 from __future__ import annotations
@@ -42,10 +44,10 @@ _SEGMENT_SIZE = 1 << 20
 
 _MAX_SIEVE_LIMIT = 10 ** 9
 
-# Ranks between the checkpoints of a ``PrimeTable``, and support entries
-# per block of the Cesaro sum (``sequences.BLOCK``) and of
-# ``series.product_blocks``.
-BLOCK = 1 << 15
+# Ranks between the marks of a ``PrimeTable``: a read sums fewer half-gaps
+# than this before its first rank, and the marks take 8 bytes per this
+# many primes.
+_MARK_STEP = 1 << 8
 
 
 # ---------------------------------------------------------------------------
@@ -60,9 +62,10 @@ class PrimeTable:
     p_j - p_{j-1} is even; ``halves[j]`` is half of it (``halves[0]`` = 0),
     a uint8, which every half-gap below the sieve guard fits (the prime
     gaps in the module docstring).  ``marks[c]`` is the prime before rank
-    c ``step`` (1 for c = 0), so a read sums fewer than ``step`` half-gaps
-    before its first rank.  No int64 copy is held: ``read`` decodes a run
-    of ranks into a fresh array.
+    c ``step`` (1 for c = 0), ``step`` = 2^8 unless the table was sieved
+    with another spacing, so a read from any rank sums fewer than
+    ``step`` half-gaps before its first rank.  No int64 copy is held: ``read``
+    decodes a run of ranks into a fresh array.
     """
 
     limit: int
@@ -77,30 +80,25 @@ class PrimeTable:
     def __len__(self) -> int:
         return int(self.halves.size)
 
-    def read(self, start: int, stop: int, prev: int | None = None) -> np.ndarray:
+    def read(self, start: int, stop: int) -> np.ndarray:
         """The primes of ranks start..stop-1 (from 0, clipped to the
-        table) as a fresh int64 array.  ``prev``, the prime of rank
-        start - 1 when start >= 2, spares the walk from the checkpoint:
-        a reader that goes on from where it stopped sums each half-gap
-        once."""
-        if prev is None or start < 2:
-            c = min(start // self.step, self.marks.size - 1)
-            prev = int(self.marks[c]) + 2 * int(self.halves[c * self.step:start].sum(dtype=np.int64))
+        table) as a fresh int64 array, walked from the mark before
+        start."""
+        c = min(start // self.step, self.marks.size - 1)
         out = np.cumsum(self.halves[start:stop], dtype=np.int64)
         out *= 2
-        out += prev
+        out += int(self.marks[c]) + 2 * int(self.halves[c * self.step:start].sum(dtype=np.int64))
         if start == 0 and out.size:
             out[0] = 2
         return out
 
     def rank(self, value: int) -> int:
-        """The number of primes <= value: one block decoded."""
+        """The number of primes <= value: one mark's run decoded."""
         if value < 2:
             return 0
-        c = int(np.searchsorted(self.marks, value, side="right")) - 1
-        start = c * self.step
-        block = self.read(start, start + self.step, int(self.marks[c]))
-        return start + int(np.searchsorted(block, value, side="right"))
+        start = (int(np.searchsorted(self.marks, value, side="right")) - 1) * self.step
+        run = self.read(start, start + self.step)
+        return start + int(np.searchsorted(run, value, side="right"))
 
     def nth(self, r: int) -> int:
         """The r-th prime, 1-indexed (nth(1) == 2)."""
@@ -130,16 +128,16 @@ def _half_gaps(k: np.ndarray, last: int) -> np.ndarray:
     return gaps
 
 
-def _sieve(limit: int) -> tuple[np.ndarray, np.ndarray]:
+def _sieve(limit: int, step: int) -> tuple[np.ndarray, np.ndarray]:
     """``PrimeTable.halves`` and ``marks`` of the primes <= limit (>= 2),
     segmented and odd-only: flag k of a segment stands for 2k + 1, and the
     odd primes up to sqrt(limit) strike their odd multiples from p^2 on,
     stepping p in k.  Half-gaps are gaps in k, 2 taking k = 0, and a mark
-    is 2k + 1 of the rank before each block of ``BLOCK``.  The half-gaps
+    is 2k + 1 of the rank before each run of ``step`` ranks.  The half-gaps
     fill one uint8 array sized by ``_pi_upper``, shrunk in place at the
     end."""
     root = math.isqrt(limit)
-    base = (2 * np.cumsum(_sieve(root)[0], dtype=np.int64) + 1)[1:].tolist() if root >= 3 else []
+    base = (2 * np.cumsum(_sieve(root, step)[0], dtype=np.int64) + 1)[1:].tolist() if root >= 3 else []
     stop = (limit - 1) // 2 + 1  # k = 1 .. (limit - 1) // 2 stand for 3 .. limit
 
     def ks():
@@ -164,33 +162,33 @@ def _sieve(limit: int) -> tuple[np.ndarray, np.ndarray]:
     for found in ks():
         if found.size:
             halves[count:count + found.size] = _half_gaps(found, last)
-            marks.append(found[(BLOCK - 1 - count) % BLOCK::BLOCK].copy())
+            marks.append(found[(step - 1 - count) % step::step].copy())
             count += found.size
             last = int(found[-1])
     halves.resize(count, refcheck=False)
-    return halves, 1 + 2 * np.concatenate(marks)[:-(-count // BLOCK)]
+    return halves, 1 + 2 * np.concatenate(marks)[:-(-count // step)]
 
 
 @functools.lru_cache(maxsize=2)
 def _table(limit: int, step: int) -> PrimeTable:
-    """The table of ``sieve_primes``; ``step`` is the ``BLOCK`` its marks follow."""
-    halves, marks = _sieve(limit)
+    """The table of ``sieve_primes``, with a mark every ``step`` ranks."""
+    halves, marks = _sieve(limit, step)
     return PrimeTable(limit=limit, halves=halves, marks=marks, step=step)
 
 
 def sieve_primes(limit: int) -> PrimeTable:
     """Complete table of primes <= limit (2 <= limit <= 1e9), with a mark
-    before every ``BLOCK``-th rank.
+    before every ``_MARK_STEP``-th rank.
 
-    Each (limit, ``BLOCK``) is sieved once while it stays among the two
-    most recently used, which are kept and shared read-only.  The limit
+    Each (limit, ``_MARK_STEP``) is sieved once while it stays among the
+    two most recently used, which are kept and shared read-only.  The limit
     is checked on every call, before the lookup, so ``1e6`` stays an
     error after ``10**6`` is kept."""
     if not isinstance(limit, (int, np.integer)) or limit < 2:
         raise DomainError(f"sieve limit must be an integer >= 2, got {limit!r}")
     if limit > _MAX_SIEVE_LIMIT:
         raise DomainError(f"sieve limit {limit} exceeds the {_MAX_SIEVE_LIMIT} memory guard")
-    return _table(int(limit), BLOCK)
+    return _table(int(limit), _MARK_STEP)
 
 
 def smooth_mask(ns, r: int) -> np.ndarray:

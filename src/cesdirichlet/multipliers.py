@@ -161,8 +161,8 @@ def find_rm(m: int, table: PrimeTable) -> int | None:
     < p_r (Rosser 1939, see ``kernels``) settles the upper, in float64 too.
 
     The table is scanned from its end in chunks of ``sequences.BLOCK``
-    ranks, each decoded from its checkpoint, stopping at the first chunk
-    with a failing rank."""
+    ranks, each decoded from the table's mark before it (marks every 2^8
+    ranks), stopping at the first chunk with a failing rank."""
     if m < 2:
         raise DomainError(f"window parameter m must be >= 2, got {m}")
     count = len(table)

@@ -3,8 +3,8 @@
 A ``CoeffSeq`` stores sparse complex coefficients (a_n) indexed from 1;
 its subclass ``PrimeCoeffs`` stores real ones on consecutive primes,
 its support decoded from a ``kernels.PrimeTable`` rather than stored.
-``Reader`` reads either kind in order, each support entry once, for the
-Cesaro sum's blocks and for each index of ``series.product_blocks``.
+``Reader`` reads either kind in order, each support entry once, for
+each index of ``series.product_blocks``.
 The norms implemented here:
 
 * ``ces_norm``   -- (sum_n ((1/n) sum_{k<=n} |a_k|)^p)^(1/p), returned as a
@@ -41,9 +41,13 @@ import numpy as np
 
 from .enclosure import LIB, TINY, U, Enclosure, gamma, pairwise_depth, ulp_down, ulp_up
 from .errors import DomainError, ResourceLimitError
-from .kernels import BLOCK, PrimeTable, hurwitz_zeta
+from .kernels import PrimeTable, hurwitz_zeta
 
 _MN_SUPPORT_GUARD = 10_000
+
+# Support entries per block of the Cesaro sum and of
+# ``series.product_blocks``; the partition fixes the rounding of both.
+BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -141,8 +145,8 @@ class CoeffSeq:
             raise DomainError("a coefficient modulus exceeds the float64 range")
         return w
 
-    def read(self, start: int, stop: int, prev: int | None = None) -> np.ndarray:
-        """Support entries start..stop-1, a view (``prev`` is unused)."""
+    def read(self, start: int, stop: int) -> np.ndarray:
+        """Support entries start..stop-1, a view."""
         return self.idx[start:stop]
 
     def rank(self, values) -> np.ndarray:
@@ -170,8 +174,8 @@ class PrimeCoeffs(CoeffSeq):
     """Real float64 coefficients on consecutive primes: ``val[j]`` at the
     prime of rank ``start`` + j (from 0) of ``table``.  The support is
     never stored: of the four support methods, ``read`` decodes a run of
-    it from the table's one-byte gaps, ``rank`` decodes one table block
-    per distinct value, ``max_index`` one entry, and ``idx`` all of it,
+    it from the table's one-byte gaps, ``rank`` decodes one mark's run
+    of the table per value, ``max_index`` one entry, and ``idx`` all of it,
     for the few callers that want the whole array (equality, repr,
     ``entries``).  Everything else is inherited, so it behaves as the
     ``CoeffSeq`` with the same entries."""
@@ -192,13 +196,12 @@ class PrimeCoeffs(CoeffSeq):
     def max_index(self) -> int:
         return self.table.nth(self.start + len(self)) if len(self) else 0
 
-    def read(self, start: int, stop: int, prev: int | None = None) -> np.ndarray:
+    def read(self, start: int, stop: int) -> np.ndarray:
         """Support entries start..stop-1, decoded into a fresh array."""
-        return self.table.read(self.start + start, self.start + min(stop, len(self)), prev)
+        return self.table.read(self.start + start, self.start + min(stop, len(self)))
 
     def rank(self, values) -> np.ndarray:
-        ranks = {v: self.table.rank(v) for v in set(values)}  # one block decoded each
-        return np.clip([ranks[v] - self.start for v in values], 0, len(self))
+        return np.clip([self.table.rank(v) - self.start for v in values], 0, len(self))
 
 
 _NONE = np.empty(0, dtype=np.int64)
@@ -208,20 +211,18 @@ class Reader:
     """Reads a ``CoeffSeq`` in order, from entry ``pos`` (0 at first).
     ``peek(n)`` is the next n support entries (fewer at the end), each
     decoded once and kept until taken; ``take(n)`` returns them with
-    their values and moves past them.  Each read goes on from the entry
-    before it, so a ``PrimeCoeffs`` sums each half-gap once."""
+    their values and moves past them."""
 
-    __slots__ = ("seq", "pos", "ahead", "last")
+    __slots__ = ("seq", "pos", "ahead")
 
     def __init__(self, seq: CoeffSeq):
-        self.seq, self.pos, self.ahead, self.last = seq, 0, _NONE, None
+        self.seq, self.pos, self.ahead = seq, 0, _NONE
 
     def peek(self, n: int) -> np.ndarray:
         n = min(n, len(self.seq) - self.pos)
         have = self.ahead.size
         if have < n:
-            more = self.seq.read(self.pos + have, self.pos + n, self.last)
-            self.last = int(more[-1])  # the entry before the next read
+            more = self.seq.read(self.pos + have, self.pos + n)
             self.ahead = np.concatenate((self.ahead, more)) if have else more
         return self.ahead[:n]
 
@@ -309,9 +310,8 @@ def _unscale(x: float, shift: int, name: str) -> float:
 def _blocks(a: CoeffSeq):
     """(idx, val) of ``a`` in blocks of ``BLOCK`` support entries, read
     in order."""
-    rd = Reader(a)
-    while rd.pos < len(a):
-        yield rd.take(BLOCK)
+    for s in range(0, len(a), BLOCK):
+        yield a.read(s, s + BLOCK), a.val[s:s + BLOCK]
 
 
 def abs_sum_exponent(a: CoeffSeq) -> int:

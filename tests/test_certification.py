@@ -407,8 +407,8 @@ def test_ces_norm_huge_coefficients():
 
 def _margin_input(kind, size):
     """``size`` entries with values 1..size (reversed), stored or on the
-    primes of a table from rank 5 on: ``ces_norm`` reads both through
-    ``sequences.Reader``."""
+    primes of a table from rank 5 on: ``ces_norm`` reads both block by
+    block through their ``read``."""
     val = np.arange(size, 0, -1, dtype=np.float64)
     if kind == "stored":
         return CoeffSeq(np.arange(1, 3 * size + 1, 3), val)

@@ -215,6 +215,25 @@ def test_options_of_other_kinds_are_usage_errors(tmp_path, capsys, argv, message
     assert captured.out == "" and message in captured.err
 
 
+@pytest.mark.parametrize("value", ["-2e1", "-1e-3", "-1E+2", "-.5e1", "-2.5e-1", "-3e400"])
+@pytest.mark.parametrize("argv", [
+    ["eval", "--input", "F", "--sigma", "1", "--t"],
+    ["eval", "--input", "F", "--sigma"],
+    ["schur-test", "--kind", "power", "--beta"],
+    ["norm", "--space", "ar", "--input", "F", "--r"],
+])
+def test_negative_values_in_exponent_notation_parse(tmp_path, capsys, argv, value):
+    # "--x -2e1" reads as "--x=-2e1": a value, not an unknown option
+    path = write_coeffs(tmp_path, "f.json", [{"n": 1, "re": 1.0}, {"n": 2, "re": 0.5, "im": 0.25}])
+    argv = [path if a == "F" else a for a in argv]
+    runs = []
+    for tail in ([argv[-1], value], [f"{argv[-1]}={value}"]):
+        code = parse_and_dispatch([*argv[:-1], *tail])
+        runs.append((code, *capsys.readouterr()))
+    assert runs[0] == runs[1]
+    assert runs[0][0] in (0, 2)
+
+
 @pytest.mark.parametrize("space", ["ces", "lp", "dq"])
 def test_norm_p_defaults_to_2(tmp_path, capsys, space):
     path = write_coeffs(tmp_path, "f.json", [{"n": 1, "re": 1.0}, {"n": 3, "re": -0.5}])

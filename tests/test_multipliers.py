@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import math
 import tracemalloc
@@ -207,11 +208,11 @@ def array_twin(g):
     return DirichletPoly(CoeffSeq(g.coeffs.idx, g.coeffs.val, _validated=True))
 
 
-@pytest.mark.parametrize("block, step", [(2, 1), (3, 7), (64, 5), (1 << 15, 1 << 15)])
+@pytest.mark.parametrize("block, step", [(2, 1), (3, 7), (64, 5), (1 << 15, 1 << 8)])
 def test_table_test_function_matches_array_twin(block, step, monkeypatch):
     # the same product blocks, denominator blocks and estimates, bit for
     # bit, whether g's support is read from the table or from an array
-    monkeypatch.setattr(kernels, "BLOCK", step)
+    monkeypatch.setattr(kernels, "_MARK_STEP", step)
     table = sieve_primes(1500)
     monkeypatch.setattr(sequences, "BLOCK", block)
     fs = [DirichletPoly.from_pairs([(1, 1.0), (2, 1.0), (3, 1.0)]),
@@ -234,26 +235,40 @@ def test_table_test_function_matches_array_twin(block, step, monkeypatch):
             monkeypatch.setattr(multipliers, "build_test_function", build_test_function)
 
 
+class _SlicedHalves(np.ndarray):
+    """Half-gaps that record how many entries each slice of them holds."""
+
+    sliced: list = []
+
+    def __getitem__(self, key):
+        out = np.asarray(super().__getitem__(key))
+        self.sliced.append(out.size)
+        return out
+
+
 def test_estimate_reads_each_entry_of_g_once_per_reader(monkeypatch):
     # one product_blocks pass and its denominator, with windows of 100
-    # products and table checkpoints every 64 ranks: each reader of g (one
-    # per index of f, and the denominator's) decodes each entry it reaches
+    # products and table marks every 64 ranks: each reader of g (one per
+    # index of f) and the denominator's blocks decode each entry they reach
     # once, plus one look-ahead entry per cursor, and each rank or nth
-    # call one table block; only a reader's first read and nth walk from
-    # a checkpoint
-    monkeypatch.setattr(kernels, "BLOCK", 64)
+    # call one mark's run; every read sums fewer than 64 half-gaps from
+    # the mark before its start, whatever read came before it
+    monkeypatch.setattr(kernels, "_MARK_STEP", 64)
     table = sieve_primes(10 ** 5)
+    table = dataclasses.replace(table, halves=table.halves.view(_SlicedHalves))
     monkeypatch.setattr(sequences, "BLOCK", 100)
     f = DirichletPoly.from_pairs([(1, 1.0), (2, 1.0), (3, 1.0)])
     g = build_test_function(10, 0.45, E2, table, r_m=11)
     support = g.coeffs.idx
     decoded, walks, calls = [], [], []
     read, rank, nth = kernels.PrimeTable.read, kernels.PrimeTable.rank, kernels.PrimeTable.nth
+    sliced = _SlicedHalves.sliced
 
-    def counted_read(self, start, stop, prev=None):
-        out = read(self, start, stop, prev)
+    def counted_read(self, start, stop):
+        sliced.clear()
+        out = read(self, start, stop)
         decoded.append(out.size)
-        walks.append(prev is None and start >= 2)
+        walks.append(sum(sliced) - out.size)  # the half-gaps summed before start
         return out
 
     monkeypatch.setattr(kernels.PrimeTable, "read", counted_read)
@@ -267,7 +282,7 @@ def test_estimate_reads_each_entry_of_g_once_per_reader(monkeypatch):
         reached = sum(int(np.searchsorted(support, limit // i, side="right")) for i in (1, 2, 3))
         kept = len(g.coeffs)
         assert sum(decoded) <= reached + kept + 3 + len(calls) * table.step
-        assert sum(walks) <= 4 + len(calls)
+        assert min(walks) >= 0 and 0 < max(walks) < table.step
 
 
 # ---------------------------------------------------------------------------

@@ -74,10 +74,10 @@ def test_coeffseq_equality_and_empty():
 
 @pytest.mark.parametrize("kind", ["stored", "table"])
 def test_reader_returns_slices_of_the_support(kind, monkeypatch):
-    # random peeks and takes, on a table with a checkpoint every 3 ranks,
+    # random peeks and takes, on a table with a mark every 3 ranks,
     # return exactly the slices of the decoded support and values from
     # the reader's position, whatever was peeked before
-    monkeypatch.setattr(kernels, "BLOCK", 3)
+    monkeypatch.setattr(kernels, "_MARK_STEP", 3)
     table = sieve_primes(3000)
     assert table.step == 3
     primes = table.read(0, len(table))
@@ -112,7 +112,7 @@ def test_reader_returns_slices_of_the_support(kind, monkeypatch):
 def test_prime_coeffs_is_a_coeffseq(monkeypatch):
     # every method but the support reads is inherited, and reads as on the
     # stored sequence with the same entries
-    monkeypatch.setattr(kernels, "BLOCK", 5)
+    monkeypatch.setattr(kernels, "_MARK_STEP", 5)
     table = sieve_primes(500)
     val = np.linspace(2.0, 0.5, len(table) - 4)
     g = PrimeCoeffs(table, 4, val)
@@ -121,7 +121,7 @@ def test_prime_coeffs_is_a_coeffseq(monkeypatch):
     for name in ("__len__", "is_empty", "entries", "abs_values", "__eq__", "__repr__"):
         assert name not in vars(PrimeCoeffs)
     assert (len(g), g.is_empty, g.max_index) == (len(twin), False, twin.max_index)
-    assert g.read(3, 9, int(twin.idx[2])).tobytes() == twin.read(3, 9).tobytes()
+    assert g.read(3, 9).tobytes() == twin.read(3, 9).tobytes()
     assert g.rank([1, 11, 12, 499, 10 ** 6]).tolist() == twin.rank([1, 11, 12, 499, 10 ** 6]).tolist()
     assert repr(PrimeCoeffs(table, 4, val[:2])) == "PrimeCoeffs(11:2, 13:1.98333)"
     with pytest.raises(AttributeError):
