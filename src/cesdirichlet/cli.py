@@ -47,9 +47,10 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # argparse's own pattern has no exponent: "--t -2e1" would read
-        # -2e1 as an option
-        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+        # argparse's own pattern has no exponent and no named floats:
+        # "--t -2e1" or "--t -inf" would read the value as an option
+        self._negative_number_matcher = re.compile(
+            r"^-((\d+\.?\d*|\.\d+)([eE][-+]?\d+)?|(?i:inf|infinity|nan))$")
 
     def error(self, message):
         raise _UsageError(message)

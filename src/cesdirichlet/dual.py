@@ -45,7 +45,7 @@ import numpy as np
 from .enclosure import LIB, TINY, U, Enclosure, gamma, pairwise_depth, ulp_down, ulp_up
 from .errors import ArgminTieError, DomainError, ResourceLimitError
 from .kernels import hurwitz_zeta, power_segment, zeta_real
-from .sequences import CoeffSeq, Exponent, _scale, _unscale, dq_norm
+from .sequences import CoeffSeq, Exponent, _scale, dq_norm
 
 SENTINEL = math.inf
 
@@ -236,8 +236,7 @@ def jagers_dual_norm(b: CoeffSeq, e: Exponent) -> JagersTrace:
     delta_b = w[pos[:-1]] - w[pos[1:]]
     delta_err = err[pos[:-1]] + err[pos[1:]]
     norm = _chain_norm(delta_b - delta_err, delta_b + delta_err, d_lo[1:], d_hi[1:], e)
-    norm = Enclosure(_unscale(norm.lo, shift, "dual norm"), _unscale(norm.hi, shift, "dual norm"))
-    return JagersTrace(m_chain=tuple(chain), norm=norm)
+    return JagersTrace(m_chain=tuple(chain), norm=norm.scaled(shift, "dual norm"))
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,10 @@ Error model of ``kernels.hurwitz_zeta``, ``kernels.power_segment``,
 ``dual.jagers_dual_norm`` and the self-check bound of
 ``multipliers.multiplier_lower_estimate`` on ``sequences.ar_norm``: a
 basic operation rounds to nearest (relative error <= ``U`` = 2**-53;
-power-of-two scaling and negation are exact); numpy's ``power``,
-``log``, ``log1p``, ``expm1`` and complex ``abs`` are within 4 ulps, a
+negation is exact, and so is power-of-two scaling to a normal result:
+``math.ldexp`` rounds a subnormal one to nearest, within half a step,
+so ``Enclosure.scaled`` moves such an endpoint one step outward); numpy's
+``power``, ``log``, ``log1p``, ``expm1`` and complex ``abs`` are within 4 ulps, a
 relative error <= ``LIB`` = 8 U (worst of 100,000 arguments each from
 the ranges their call sites pass, against mpmath, with numpy 2.4.6 on a
 2-core x86-64 host dispatching AVX-512: 0.67, 0.52, 0.56, 0.50 and
@@ -42,6 +44,8 @@ Where no two products share an index, ``multipliers.multiplier_lower_estimate``
 streams |a_i| g_j, |a_i| by C ``hypot`` within 1 ulp (2 U; 0.52 ulps measured, checked
 in ``tests/test_error_model.py``): 3 U with the product, inside the LIB counted for
 |a_k| in ``ces_norm_stream``.  Elsewhere it encloses the rounded complex product.
+A subnormal product is not within 3 U, so the estimate refuses an f whose least
+|a_i| times g's least value (its last: g decreases from r_m) is below 2^-1022.
 
 Every sum of n^-x over a range of integers is one call of the two
 kernels: ``kernels.zeta_real`` is ``hurwitz_zeta(x, 1)`` (past x = 64,
@@ -80,6 +84,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+from .errors import DomainError
 
 U = 2.0 ** -53
 LIB = 8.0
@@ -157,6 +163,18 @@ class Enclosure:
     def root(self, p: float) -> "Enclosure":
         """p-th root of a nonnegative enclosure."""
         return self.power(1.0 / p)
+
+    def scaled(self, shift: int, name: str) -> "Enclosure":
+        """[lo, hi] times 2**shift: ``math.ldexp``, exact unless it rounds a
+        subnormal endpoint to nearest, which then moves a step outward (lo
+        floored at 0).  Past the float64 range DomainError names ``name``."""
+        try:
+            lo, hi = math.ldexp(self.lo, shift), math.ldexp(self.hi, shift)
+        except OverflowError:
+            raise DomainError(f"the {name} exceeds the float64 range") from None
+        # a lo of 2^-1022 may be a subnormal rounded up
+        return Enclosure(max(ulp_down(lo), 0.0) if lo <= 2.0 ** -1022 else lo,
+                         ulp_up(hi) if hi < 2.0 ** -1022 else hi)
 
     def __repr__(self):
         return f"Enclosure({self.lo!r}, {self.hi!r})"

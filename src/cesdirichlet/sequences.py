@@ -77,8 +77,8 @@ class CoeffSeq:
     ``PrimeCoeffs``, or moduli); every consumer reads them through abs,
     products or ``real``/``imag``, so both kinds behave the same.  Either
     array may be a read-only view.  The support is reached only through
-    ``idx``, ``read``, ``rank`` and ``max_index``; the rest is written on
-    top of them and ``val``, and ``Reader`` reads both kinds in order.
+    ``idx``, ``read`` and ``rank``; the rest is written on top of them
+    and ``val``, and ``Reader`` reads both kinds in order.
     """
 
     __slots__ = ("idx", "val")
@@ -133,7 +133,7 @@ class CoeffSeq:
 
     @property
     def max_index(self) -> int:
-        return int(self.idx[-1]) if self.idx.size else 0
+        return int(self.read(len(self) - 1, len(self))[0]) if len(self) else 0
 
     def entries(self) -> list[tuple[int, complex]]:
         return [(int(n), complex(v)) for n, v in zip(self.idx, self.val)]
@@ -173,11 +173,11 @@ class CoeffSeq:
 class PrimeCoeffs(CoeffSeq):
     """Real float64 coefficients on consecutive primes: ``val[j]`` at the
     prime of rank ``start`` + j (from 0) of ``table``.  The support is
-    never stored: of the four support methods, ``read`` decodes a run of
-    it from the table's one-byte gaps, ``rank`` decodes one mark's run
-    of the table per value, ``max_index`` one entry, and ``idx`` all of it,
-    for the few callers that want the whole array (equality, repr,
-    ``entries``).  Everything else is inherited, so it behaves as the
+    never stored: of the three support methods, ``read`` decodes a run of
+    it from the table's one-byte gaps (``max_index`` reads one entry),
+    ``rank`` decodes one mark's run of the table per value, and ``idx``
+    all of it, for the few callers that want the whole array (equality,
+    repr, ``entries``).  Everything else is inherited, so it behaves as the
     ``CoeffSeq`` with the same entries."""
 
     __slots__ = ("table", "start")
@@ -191,10 +191,6 @@ class PrimeCoeffs(CoeffSeq):
     @property
     def idx(self) -> np.ndarray:
         return self.read(0, len(self))
-
-    @property
-    def max_index(self) -> int:
-        return self.table.nth(self.start + len(self)) if len(self) else 0
 
     def read(self, start: int, stop: int) -> np.ndarray:
         """Support entries start..stop-1, decoded into a fresh array."""
@@ -255,15 +251,14 @@ def random_seq(
 # Norms
 # ---------------------------------------------------------------------------
 
-def _prefix_sums(w: np.ndarray, carry: list | None = None) -> np.ndarray:
+def _prefix_sums(w: np.ndarray, carry: list) -> np.ndarray:
     """Running sums of the nonnegative ``w`` after the carry [hi, lo]
-    (default [0, 0], |lo| <= U hi), each within (1 + (n + 1)**2 U) U of
-    hi + lo + w_1 + ... + w_k for n = len(w): TwoSum (Knuth) recovers each
-    rounding of np.cumsum exactly and the summed errors, started from
-    lo, are added back.  A given ``carry`` is replaced by the next one:
-    hi' the last running sum, hi' + lo' within (n + 1)**2 U**2 of exact
-    and |lo'| <= U hi'."""
-    hi, lo = carry or (0.0, 0.0)
+    (|lo| <= U hi), each within (1 + (n + 1)**2 U) U of hi + lo + w_1 +
+    ... + w_k for n = len(w): TwoSum (Knuth) recovers each rounding of
+    np.cumsum exactly and the summed errors, started from lo, are added
+    back.  ``carry`` is replaced by the next one: hi' the last running
+    sum, hi' + lo' within (n + 1)**2 U**2 of exact and |lo'| <= U hi'."""
+    hi, lo = carry
     a = np.cumsum(np.concatenate(([hi], w)))
     b_part = a[1:] - a[:-1]
     a_part = a[1:] - b_part
@@ -276,8 +271,7 @@ def _prefix_sums(w: np.ndarray, carry: list | None = None) -> np.ndarray:
     last = a[-1]
     a = a[1:]
     a += b_part
-    if carry is not None:
-        carry[:] = float(a[-1]), float(b_part[-1] - (a[-1] - last))
+    carry[:] = float(a[-1]), float(b_part[-1] - (a[-1] - last))
     return a
 
 
@@ -404,9 +398,7 @@ def ces_norm_stream(blocks, scale: int, e: Exponent) -> Enclosure:
     under = size * TINY * ((p + 2.0) * zeta_max + 2.0)
     powered = Enclosure(max(0.0, ulp_down(math.fsum(sums_lo) * (1.0 - g) - under)),
                         ulp_up(math.fsum(sums_hi) / (1.0 - g) + under, 2))
-    root = powered.root(p)
-    return Enclosure(_unscale(root.lo, scale, "Cesaro norm"),
-                     _unscale(root.hi, scale, "Cesaro norm"))
+    return powered.root(p).scaled(scale, "Cesaro norm")
 
 
 def lp_norm(a: CoeffSeq, p: float) -> float:

@@ -405,6 +405,44 @@ def test_ces_norm_huge_coefficients():
     assert huge.hi == pytest.approx(1e308 * unit.hi, rel=1e-13)
 
 
+# fixed sequences of real or imaginary values, whose moduli are exact at
+# any scale, to be scaled by 2^-k for k in SUBNORMAL_SHIFTS
+SUBNORMAL_SEQS = [
+    [(1, 1.0), (5, 0.5)],
+    [(2, 0.75), (3, -0.3), (10, 1.25), (41, 0.1), (42, 0.6)],
+    [(1, 0.6j), (4, -0.3), (9, 0.05j), (30, 1.7)],
+]
+SUBNORMAL_SHIFTS = (1000, 1030, 1050, 1070)
+
+
+@pytest.mark.parametrize("k", SUBNORMAL_SHIFTS)
+@pytest.mark.parametrize("p", (1.5, 2.0, 3.0))
+@pytest.mark.parametrize("pairs", SUBNORMAL_SEQS)
+def test_norms_below_the_normal_range_contain_mpmath(pairs, p, k):
+    # the norms are computed at scale 1 and multiplied back by ldexp, which
+    # rounds to nearest below 2^-1022: such an endpoint moves a step outward
+    a = CoeffSeq.from_pairs((n, v * 2.0 ** -k) for n, v in pairs)
+    e = Exponent.from_p(p)
+    enc = ces_norm(a, e)
+    assert enc.lo <= mp_ces_norm(a, p) <= enc.hi
+    trace = jagers_dual_norm(a, e)
+    chain, norm = mp_dual_norm(a, p)
+    assert trace.m_chain == chain
+    assert trace.norm.lo <= norm <= trace.norm.hi
+
+
+def test_normal_norms_keep_their_bits_when_unscaled():
+    # an endpoint at or above 2^-1022 after unscaling is exact, and kept
+    x = Enclosure(0.75, ulp_up(0.75))
+    assert x.scaled(-1021, "norm") == Enclosure(0.75 * 2.0 ** -1021, ulp_up(0.75) * 2.0 ** -1021)
+    assert x.scaled(40, "norm") == Enclosure(0.75 * 2.0 ** 40, ulp_up(0.75) * 2.0 ** 40)
+    one = Enclosure(0.5, 0.5).scaled(-1021, "norm")
+    assert (one.lo, one.hi) == (ulp_down(2.0 ** -1022), 2.0 ** -1022)
+    assert Enclosure(0.0, 0.5).scaled(-1100, "norm") == Enclosure(0.0, TINY)  # 2^-1101 rounds to 0
+    with pytest.raises(DomainError, match="the norm exceeds"):
+        Enclosure(0.5, 0.75).scaled(1025, "norm")
+
+
 def _margin_input(kind, size):
     """``size`` entries with values 1..size (reversed), stored or on the
     primes of a table from rank 5 on: ``ces_norm`` reads both block by
@@ -604,7 +642,7 @@ def test_prefix_sums_compensated():
     w = rng.random(2000) * np.exp(rng.uniform(-20.0, 0.0, 2000))
     plain = np.cumsum(w)
     assert np.array_equal(plain[1:], plain[:-1] + w[1:])  # one rounding per step
-    got = _prefix_sums(w)
+    got = _prefix_sums(w, [0.0, 0.0])
     for k in range(0, w.size, 97):
         exact = mpmath.fsum(mpmath.mpf(float(t)) for t in w[:k + 1])
         assert abs(got[k] - exact) <= (1.0 + w.size ** 2 * U) * U * exact

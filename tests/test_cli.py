@@ -8,6 +8,7 @@ import math
 import sys
 import time
 import warnings
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -215,7 +216,8 @@ def test_options_of_other_kinds_are_usage_errors(tmp_path, capsys, argv, message
     assert captured.out == "" and message in captured.err
 
 
-@pytest.mark.parametrize("value", ["-2e1", "-1e-3", "-1E+2", "-.5e1", "-2.5e-1", "-3e400"])
+@pytest.mark.parametrize("value", ["-2e1", "-1e-3", "-1E+2", "-.5e1", "-2.5e-1", "-3e400",
+                                   "-inf", "-Infinity", "-NaN"])
 @pytest.mark.parametrize("argv", [
     ["eval", "--input", "F", "--sigma", "1", "--t"],
     ["eval", "--input", "F", "--sigma"],
@@ -223,7 +225,8 @@ def test_options_of_other_kinds_are_usage_errors(tmp_path, capsys, argv, message
     ["norm", "--space", "ar", "--input", "F", "--r"],
 ])
 def test_negative_values_in_exponent_notation_parse(tmp_path, capsys, argv, value):
-    # "--x -2e1" reads as "--x=-2e1": a value, not an unknown option
+    # "--x -2e1" and "--x -inf" read as "--x=-2e1" and "--x=-inf": values,
+    # not unknown options
     path = write_coeffs(tmp_path, "f.json", [{"n": 1, "re": 1.0}, {"n": 2, "re": 0.5, "im": 0.25}])
     argv = [path if a == "F" else a for a in argv]
     runs = []
@@ -831,6 +834,40 @@ def test_moduli_past_the_float64_range_exit_2(tmp_path, capsys, argv, rows):
         warnings.simplefilter("always")
         assert parse_and_dispatch([*argv, "--input", path]) == 2
     assert [str(w.message) for w in caught] == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+# 2^-1050 + 2^-1051 5^-s: both norms lie below the float64 normal range
+SUBNORMAL = [{"n": 1, "re": 2.0 ** -1050}, {"n": 5, "re": 2.0 ** -1051}]
+
+
+@pytest.mark.parametrize("argv, key, exact", [
+    (["norm", "--space", "ces", "--p", "2"], "value", "1.1490387231248670517e-316"),
+    (["dual-norm", "--p", "2"], "norm", "9.4697799942618679631e-317"),
+])
+def test_norms_below_the_normal_range_print_an_enclosure(tmp_path, capsys, argv, key, exact):
+    # the exact norms from mpmath at 30 digits; ldexp rounds a subnormal
+    # endpoint to nearest, which can land past them
+    path = write_coeffs(tmp_path, "f.json", SUBNORMAL)
+    assert parse_and_dispatch([*argv, "--input", path]) == 0
+    (record,) = json.loads(capsys.readouterr().out)["records"]
+    lo, hi = record[key]["lo"], record[key]["hi"]
+    assert Decimal(lo) <= Decimal(exact) <= Decimal(hi)
+
+
+@pytest.mark.parametrize("shift, values", [(1060, (1.0, 1.0, 1.0)),
+                                           (1066, (1.0, 0.3, 0.7, 0.9, 0.11))])
+def test_estimate_refuses_products_below_the_normal_range(tmp_path, capsys, shift, values):
+    # f = 2^-shift sum_n values[n-1] n^-s: products |a_i| g_j are subnormal,
+    # with too few bits for the error model, and the ratio could exceed
+    # the quotient it bounds
+    rows = [{"n": n, "re": v * 2.0 ** -shift} for n, v in enumerate(values, 1)]
+    path = write_coeffs(tmp_path, "f.json", rows)
+    argv = ["multiplier-estimate", "--input", path, "--m", "10", "--alpha", "0.45",
+            "--prime-limit", "1000000"]
+    assert parse_and_dispatch(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1

@@ -3,9 +3,10 @@ the tests: numpy's ``power``, ``log``, ``log1p``, ``expm1`` and complex
 ``abs`` within 4 ulps (``LIB`` = 8 U relative) over the arguments their
 call sites pass, C ``hypot`` within 1 ulp, elementwise results that do
 not depend on how an array is chunked (the streamed readers evaluate the
-same entries in blocks of any alignment), and ``np.sum`` of a contiguous
+same entries in blocks of any alignment), ``np.sum`` of a contiguous
 float64 array within gamma(``pairwise_depth(n)``) of the exact sum,
-relative to the sum of the moduli."""
+relative to the sum of the moduli, and ``math.ldexp`` into the subnormal
+range within half a step of the exact product."""
 
 import math
 from fractions import Fraction
@@ -132,3 +133,20 @@ def test_hypot_within_one_ulp():
         worst = max(_ulps(x, mpmath.hypot(mpmath.mpf(v.real), mpmath.mpf(v.imag)))
                     for x, v in zip(got.tolist(), z.tolist()))
     assert worst <= 1.0, f"hypot: {worst:.3f} ulps"
+
+
+def test_ldexp_into_the_subnormal_range_within_half_a_step():
+    # ``Enclosure.scaled`` moves an endpoint that ``math.ldexp`` unscaled
+    # below 2^-1022 one step (2^-1074) outward: that covers the rounding
+    # only if ldexp rounds to nearest, within half a step of x 2^k
+    rng = np.random.default_rng(2031)
+    half = Fraction(1, 2 ** 1075)
+    xs = rng.uniform(0.5, 1.0, 20_000) * 2.0 ** rng.integers(-60, 61, 20_000)
+    worst = Fraction(0)
+    for x in xs.tolist():
+        # x 2^k from just below 2^-1022 down to below half a step
+        k = int(rng.integers(-1077, -1021)) - math.frexp(x)[1]
+        got = math.ldexp(x, k)
+        assert got <= 2.0 ** -1022
+        worst = max(worst, abs(Fraction(got) - Fraction(x) * Fraction(2) ** k))
+    assert worst <= half, f"ldexp: {float(worst / half) / 2:.3f} steps"

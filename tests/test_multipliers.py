@@ -26,9 +26,9 @@ from cesdirichlet.multipliers import (
     schur_power,
 )
 from cesdirichlet.sequences import (CoeffSeq, Exponent, PrimeCoeffs, abs_sum_exponent, ar_norm,
-                                    ces_norm, ces_norm_stream)
+                                    ces_norm, ces_norm_stream, random_seq)
 from cesdirichlet.reports import normalize_record
-from cesdirichlet.series import DirichletPoly, product_blocks
+from cesdirichlet.series import DirichletPoly, convolve, product_blocks
 
 E2 = Exponent.from_p(2.0)
 ONE = DirichletPoly.from_pairs([(1, 1.0)])
@@ -69,6 +69,22 @@ def test_monomial_probe_approaches_bound():
     _, l1 = monomial_multiplier_check(2, E2, samples=1, j_probe=100, seed=0)
     _, l2 = monomial_multiplier_check(2, E2, samples=1, j_probe=10 ** 5, seed=0)
     assert l1 < l2 <= 2.0 ** -0.5
+
+
+@pytest.mark.parametrize("p", (1.5, 2.0, 3.0))
+def test_dilation_has_the_bits_of_the_convolve_product(p):
+    # the monomial law and the non-compactness bound take m^-s g as g's
+    # support times m; ``convolve`` with m^-s is the reference
+    e = Exponent.from_p(p)
+    rng = np.random.default_rng(int(10 * p))
+    for m in (2, 3, 10, 97, 2 ** 20, 2 ** 45):
+        for _ in range(20):
+            g = random_seq(rng, max_index=200, integer=bool(rng.integers(2)))
+            g = CoeffSeq(g.idx, g.val * 2.0 ** int(rng.integers(-600, 601)))
+            got = ces_norm(CoeffSeq(m * g.idx, g.val, _validated=True), e)
+            ref = convolve(DirichletPoly.from_pairs([(m, 1.0)]), DirichletPoly(g), m * g.max_index)
+            want = ces_norm(ref.coeffs, e)
+            assert (got.lo.hex(), got.hi.hex()) == (want.lo.hex(), want.hi.hex())
 
 
 def test_monomial_domain():
