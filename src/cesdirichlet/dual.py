@@ -45,7 +45,7 @@ import numpy as np
 from .enclosure import LIB, TINY, U, Enclosure, gamma, pairwise_depth, ulp_down, ulp_up
 from .errors import ArgminTieError, DomainError, ResourceLimitError
 from .kernels import hurwitz_zeta, power_segment, zeta_real
-from .sequences import CoeffSeq, Exponent, _scale, dq_norm
+from .sequences import CoeffSeq, Exponent, _scaled_abs, dq_norm
 
 SENTINEL = math.inf
 
@@ -207,11 +207,13 @@ def jagers_dual_norm(b: CoeffSeq, e: Exponent) -> JagersTrace:
     if b.is_empty:
         return JagersTrace(m_chain=(SENTINEL,), norm=Enclosure(0.0, 0.0))
     p = e.p
-    w = b.abs_values()
-    # the dual norm is homogeneous: |b| is scaled by a power of two into [1/2, 1)
-    shift = _scale(w)
-    # |b| is exact for a real or imaginary value and within LIB otherwise,
-    # scaled below the normal range within TINY; twice that also covers
+    # the dual norm is homogeneous: |b| is scaled by a power of two into
+    # [1/2, 1], the parts before the modulus is taken
+    shift = math.frexp(float(b.abs_values().max()))[1]
+    w = _scaled_abs(b.val, -shift)
+    # |b| is exact for a real or imaginary value and within LIB otherwise
+    # (a part scaled below the normal range included, ``enclosure``), and
+    # a modulus below the normal range within TINY; twice that also covers
     # the roundings of the differences it enters
     err = np.where((b.val.real == 0) | (b.val.imag == 0), 0.0, w * (2.0 * LIB * U))
     err[w < 2.0 ** -1022] += 2.0 * TINY

@@ -65,7 +65,7 @@ class PrimeTable:
     c ``step`` (1 for c = 0), ``step`` = 2^8 unless the table was sieved
     with another spacing, so a read from any rank sums fewer than
     ``step`` half-gaps before its first rank.  No int64 copy is held: ``read``
-    decodes a run of ranks into a fresh array.
+    decodes a run of ranks into a fresh array, and ``nth`` one prime.
     """
 
     limit: int
@@ -91,14 +91,6 @@ class PrimeTable:
         if start == 0 and out.size:
             out[0] = 2
         return out
-
-    def rank(self, value: int) -> int:
-        """The number of primes <= value: one mark's run decoded."""
-        if value < 2:
-            return 0
-        start = (int(np.searchsorted(self.marks, value, side="right")) - 1) * self.step
-        run = self.read(start, start + self.step)
-        return start + int(np.searchsorted(run, value, side="right"))
 
     def nth(self, r: int) -> int:
         """The r-th prime, 1-indexed (nth(1) == 2)."""

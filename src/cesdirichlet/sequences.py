@@ -77,8 +77,8 @@ class CoeffSeq:
     ``PrimeCoeffs``, or moduli); every consumer reads them through abs,
     products or ``real``/``imag``, so both kinds behave the same.  Either
     array may be a read-only view.  The support is reached only through
-    ``idx``, ``read`` and ``rank``; the rest is written on top of them
-    and ``val``, and ``Reader`` reads both kinds in order.
+    ``idx`` and ``read``; the rest is written on top of them and ``val``,
+    and ``Reader`` reads both kinds in order.
     """
 
     __slots__ = ("idx", "val")
@@ -149,10 +149,6 @@ class CoeffSeq:
         """Support entries start..stop-1, a view."""
         return self.idx[start:stop]
 
-    def rank(self, values) -> np.ndarray:
-        """The number of support entries <= each of ``values``."""
-        return np.searchsorted(self.idx, values, side="right")
-
     def __eq__(self, other) -> bool:
         """Equal entries, whatever holds the support."""
         if not isinstance(other, CoeffSeq):
@@ -173,12 +169,11 @@ class CoeffSeq:
 class PrimeCoeffs(CoeffSeq):
     """Real float64 coefficients on consecutive primes: ``val[j]`` at the
     prime of rank ``start`` + j (from 0) of ``table``.  The support is
-    never stored: of the three support methods, ``read`` decodes a run of
+    never stored: of the two support methods, ``read`` decodes a run of
     it from the table's one-byte gaps (``max_index`` reads one entry),
-    ``rank`` decodes one mark's run of the table per value, and ``idx``
-    all of it, for the few callers that want the whole array (equality,
-    repr, ``entries``).  Everything else is inherited, so it behaves as the
-    ``CoeffSeq`` with the same entries."""
+    and ``idx`` all of it, for the few callers that want the whole array
+    (equality, repr, ``entries``).  Everything else is inherited, so it
+    behaves as the ``CoeffSeq`` with the same entries."""
 
     __slots__ = ("table", "start")
 
@@ -195,9 +190,6 @@ class PrimeCoeffs(CoeffSeq):
     def read(self, start: int, stop: int) -> np.ndarray:
         """Support entries start..stop-1, decoded into a fresh array."""
         return self.table.read(self.start + start, self.start + min(stop, len(self)))
-
-    def rank(self, values) -> np.ndarray:
-        return np.clip([self.table.rank(v) - self.start for v in values], 0, len(self))
 
 
 _NONE = np.empty(0, dtype=np.int64)
@@ -283,6 +275,16 @@ def _scale(w: np.ndarray) -> int:
     return shift
 
 
+def _scaled_abs(val: np.ndarray, shift: int) -> np.ndarray:
+    """|val| 2**shift.  Complex parts are scaled before the modulus is
+    taken, so that a modulus below the normal range is not first rounded
+    to the subnormal grid (error model in ``enclosure``)."""
+    if np.iscomplexobj(val):
+        return np.abs(np.ldexp(val.real, shift) + 1j * np.ldexp(val.imag, shift))
+    w = np.abs(val)
+    return np.ldexp(w, shift, out=w)
+
+
 def _powers(w: np.ndarray, x: float, name: str) -> np.ndarray:
     """w**x of the scaled ``w``.  A largest term below the normal range
     has lost bits (and is 0 from x = 1075 on, since max w >= 1/2), so it
@@ -352,8 +354,7 @@ def ces_norm_stream(blocks, scale: int, e: Exponent) -> Enclosure:
     size = widest = 0
     zeta_max = 0.0
     for idx, val in blocks:
-        w = np.abs(val)
-        np.ldexp(w, -scale, out=w)
+        w = _scaled_abs(val, -scale)
         if float(w.min()) < 2.0 ** -1022:
             raise DomainError("coefficient magnitudes span more than the float64 exponent range")
         prev = carry[0]

@@ -405,12 +405,15 @@ def test_ces_norm_huge_coefficients():
     assert huge.hi == pytest.approx(1e308 * unit.hi, rel=1e-13)
 
 
-# fixed sequences of real or imaginary values, whose moduli are exact at
-# any scale, to be scaled by 2^-k for k in SUBNORMAL_SHIFTS
+# fixed sequences to be scaled by 2^-k for k in SUBNORMAL_SHIFTS: real or
+# imaginary values, whose moduli are exact at any scale, and complex ones
+# with both parts nonzero, whose moduli are taken after the parts are scaled
 SUBNORMAL_SEQS = [
     [(1, 1.0), (5, 0.5)],
     [(2, 0.75), (3, -0.3), (10, 1.25), (41, 0.1), (42, 0.6)],
     [(1, 0.6j), (4, -0.3), (9, 0.05j), (30, 1.7)],
+    [(1, 0.6 + 0.8j), (4, -0.3 + 0.1j), (9, 0.05j), (30, 1.7 - 0.2j)],
+    [(2, 0.3 - 0.4j), (7, -1.1 + 0.9j), (8, 0.2 - 0.7j), (20, 0.01 + 0.02j)],
 ]
 SUBNORMAL_SHIFTS = (1000, 1030, 1050, 1070)
 

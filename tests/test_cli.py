@@ -670,6 +670,13 @@ PINNED_RUNS = [pytest.param(argv, json.dumps(obj, indent=2, sort_keys=True) + "\
                             id=f"{argv[0]}-json") for argv, obj, _ in PINNED]
 PINNED_RUNS += [pytest.param([*argv, "--format", "csv"], csv, id=f"{argv[0]}-csv")
                 for argv, _, csv in PINNED if csv is not None]
+# a limit that cuts the product: 4 * 2 = 8 is dropped
+PINNED_RUNS.append(pytest.param(
+    ["convolve", "--input", "f.json", "--with", "g.json", "--limit", "6"],
+    json.dumps({"coeffs": [{"im": 0.0, "n": 1, "re": 0.5}, {"im": -1.0, "n": 2, "re": 2.0},
+                           {"im": 0.125, "n": 3, "re": -0.25}, {"im": 0.0, "n": 4, "re": 0.375},
+                           {"im": 1.0, "n": 6, "re": -0.75}]}, indent=2, sort_keys=True) + "\n",
+    id="convolve-cut-json"))
 
 
 @pytest.fixture
@@ -841,17 +848,27 @@ def test_moduli_past_the_float64_range_exit_2(tmp_path, capsys, argv, rows):
 
 # 2^-1050 + 2^-1051 5^-s: both norms lie below the float64 normal range
 SUBNORMAL = [{"n": 1, "re": 2.0 ** -1050}, {"n": 5, "re": 2.0 ** -1051}]
+# 2^-1050 ((0.6 + 0.8i) + (-0.3 + 0.1i) 4^-s + 0.05i 9^-s + (1.7 - 0.2i) 30^-s):
+# complex values with both parts nonzero, whose moduli are subnormal
+SUBNORMAL_COMPLEX = [{"n": n, "re": re * 2.0 ** -1050, "im": im * 2.0 ** -1050}
+                     for n, re, im in [(1, 0.6, 0.8), (4, -0.3, 0.1), (9, 0.0, 0.05), (30, 1.7, -0.2)]]
 
 
 @pytest.mark.parametrize("argv, key, exact", [
-    (["norm", "--space", "ces", "--p", "2"], "value", "1.1490387231248670517e-316"),
-    (["dual-norm", "--p", "2"], "norm", "9.4697799942618679631e-317"),
+    (["norm", "--space", "ces", "--p", "2", "--input", "SUBNORMAL"], "value",
+     "1.1490387231248670517e-316"),
+    (["dual-norm", "--p", "2", "--input", "SUBNORMAL"], "norm", "9.4697799942618679631e-317"),
+    (["dual-norm", "--p", "2", "--input", "SUBNORMAL_COMPLEX"], "norm",
+     "7.7067301737990717794e-316"),
 ])
 def test_norms_below_the_normal_range_print_an_enclosure(tmp_path, capsys, argv, key, exact):
-    # the exact norms from mpmath at 30 digits; ldexp rounds a subnormal
-    # endpoint to nearest, which can land past them
-    path = write_coeffs(tmp_path, "f.json", SUBNORMAL)
-    assert parse_and_dispatch([*argv, "--input", path]) == 0
+    # the exact norms from mpmath, of the float values read (the complex
+    # one from ``test_dual.mp_chain_norm``); ldexp rounds a subnormal
+    # endpoint to nearest, which can land past them, and a complex modulus
+    # taken before scaling would round on the subnormal grid
+    rows = {"SUBNORMAL": SUBNORMAL, "SUBNORMAL_COMPLEX": SUBNORMAL_COMPLEX}[argv[-1]]
+    path = write_coeffs(tmp_path, "f.json", rows)
+    assert parse_and_dispatch([*argv[:-1], path]) == 0
     (record,) = json.loads(capsys.readouterr().out)["records"]
     lo, hi = record[key]["lo"], record[key]["hi"]
     assert Decimal(lo) <= Decimal(exact) <= Decimal(hi)

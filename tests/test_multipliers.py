@@ -266,9 +266,11 @@ def test_estimate_reads_each_entry_of_g_once_per_reader(monkeypatch):
     # one product_blocks pass and its denominator, with windows of 100
     # products and table marks every 64 ranks: each reader of g (one per
     # index of f) and the denominator's blocks decode each entry they reach
-    # once, plus one look-ahead entry per cursor, and each rank or nth
-    # call one mark's run; every read sums fewer than 64 half-gaps from
-    # the mark before its start, whatever read came before it
+    # once, plus one look-ahead entry per reader, or where the limit binds
+    # at most the window share and one more past it (the peek that finds
+    # the reader's end); each nth call decodes one entry, and every read
+    # sums fewer than 64 half-gaps from the mark before its start,
+    # whatever read came before it
     monkeypatch.setattr(kernels, "_MARK_STEP", 64)
     table = sieve_primes(10 ** 5)
     table = dataclasses.replace(table, halves=table.halves.view(_SlicedHalves))
@@ -277,7 +279,7 @@ def test_estimate_reads_each_entry_of_g_once_per_reader(monkeypatch):
     g = build_test_function(10, 0.45, E2, table, r_m=11)
     support = g.coeffs.idx
     decoded, walks, calls = [], [], []
-    read, rank, nth = kernels.PrimeTable.read, kernels.PrimeTable.rank, kernels.PrimeTable.nth
+    read, nth = kernels.PrimeTable.read, kernels.PrimeTable.nth
     sliced = _SlicedHalves.sliced
 
     def counted_read(self, start, stop):
@@ -288,7 +290,6 @@ def test_estimate_reads_each_entry_of_g_once_per_reader(monkeypatch):
         return out
 
     monkeypatch.setattr(kernels.PrimeTable, "read", counted_read)
-    monkeypatch.setattr(kernels.PrimeTable, "rank", lambda t, v: calls.append(v) or rank(t, v))
     monkeypatch.setattr(kernels.PrimeTable, "nth", lambda t, r: calls.append(r) or nth(t, r))
     scale = abs_sum_exponent(f.coeffs) + abs_sum_exponent(g.coeffs)
     for limit in (3 * table.limit, 2 * table.limit, 123_457):
@@ -297,7 +298,8 @@ def test_estimate_reads_each_entry_of_g_once_per_reader(monkeypatch):
         ces_norm(g.coeffs, E2)
         reached = sum(int(np.searchsorted(support, limit // i, side="right")) for i in (1, 2, 3))
         kept = len(g.coeffs)
-        assert sum(decoded) <= reached + kept + 3 + len(calls) * table.step
+        past = sum(1 if support[-1] <= limit // i else sequences.BLOCK + 1 for i in (1, 2, 3))
+        assert sum(decoded) <= reached + kept + past + len(calls)
         assert min(walks) >= 0 and 0 < max(walks) < table.step
 
 

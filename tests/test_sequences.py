@@ -122,7 +122,7 @@ def test_prime_coeffs_is_a_coeffseq(monkeypatch):
         assert name not in vars(PrimeCoeffs)
     assert (len(g), g.is_empty, g.max_index) == (len(twin), False, twin.max_index)
     assert g.read(3, 9).tobytes() == twin.read(3, 9).tobytes()
-    assert g.rank([1, 11, 12, 499, 10 ** 6]).tolist() == twin.rank([1, 11, 12, 499, 10 ** 6]).tolist()
+    assert g.read(len(g) - 2, len(g) + 3).tobytes() == twin.read(len(g) - 2, len(g) + 3).tobytes()
     assert repr(PrimeCoeffs(table, 4, val[:2])) == "PrimeCoeffs(11:2, 13:1.98333)"
     with pytest.raises(AttributeError):
         g.val = val

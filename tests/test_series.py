@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from frozen import frozen
 
-from cesdirichlet import kernels, sequences
+from cesdirichlet import kernels, sequences, series
 from cesdirichlet.enclosure import gamma
 from cesdirichlet.errors import DomainError
 from cesdirichlet.kernels import sieve_primes
@@ -198,7 +198,14 @@ def convolve_reference(f: DirichletPoly, g: DirichletPoly, limit: int) -> Dirich
 @frozen
 def test_convolve_matches_reference_bitwise(f, g, block, cut):
     f, g = frozen_poly(f), frozen_poly(g)
-    limit = max(1, int(cut * f.max_index * g.max_index))
+    assert_blocks_match_reference(f, g, max(1, int(cut * f.max_index * g.max_index)), block)
+
+
+def assert_blocks_match_reference(f, g, limit, block):
+    """At ``BLOCK`` = block, ``convolve`` has the bits of the reference, and
+    each block of ``product_blocks`` is sorted, distinct, nonzero, above the
+    block before and at most max(block, the indices of f with a product
+    within the limit) long."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sequences, "BLOCK", block)
         got = convolve(f, g, limit).coeffs
@@ -286,6 +293,73 @@ def test_product_blocks_scan_where_one_look_cannot_rule_out(case, block, monkeyp
     assert got.idx.tobytes() == want.idx.tobytes()
     assert got.val.tobytes() == want.val.tobytes()
     assert len(got) < len(f.coeffs) * len(g.coeffs) or case == "near-max"
+
+
+@pytest.mark.parametrize("block", [1, 7, 1 << 15])
+def test_product_blocks_stop_each_cursor_at_the_limit(block):
+    # g on the primes 3..179: limits below every i g_0 (an empty product),
+    # at i times a prime (5 * 101), between primes (300 // i for i > 1),
+    # at every 61st value (anywhere in a window) and at and past the last
+    # product; each cursor finds its end in the entries it peeks
+    f = poly((1, 0.5), (2, 1.0 - 1.0j), (3, -0.25), (5, 2.0j), (12, 1.5))
+    g = on_primes(1, np.linspace(-1.0, 2.0, 40) + 0.005)
+    last = 12 * g.max_index
+    for limit in (2, 5 * 101, 300, *range(1, last, 61), last, 10 ** 6):
+        assert_blocks_match_reference(f, g, limit, block)
+
+
+def test_product_blocks_read_past_each_end_once(monkeypatch):
+    # 300 indices of f against the primes to 1999, cut at 3000: most
+    # cursors find their end in the first window and stay live until the
+    # window reaches their products, while the share grows as others
+    # finish; each decodes entries past its end in one peek at most
+    readers = []
+
+    class Recorded(sequences.Reader):
+        def __init__(self, seq):
+            super().__init__(seq)
+            self.spans = []  # (decoded before, decoded after) per peek
+            readers.append(self)
+
+        def peek(self, n):
+            before = self.pos + self.ahead.size
+            out = super().peek(n)
+            self.spans.append((before, self.pos + self.ahead.size))
+            return out
+
+    monkeypatch.setattr(series, "Reader", Recorded)
+    f = poly(*((i, 1.0) for i in range(1, 301)))
+    g = on_primes(0, np.linspace(2.0, 1.0, 300))
+    want = convolve_reference(f, g, 3000).coeffs
+    assert np.concatenate([b[0] for b in product_blocks(f, g, 3000)]).tobytes() == want.idx.tobytes()
+    support = g.coeffs.idx
+    for i, reader in zip(range(1, 301), readers, strict=True):
+        end = int(np.searchsorted(support, 3000 // i, side="right"))
+        assert sum(1 for a, b in reader.spans if b > max(a, end)) <= 1
+
+
+def test_product_blocks_refuse_a_prime_product_past_int64():
+    # (2^40 + 1) p passes int64 for the primes p past 2^63 // (2^40 + 1),
+    # about 2^23: at the limit 2^64 the cursor of 2^40 + 1 raises when it
+    # peeks the first of them, after the blocks below have streamed; at the
+    # int64 limit their products are dropped
+    table = sieve_primes(10 ** 7)
+    f = poly((1, 1.0), (2 ** 40 + 1, -0.5))
+    g = DirichletPoly(PrimeCoeffs(table, len(table) - 150_000, np.linspace(2.0, 1.0, 150_000)))
+    top = 2 ** 63 - 1
+    assert g.coeffs.read(0, 1)[0] < top // (2 ** 40 + 1) < g.max_index
+    want = convolve_reference(f, g, top).coeffs
+    got = convolve(f, g, top).coeffs
+    assert got.idx.tobytes() == want.idx.tobytes()
+    assert got.val.tobytes() == want.val.tobytes()
+    streamed = []
+    with pytest.raises(DomainError, match="exceeds int64"):
+        for idx, val in product_blocks(f, g, 2 ** 64):
+            streamed.append(idx)
+    assert len(streamed) > 1
+    joined = np.concatenate(streamed)
+    assert joined.tobytes() == want.idx[:joined.size].tobytes()
+    assert joined[-1] > 2 ** 62  # products of 2^40 + 1 among them
 
 
 def test_product_blocks_overflow_past_the_look_raises():
